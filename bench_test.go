@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"stash/internal/core"
 	"stash/internal/experiments"
 	"stash/internal/report"
 )
@@ -158,23 +159,23 @@ func BenchmarkClaims(b *testing.B) {
 // benchSuite runs the full registry through the parallel scheduler at a
 // fixed worker-pool size. Comparing BenchmarkSuiteSerial against
 // BenchmarkSuiteParallel measures the wall-clock win of the scenario
-// scheduler on the whole evaluation; bench.sh distils their steady-state
-// ratio into the BENCH_*.json parallel_speedup field. The scheduler
-// dispatches contiguous per-worker batches (core.ForEachCtx), so each
-// worker's simulate calls hit the same per-P pooled simContext — engine,
-// network and provisioner scratch recycled across cells instead of
-// reallocated. Each variant gets its own seed space: the shared profiler
-// is keyed by {iterations, seed} and lives for the whole process, so
-// reusing seeds would hand the second bench a warm scenario cache and
-// fake the comparison.
-func benchSuite(b *testing.B, parallelism int, seedBase int64) {
+// scheduler on the whole evaluation; bench.sh distils their ratio into
+// the BENCH_*.json parallel_speedup field. The scheduler dispatches
+// contiguous per-worker batches (core.ForEachCtx), so each worker's
+// simulate calls hit the same per-P pooled simContext — engine, network
+// and provisioner scratch recycled across cells instead of reallocated.
+// Every sample gets a fresh profiler pool, so every scenario simulates:
+// the process-wide shared profiler is keyed by {iterations, seed}, and
+// under -benchtime=1x -count=N each sample has i == 0, so a shared pool
+// would let samples 2..N replay the cache sample 1 filled.
+func benchSuite(b *testing.B, parallelism int) {
 	b.Helper()
 	reg := experiments.Registry()
 	cells := 0
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
-		cfg.Seed = seedBase + int64(i)
 		cfg.Parallelism = parallelism
+		cfg.Pool = core.New(core.WithIterations(cfg.Iterations), core.WithSeed(cfg.Seed), core.WithParallelism(parallelism))
 		cells = 0
 		for _, r := range experiments.RunMany(cfg, reg) {
 			if r.Err != nil {
@@ -190,10 +191,9 @@ func benchSuite(b *testing.B, parallelism int, seedBase int64) {
 
 // BenchmarkSuiteSerial is the full evaluation at Parallelism=1 — the
 // pre-scheduler serial path.
-func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1, 1<<20) }
+func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1) }
 
 // BenchmarkSuiteParallel is the full evaluation at Parallelism=NumCPU.
-// At equal seeds its table output is byte-identical to the serial run
-// (TestParallelOutputByteIdentical); here the seed spaces are disjoint
-// so neither bench inherits the other's scenario cache.
-func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, runtime.NumCPU(), 2<<20) }
+// Its table output is byte-identical to the serial run
+// (TestParallelOutputByteIdentical).
+func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, runtime.NumCPU()) }

@@ -10,15 +10,12 @@
 //	       [-request-timeout D] [-drain-timeout D]
 //	       [-job-workers N] [-job-ttl D] [-max-jobs N]
 //	       [-tenant-quota N] [-tenant-weights name=w,...]
-//	       [-peers url,url,... -cluster-addr :8322 [-cluster-advertise URL]]
 //
-// Cluster mode: -peers lists every replica's cluster base URL (this
-// replica included, same set on every replica); -cluster-addr is the
-// peer-protocol listener and -cluster-advertise the URL peers reach it
-// at (default http://<cluster-addr>). Scenario keys shard across
-// replicas on a consistent-hash ring with cluster-wide single-flight,
-// and idle replicas steal grid-sweep cells from busy ones; see
-// docs/OPERATIONS.md for topology and failure semantics.
+// A flag value the server cannot honor as given — a zero pool size or
+// quota, a non-positive timeout, a tenant weight outside
+// [1, api.MaxTenantWeight] or an invalid tenant name — stops startup
+// with an error naming the flag, the value and the reason; no value is
+// ever adjusted.
 //
 // Endpoints:
 //
@@ -63,7 +60,6 @@ import (
 	"time"
 
 	"stash/internal/api"
-	"stash/internal/cluster"
 	"stash/internal/core"
 	"stash/internal/experiments"
 )
@@ -75,71 +71,106 @@ func main() {
 	}
 }
 
+// ConfigError is a flag value stashd refuses to start with.
+type ConfigError struct {
+	Flag   string // flag name, without the dash
+	Value  string // the value as given
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("-%s %q: %s", e.Flag, e.Value, e.Reason)
+}
+
+// config holds the parsed flags.
+type config struct {
+	addr          string
+	iters         int
+	expIters      int
+	seed          int64
+	parallel      int
+	maxConc       int
+	reqTimeout    time.Duration
+	drainTimeout  time.Duration
+	jobWorkers    int
+	jobTTL        time.Duration
+	maxJobs       int
+	tenantQuota   int
+	tenantWeights string
+}
+
+// newFlagSet declares every stashd flag, bound to c.
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("stashd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":8321", "listen address")
+	fs.IntVar(&c.iters, "iters", core.DefaultIterations, "profiling iterations per scenario (profile/recommend)")
+	fs.IntVar(&c.expIters, "exp-iters", experiments.DefaultConfig().Iterations, "profiling iterations per scenario (experiments)")
+	fs.Int64Var(&c.seed, "seed", 1, "provisioning seed")
+	fs.IntVar(&c.parallel, "parallel", 0, "per-request worker pool size (0 or negative = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&c.maxConc, "max-concurrent", runtime.GOMAXPROCS(0), "concurrent heavy requests (profile/recommend/experiment)")
+	fs.DurationVar(&c.reqTimeout, "request-timeout", api.DefaultRequestTimeout, "per-request deadline")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain window")
+	fs.IntVar(&c.jobWorkers, "job-workers", api.DefaultJobWorkers, "v2 job executor pool size")
+	fs.DurationVar(&c.jobTTL, "job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
+	fs.IntVar(&c.maxJobs, "max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
+	fs.IntVar(&c.tenantQuota, "tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs per tenant")
+	fs.StringVar(&c.tenantWeights, "tenant-weights", "", "fair-queue tenant weights as name=w,name=w (default weight 1)")
+	return fs
+}
+
+// check rejects the values the server would otherwise have to adjust.
+func (c *config) check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"iters", c.iters},
+		{"exp-iters", c.expIters},
+		{"max-concurrent", c.maxConc},
+		{"job-workers", c.jobWorkers},
+		{"max-jobs", c.maxJobs},
+		{"tenant-quota", c.tenantQuota},
+	} {
+		if f.v < 1 {
+			return &ConfigError{Flag: f.name, Value: strconv.Itoa(f.v), Reason: "must be at least 1"}
+		}
+	}
+	if c.reqTimeout <= 0 {
+		return &ConfigError{Flag: "request-timeout", Value: c.reqTimeout.String(), Reason: "must be positive"}
+	}
+	return nil
+}
+
 // run starts the service and blocks until the listener fails or ctx is
 // cancelled (the signal context in main); it then drains in-flight
 // requests before returning.
 func run(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stashd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8321", "listen address")
-	iters := fs.Int("iters", core.DefaultIterations, "profiling iterations per scenario (profile/recommend)")
-	expIters := fs.Int("exp-iters", experiments.DefaultConfig().Iterations, "profiling iterations per scenario (experiments)")
-	seed := fs.Int64("seed", 1, "provisioning seed")
-	parallel := fs.Int("parallel", 0, "per-request worker pool size (0 or negative = GOMAXPROCS, 1 = serial)")
-	maxConc := fs.Int("max-concurrent", runtime.GOMAXPROCS(0), "concurrent heavy requests (profile/recommend/experiment)")
-	reqTimeout := fs.Duration("request-timeout", api.DefaultRequestTimeout, "per-request deadline")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window")
-	jobWorkers := fs.Int("job-workers", api.DefaultJobWorkers, "v2 job executor pool size")
-	jobTTL := fs.Duration("job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
-	maxJobs := fs.Int("max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
-	tenantQuota := fs.Int("tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs per tenant")
-	tenantWeights := fs.String("tenant-weights", "", "fair-queue tenant weights as name=w,name=w (default weight 1)")
-	peers := fs.String("peers", "", "cluster replica base URLs, comma-separated (this replica included); empty = standalone")
-	clusterAddr := fs.String("cluster-addr", ":8322", "cluster peer-protocol listen address (with -peers)")
-	clusterAdvertise := fs.String("cluster-advertise", "", "URL peers reach this replica's cluster listener at (default http://<cluster-addr>)")
-	if err := fs.Parse(args); err != nil {
+	var c config
+	if err := newFlagSet(&c).Parse(args); err != nil {
 		return err
 	}
-	weights, err := parseTenantWeights(*tenantWeights)
+	if err := c.check(); err != nil {
+		return err
+	}
+	weights, err := parseTenantWeights(c.tenantWeights)
 	if err != nil {
 		return err
 	}
 
 	opts := []api.Option{
-		api.WithIterations(*iters),
-		api.WithExperimentIterations(*expIters),
-		api.WithSeed(*seed),
-		api.WithParallelism(*parallel),
-		api.WithMaxConcurrent(*maxConc),
-		api.WithRequestTimeout(*reqTimeout),
-		api.WithJobWorkers(*jobWorkers),
-		api.WithJobTTL(*jobTTL),
-		api.WithJobStoreMax(*maxJobs),
-		api.WithTenantQuota(*tenantQuota),
+		api.WithIterations(c.iters),
+		api.WithExperimentIterations(c.expIters),
+		api.WithSeed(c.seed),
+		api.WithParallelism(c.parallel),
+		api.WithMaxConcurrent(c.maxConc),
+		api.WithRequestTimeout(c.reqTimeout),
+		api.WithJobWorkers(c.jobWorkers),
+		api.WithJobTTL(c.jobTTL),
+		api.WithJobStoreMax(c.maxJobs),
+		api.WithTenantQuota(c.tenantQuota),
 	}
 	for _, tw := range weights {
 		opts = append(opts, api.WithTenantWeight(tw.name, tw.weight))
-	}
-
-	// Cluster mode: build the node first (api.New starts it with the
-	// serving backend) and put its peer protocol on its own listener,
-	// so operator traffic and replica traffic never share a port.
-	var node *cluster.Node
-	var clusterLn net.Listener
-	if *peers != "" {
-		clusterLn, err = net.Listen("tcp", *clusterAddr)
-		if err != nil {
-			return err
-		}
-		self := *clusterAdvertise
-		if self == "" {
-			self = "http://" + clusterLn.Addr().String()
-		}
-		node, err = cluster.New(cluster.Config{Self: self, Peers: strings.Split(*peers, ",")})
-		if err != nil {
-			clusterLn.Close()
-			return err
-		}
-		opts = append(opts, api.WithCluster(node))
 	}
 
 	srv := api.New(opts...)
@@ -148,11 +179,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
-		if clusterLn != nil {
-			clusterLn.Close()
-		}
 		return err
 	}
 
@@ -163,51 +191,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(out, "stashd: listening on %s\n", ln.Addr())
 
-	var chs *http.Server
-	clusterErr := make(chan error, 1)
-	if node != nil {
-		chs = &http.Server{
-			Handler:           node.Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() { clusterErr <- chs.Serve(clusterLn) }()
-		fmt.Fprintf(out, "stashd: cluster protocol on %s as %s (%d replicas)\n",
-			clusterLn.Addr(), node.Self(), node.PeerCount()+1)
-	}
-
 	select {
 	case err := <-serveErr:
-		return err
-	case err := <-clusterErr:
 		return err
 	case <-ctx.Done():
 	}
 
 	fmt.Fprintln(out, "stashd: shutting down, draining jobs and in-flight requests")
 	//lint:allow ctxflow the serve ctx is already cancelled here; the drain deadline must outlive it
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
-	// Drain order matters: first announce draining to peers and hand
-	// queued stolen cells back to their owners (node.Drain), then settle
-	// local jobs (srv.Drain) while both listeners still answer, and only
-	// then stop accepting connections.
-	if node != nil {
-		node.Drain(dctx)
-	}
+	// Settle jobs while the listener still answers status polls and SSE
+	// streams, then stop accepting connections.
 	srv.Drain(dctx)
-	if chs != nil {
-		if err := chs.Shutdown(dctx); err != nil {
-			return fmt.Errorf("cluster drain: %w", err)
-		}
-	}
 	if err := hs.Shutdown(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
-	}
-	if node != nil {
-		node.Stop()
-		if err := <-clusterErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
@@ -222,20 +220,33 @@ type tenantWeight struct {
 	weight int
 }
 
-// parseTenantWeights parses "name=w,name=w" into ordered entries.
+// parseTenantWeights parses "name=w,name=w" into ordered entries. Every
+// name must pass api.CheckTenantName, every weight must lie in
+// [1, api.MaxTenantWeight], and no name may repeat.
 func parseTenantWeights(s string) ([]tenantWeight, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []tenantWeight
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("tenant-weights: %q is not name=weight", part)
+		bad := func(reason string) error {
+			return &ConfigError{Flag: "tenant-weights", Value: part, Reason: reason}
 		}
+		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return nil, bad("not name=weight")
+		}
+		if err := api.CheckTenantName(name); err != nil {
+			return nil, bad("tenant name: " + err.Error())
+		}
+		if seen[name] {
+			return nil, bad("tenant " + name + " listed twice")
+		}
+		seen[name] = true
 		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("tenant-weights: %q needs a positive integer weight", part)
+		if err != nil || w < 1 || w > api.MaxTenantWeight {
+			return nil, bad(fmt.Sprintf("weight must be an integer in [1, %d]", api.MaxTenantWeight))
 		}
 		out = append(out, tenantWeight{name: name, weight: w})
 	}

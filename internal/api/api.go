@@ -29,9 +29,12 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -39,7 +42,6 @@ import (
 	"time"
 
 	"stash/internal/audit"
-	"stash/internal/cluster"
 	"stash/internal/core"
 	"stash/internal/experiments"
 )
@@ -120,7 +122,9 @@ func WithTenantQuota(n int) Option {
 
 // WithTenantWeight assigns a fair-queueing weight to a tenant (default
 // 1): a weight-3 tenant's jobs dispatch three times as often as a
-// weight-1 tenant's while both are backlogged.
+// weight-1 tenant's while both are backlogged. The scheduler bounds w
+// to [1, MaxTenantWeight]; cmd/stashd instead rejects such weights, and
+// names that fail CheckTenantName, at startup.
 func WithTenantWeight(name string, w int) Option {
 	return func(s *Server) {
 		if s.tenantWeights == nil {
@@ -145,13 +149,12 @@ type Server struct {
 	tenantQuota   int
 	tenantWeights map[string]int64
 
-	profiler    *core.Profiler
-	expCfg      experiments.Config
-	clusterNode *cluster.Node
-	sem         chan struct{}
-	metrics     *metrics
-	jobsStore   *jobStore
-	mux         *http.ServeMux
+	profiler  *core.Profiler
+	expCfg    experiments.Config
+	sem       chan struct{}
+	metrics   *metrics
+	jobsStore *jobStore
+	mux       *http.ServeMux
 }
 
 // New builds a stashd server with the given options.
@@ -186,26 +189,10 @@ func New(opts ...Option) *Server {
 		Seed:        s.seed,
 		Parallelism: s.parallelism,
 	}
-	if s.clusterNode != nil {
-		// Cluster mode: the experiments pool must be private to this
-		// server (not the process-wide shared profiler), so each replica
-		// owns exactly its own cache and counters; both pools consult
-		// the ring on cache misses.
-		s.expCfg.Pool = core.New(
-			core.WithIterations(s.expIterations),
-			core.WithSeed(s.seed),
-			core.WithParallelism(s.parallelism),
-		)
-		s.profiler.SetRemote(s.clusterNode.Resolver("profile"))
-		s.expCfg.Pool.SetRemote(s.clusterNode.Resolver("experiments"))
-	}
 	s.sem = make(chan struct{}, s.maxConcurrent)
 	s.jobsStore = newJobStore(s.jobWorkers, s.jobTTL, s.jobStoreMax, s.tenantQuota, s.tenantWeights)
-	s.metrics = newMetrics(s.profiler, s.expCfg, s.jobsStore, s.clusterNode)
+	s.metrics = newMetrics(s.profiler, s.expCfg, s.jobsStore)
 	s.jobsStore.start(s.executeJob)
-	if s.clusterNode != nil {
-		s.clusterNode.Start(s.clusterBackend())
-	}
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.route("healthz", false, s.handleHealthz))
@@ -445,15 +432,33 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	return keys
 }
 
-// decode parses a JSON request body into dst, rejecting unknown fields
-// so client typos surface as 400s instead of silently ignored options.
-func decode(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body; every request DTO is far smaller.
+const maxBodyBytes = 1 << 20
+
+// decode parses a request body holding exactly one JSON value into
+// dst. Unknown fields and trailing data are 400s, so client typos
+// surface instead of being silently ignored; a body over maxBodyBytes
+// is a 413. Both carry the invalid_request code.
+func decode(w http.ResponseWriter, r *http.Request, dst any) *apiError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
+	err := dec.Decode(dst)
+	if err == nil {
+		// The value must be followed by EOF; any further token is
+		// trailing data.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = cmp.Or(terr, errors.New("trailing data after the JSON value"))
+		}
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return newAPIError(http.StatusRequestEntityTooLarge, errInvalidRequest,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	}
+	return newAPIError(http.StatusBadRequest, errInvalidRequest, "invalid JSON body: "+err.Error())
 }
 
 // fail maps an error from the profiling stack to the API error

@@ -151,6 +151,11 @@ func TestProfileValidationErrors(t *testing.T) {
 		{"bad nodes", `{"model":"resnet18","instance":"p3.16xlarge","nodes":3}`, http.StatusBadRequest, errInvalidRequest},
 		{"unknown field", `{"model":"resnet18","instance":"p3.2xlarge","iters":9}`, http.StatusBadRequest, errInvalidRequest},
 		{"malformed JSON", `{"model":`, http.StatusBadRequest, errInvalidRequest},
+		{"trailing value", `{"model":"resnet18","instance":"p3.2xlarge"}{}`, http.StatusBadRequest, errInvalidRequest},
+		{"trailing garbage", `{"model":"resnet18","instance":"p3.2xlarge"} x`, http.StatusBadRequest, errInvalidRequest},
+		{"trailing brace", `{"model":"resnet18","instance":"p3.2xlarge"}}`, http.StatusBadRequest, errInvalidRequest},
+		{"oversized body", `{"model":"resnet18","instance":"p3.2xlarge","batch":` + strings.Repeat(" ", maxBodyBytes) + `32}`,
+			http.StatusRequestEntityTooLarge, errInvalidRequest},
 		{"oom", `{"model":"bert-large","instance":"p3.2xlarge","batch":64}`, http.StatusUnprocessableEntity, errOOM},
 	}
 	for _, c := range cases {

@@ -30,14 +30,9 @@ func TestCaptureDocExamples(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cb := clusterDocBase(t)
 
 	for _, ex := range docExamples {
-		base := ts.URL
-		if ex.cluster {
-			base = cb()
-		}
-		code, body := runDocExample(t, base, ex)
+		code, body := runDocExample(t, ts.URL, ex)
 		if code != ex.wantStatus {
 			t.Fatalf("%s: status %d, want %d", ex.name, code, ex.wantStatus)
 		}

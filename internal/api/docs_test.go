@@ -40,12 +40,6 @@ type docExample struct {
 	// server (advancing the job sequence, freeing workers) but are not
 	// documented.
 	hidden bool
-
-	// cluster examples run against a lazily-booted 3-replica cluster
-	// harness instead of the standalone server; the harness has its own
-	// job-id sequence. Its replicas run -exp-iters 2 -seed 5, so the
-	// captured bodies stay deterministic.
-	cluster bool
 }
 
 const opsDoc = "../../docs/OPERATIONS.md"
@@ -108,23 +102,13 @@ var docExamples = []docExample{
 	// Operator-guide examples live in docs/OPERATIONS.md.
 	{name: "ops-health", method: http.MethodGet, path: "/healthz",
 		wantStatus: http.StatusOK, doc: opsDoc},
-
-	// Cluster mode: a sweep submitted to one replica of a 3-replica
-	// cluster. The settled result is byte-identical to what a standalone
-	// server with the same -exp-iters/-seed returns for the same sweep —
-	// the distribution guarantee, visible in the docs.
-	{name: "cluster-sweep-create", method: http.MethodPost, path: "/v2/jobs",
-		request:    `{"type":"experiments","experiments":{"ids":["fig9","fig12"]}}`,
-		wantStatus: http.StatusAccepted, cluster: true},
-	{name: "cluster-sweep-result", method: http.MethodGet, path: "/v2/jobs/job-1/result",
-		wantStatus: http.StatusOK, settle: "job-1", cluster: true},
 }
 
 var verifyMarker = regexp.MustCompile(`<!--\s*verify:([a-z0-9-]+)\s*-->`)
 
 // parseVerifiedBlocks extracts every `<!-- verify:name -->` marker and
 // the fenced code block that follows it from a markdown file.
-func parseVerifiedBlocks(t *testing.T, path string) map[string]string {
+func parseVerifiedBlocks(t testing.TB, path string) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -203,20 +187,6 @@ func settleJob(t *testing.T, base, id string) {
 	}
 }
 
-// clusterDocBase returns a function yielding the operator base URL of a
-// shared 3-replica cluster harness, booting it on first use so doc runs
-// without cluster examples never pay for one.
-func clusterDocBase(t *testing.T) func() string {
-	t.Helper()
-	var h *clusterHarness
-	return func() string {
-		if h == nil {
-			h = newClusterHarness(t, 3, nil)
-		}
-		return h.api[0].URL
-	}
-}
-
 // runDocExample performs one example against the shared doc server,
 // honoring its settle step, and returns status and body.
 func runDocExample(t *testing.T, base string, ex docExample) (int, []byte) {
@@ -270,16 +240,11 @@ func TestAPIDocExamplesVerified(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cb := clusterDocBase(t)
 
 	for _, ex := range docExamples {
 		t.Run(ex.name, func(t *testing.T) {
-			base := ts.URL
-			if ex.cluster {
-				base = cb()
-			}
 			if ex.hidden {
-				if code, body := runDocExample(t, base, ex); code != ex.wantStatus {
+				if code, body := runDocExample(t, ts.URL, ex); code != ex.wantStatus {
 					t.Fatalf("status = %d, want %d (body %s)", code, ex.wantStatus, body)
 				}
 				return
@@ -301,7 +266,7 @@ func TestAPIDocExamplesVerified(t *testing.T) {
 			}
 			usedHere[ex.name+"-response"] = true
 
-			code, body := runDocExample(t, base, ex)
+			code, body := runDocExample(t, ts.URL, ex)
 			if code != ex.wantStatus {
 				t.Fatalf("status = %d, want %d (body %s)", code, ex.wantStatus, body)
 			}

@@ -239,8 +239,8 @@ func (s *Server) computeExperiment(ctx context.Context, id string) (*ExperimentR
 // handleProfile serves POST /v1/profile.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req ProfileRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, errInvalidRequest, err.Error())
+	if aerr := decode(w, r, &req); aerr != nil {
+		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
 	resp, aerr := s.computeProfile(r.Context(), req)
@@ -254,8 +254,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // handleBlame serves POST /v1/blame.
 func (s *Server) handleBlame(w http.ResponseWriter, r *http.Request) {
 	var req BlameRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, errInvalidRequest, err.Error())
+	if aerr := decode(w, r, &req); aerr != nil {
+		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
 	resp, aerr := s.computeBlame(r.Context(), req)
@@ -269,8 +269,8 @@ func (s *Server) handleBlame(w http.ResponseWriter, r *http.Request) {
 // handleRecommend serves POST /v1/recommend.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req RecommendRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, errInvalidRequest, err.Error())
+	if aerr := decode(w, r, &req); aerr != nil {
+		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
 	resp, aerr := s.computeRecommend(r.Context(), req)

@@ -88,6 +88,11 @@ const (
 	// dispatch, so passes stay exact integers for every weight up to
 	// strideScale and scheduling never compares floats.
 	strideScale = 840
+
+	// MaxTenantWeight is the largest fair-queue weight a tenant can
+	// hold (WithTenantWeight): the stride numerator, so every weight's
+	// stride is a whole number of virtual-time units.
+	MaxTenantWeight = strideScale
 )
 
 // tenantHeader names the requesting tenant; absent means
@@ -99,19 +104,31 @@ const (
 	defaultTenant = "default"
 )
 
-var tenantNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
+// tenantNamePattern is the label-safe alphabet tenant names are drawn
+// from, so they can appear verbatim in /metrics series.
+const tenantNamePattern = `[A-Za-z0-9][A-Za-z0-9_.-]{0,63}`
+
+var tenantNameRe = regexp.MustCompile(`^` + tenantNamePattern + `$`)
+
+// CheckTenantName reports whether name can identify a tenant, both in
+// the X-Stash-Tenant header and in a WithTenantWeight entry.
+func CheckTenantName(name string) error {
+	if !tenantNameRe.MatchString(name) {
+		return fmt.Errorf("need %s", tenantNamePattern)
+	}
+	return nil
+}
 
 // tenantOf resolves the request's tenant from the X-Stash-Tenant
-// header. Tenant names are constrained to a label-safe alphabet so
-// they can appear verbatim in /metrics series.
+// header; an absent header means defaultTenant.
 func tenantOf(r *http.Request) (string, *apiError) {
 	name := r.Header.Get(tenantHeader)
 	if name == "" {
 		return defaultTenant, nil
 	}
-	if !tenantNameRe.MatchString(name) {
+	if err := CheckTenantName(name); err != nil {
 		return "", newAPIError(http.StatusBadRequest, errInvalidRequest,
-			fmt.Sprintf("invalid %s header: need [A-Za-z0-9][A-Za-z0-9_.-]{0,63}", tenantHeader))
+			fmt.Sprintf("invalid %s header: %v", tenantHeader, err))
 	}
 	return name, nil
 }
@@ -374,13 +391,7 @@ func (st *jobStore) submit(tenant string, req JobCreateRequest, class string, pr
 func (st *jobStore) enqueueLocked(j *job) {
 	ts := st.sched[j.tenant]
 	if ts == nil {
-		w := st.weights[j.tenant]
-		if w < 1 {
-			w = 1
-		}
-		if w > strideScale {
-			w = strideScale
-		}
+		w := min(max(st.weights[j.tenant], 1), MaxTenantWeight)
 		ts = &tenantSched{name: j.tenant, stride: strideScale / w, pass: st.vtime}
 		for i := range ts.classes {
 			ts.classes[i].stride = strideScale / jobClasses[i].weight
@@ -768,20 +779,6 @@ func (st *jobStore) size() int {
 	return len(st.jobs)
 }
 
-// idle reports whether the store has no live jobs at all — the gate a
-// cluster replica uses before stealing sweep cells from a peer: a
-// replica with queued or running work of its own never moonlights.
-func (st *jobStore) idle() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, t := range st.tallies {
-		if t.queued+t.running > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // drain stops the job subsystem for graceful shutdown: new submissions
 // are rejected (503 draining), queued jobs are cancelled, and running
 // jobs get until ctx's deadline to finish before they are cancelled
@@ -921,10 +918,6 @@ func (s *Server) executeJob(j *job) {
 				ids[i] = e.ID
 			}
 		}
-		if s.clusterNode != nil && len(ids) > 1 {
-			s.executeClusterSweep(j, ids, fail)
-			return
-		}
 		out := JobExperimentsResult{Experiments: make([]*ExperimentResponse, 0, len(ids))}
 		for _, id := range ids {
 			resp, aerr := s.computeExperiment(ctx, id)
@@ -948,8 +941,8 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobCreateRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, errInvalidRequest, err.Error())
+	if aerr = decode(w, r, &req); aerr != nil {
+		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
 	class, priority, aerr := validateJobCreate(req)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stash/internal/cluster"
 	"stash/internal/core"
 	"stash/internal/experiments"
 )
@@ -27,7 +26,6 @@ type metrics struct {
 	profiler *core.Profiler
 	expCfg   experiments.Config
 	jobs     *jobStore
-	node     *cluster.Node // nil standalone; cluster series render zero
 
 	inflight atomic.Int64
 
@@ -50,12 +48,11 @@ type metrics struct {
 	latCount map[string]int64
 }
 
-func newMetrics(p *core.Profiler, expCfg experiments.Config, jobs *jobStore, node *cluster.Node) *metrics {
+func newMetrics(p *core.Profiler, expCfg experiments.Config, jobs *jobStore) *metrics {
 	return &metrics{
 		profiler: p,
 		expCfg:   expCfg,
 		jobs:     jobs,
-		node:     node,
 		requests: make(map[reqKey]int64),
 		latSum:   make(map[string]float64),
 		latCount: make(map[string]int64),
@@ -144,11 +141,6 @@ func (m *metrics) render() string {
 	for _, p := range pools {
 		fmt.Fprintf(&b, "stashd_scenario_cancelled_total{pool=%q} %d\n", p.name, p.stats.Cancelled)
 	}
-	b.WriteString("# HELP stashd_scenario_remote_hits_total Scenario cache misses resolved by a cluster peer's cache or in-flight simulation.\n")
-	b.WriteString("# TYPE stashd_scenario_remote_hits_total counter\n")
-	for _, p := range pools {
-		fmt.Fprintf(&b, "stashd_scenario_remote_hits_total{pool=%q} %d\n", p.name, p.stats.RemoteHits)
-	}
 	b.WriteString("# HELP stashd_audit_checks_total Invariant checks evaluated by deep health probes.\n")
 	b.WriteString("# TYPE stashd_audit_checks_total counter\n")
 	fmt.Fprintf(&b, "stashd_audit_checks_total %d\n", m.auditChecks.Load())
@@ -194,7 +186,6 @@ func (m *metrics) render() string {
 			}{
 				{"cache_hit", s.CacheHits},
 				{"cancelled", s.Cancelled},
-				{"remote_hit", s.RemoteHits},
 				{"simulated", s.Simulated},
 				{"wait", s.Waits},
 			} {
@@ -244,88 +235,5 @@ func (m *metrics) render() string {
 	b.WriteString("# TYPE stashd_job_store_jobs gauge\n")
 	fmt.Fprintf(&b, "stashd_job_store_jobs %d\n", m.jobs.size())
 
-	// Cluster counters. The families render unconditionally — a
-	// standalone server reports zeros — so dashboards and the docs
-	// checker see the same exposition shape in both modes.
-	var cm cluster.Metrics
-	var alive, dead, draining int64
-	if m.node != nil {
-		cm = m.node.Metrics()
-		for _, p := range m.node.Peers() {
-			switch {
-			case !p.Alive:
-				dead++
-			case p.Status == "draining":
-				draining++
-			default:
-				alive++
-			}
-		}
-	}
-	b.WriteString("# HELP stashd_cluster_peers Cluster peers (self excluded) by membership state; all zero standalone.\n")
-	b.WriteString("# TYPE stashd_cluster_peers gauge\n")
-	fmt.Fprintf(&b, "stashd_cluster_peers{state=\"alive\"} %d\n", alive)
-	fmt.Fprintf(&b, "stashd_cluster_peers{state=\"dead\"} %d\n", dead)
-	fmt.Fprintf(&b, "stashd_cluster_peers{state=\"draining\"} %d\n", draining)
-	b.WriteString("# HELP stashd_cluster_scenario_fetches_total Remote scenario fetch attempts by outcome (hit = resolved by a peer).\n")
-	b.WriteString("# TYPE stashd_cluster_scenario_fetches_total counter\n")
-	for _, oc := range []struct {
-		name string
-		n    int64
-	}{
-		{"bounded_skip", cm.BoundedSkips},
-		{"decline", cm.FetchDeclines},
-		{"hit", cm.FetchHits},
-		{"transport_error", cm.FetchErrors},
-	} {
-		fmt.Fprintf(&b, "stashd_cluster_scenario_fetches_total{outcome=%q} %d\n", oc.name, oc.n)
-	}
-	b.WriteString("# HELP stashd_cluster_scenarios_served_total Scenario requests this replica computed for peers.\n")
-	b.WriteString("# TYPE stashd_cluster_scenarios_served_total counter\n")
-	fmt.Fprintf(&b, "stashd_cluster_scenarios_served_total %d\n", cm.Served)
-	b.WriteString("# HELP stashd_cluster_sweeps_total Grid sweeps this replica has coordinated as owner.\n")
-	b.WriteString("# TYPE stashd_cluster_sweeps_total counter\n")
-	fmt.Fprintf(&b, "stashd_cluster_sweeps_total %d\n", cm.Sweeps)
-	b.WriteString("# HELP stashd_cluster_sweep_cells_total Work-stealing cell flow by event (leases out, completed steals, expiries, drain handbacks).\n")
-	b.WriteString("# TYPE stashd_cluster_sweep_cells_total counter\n")
-	for _, ev := range []struct {
-		name string
-		n    int64
-	}{
-		{"reissued", cm.Reissued},
-		{"released", cm.Released},
-		{"stolen_by_peers", cm.StolenByPeers},
-		{"stolen_from_peers", cm.StolenFromPeers},
-	} {
-		fmt.Fprintf(&b, "stashd_cluster_sweep_cells_total{event=%q} %d\n", ev.name, ev.n)
-	}
-	// Cluster-wide scenario counters: this replica's live snapshot plus
-	// every peer's last gossiped one (lagging by up to one heartbeat).
-	// Standalone there is nothing to aggregate and the families render
-	// with no samples.
-	var agg map[string]core.Stats
-	var aggTenants map[string]map[string]core.Stats
-	if m.node != nil {
-		agg = m.node.AggregatedPools()
-		aggTenants = m.node.AggregatedTenants()
-	}
-	b.WriteString("# HELP stashd_cluster_scenario_requests_total Scenario requests admitted, summed across the cluster.\n")
-	b.WriteString("# TYPE stashd_cluster_scenario_requests_total counter\n")
-	for _, pool := range sortedKeys(agg) {
-		fmt.Fprintf(&b, "stashd_cluster_scenario_requests_total{pool=%q} %d\n", pool, agg[pool].Requests)
-	}
-	b.WriteString("# HELP stashd_cluster_scenarios_simulated_total Scenarios executed on a simulation engine, summed across the cluster.\n")
-	b.WriteString("# TYPE stashd_cluster_scenarios_simulated_total counter\n")
-	for _, pool := range sortedKeys(agg) {
-		fmt.Fprintf(&b, "stashd_cluster_scenarios_simulated_total{pool=%q} %d\n", pool, agg[pool].Simulated)
-	}
-	b.WriteString("# HELP stashd_cluster_tenant_scenario_requests_total Scenario requests admitted, by tenant, summed across the cluster.\n")
-	b.WriteString("# TYPE stashd_cluster_tenant_scenario_requests_total counter\n")
-	for _, pool := range sortedKeys(aggTenants) {
-		for _, tenant := range sortedKeys(aggTenants[pool]) {
-			fmt.Fprintf(&b, "stashd_cluster_tenant_scenario_requests_total{pool=%q,tenant=%q} %d\n",
-				pool, tenant, aggTenants[pool][tenant].Requests)
-		}
-	}
 	return b.String()
 }

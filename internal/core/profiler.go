@@ -129,20 +129,15 @@ type Profiler struct {
 	mu    sync.Mutex
 	cache map[scenarioKey]*cacheEntry
 
-	// remote is the cluster hook consulted on cache misses (SetRemote);
-	// nil outside cluster mode.
-	remote atomic.Pointer[RemoteResolver]
-
 	// Scheduler counters behind Stats. requests is incremented when a
 	// scenario request is admitted (after the fit check); exactly one of
 	// the outcome counters follows, so at quiescence
-	// requests == simulated + hits + remoteHits + waits + cancelled.
-	requests   atomic.Int64
-	simulated  atomic.Int64
-	hits       atomic.Int64
-	remoteHits atomic.Int64
-	waits      atomic.Int64
-	cancelled  atomic.Int64
+	// requests == simulated + hits + waits + cancelled.
+	requests  atomic.Int64
+	simulated atomic.Int64
+	hits      atomic.Int64
+	waits     atomic.Int64
+	cancelled atomic.Int64
 
 	// Per-tenant mirrors of the scheduler counters, keyed by the tenant
 	// attached to the request context (WithTenant). Every increment of a
@@ -156,7 +151,7 @@ type Profiler struct {
 
 // tenantCounters is one tenant's mirror of the scheduler counters.
 type tenantCounters struct {
-	requests, simulated, hits, remoteHits, waits, cancelled atomic.Int64
+	requests, simulated, hits, waits, cancelled atomic.Int64
 }
 
 // cacheEntry is one scenario's single-flight slot: res and err are
@@ -169,9 +164,9 @@ type cacheEntry struct {
 
 // Stats is a snapshot of the profiler's scenario-scheduler counters.
 // The counters conserve: every admitted request ends in exactly one of
-// the five outcomes, so on a quiesced profiler
+// four mutually exclusive outcomes, so on a quiesced profiler
 //
-//	Requests == Simulated + CacheHits + RemoteHits + Waits + Cancelled.
+//	Requests == Simulated + CacheHits + Waits + Cancelled.
 //
 // A snapshot taken while requests are in flight may see Requests ahead
 // of the outcome sum (admission is counted before the outcome), never
@@ -181,17 +176,12 @@ type Stats struct {
 	// request rejected by the GPU-memory fit check is never admitted).
 	Requests int64
 
-	// Simulated counts scenarios actually executed on this replica's
-	// engine. In cluster mode the sum of Simulated across replicas stays
-	// ≤ the number of unique scenarios: peer fills land in RemoteHits.
+	// Simulated counts scenarios actually executed on an engine. The
+	// single-flight cache keeps it ≤ the number of unique scenarios.
 	Simulated int64
 
 	// CacheHits counts scenario requests served from a completed result.
 	CacheHits int64
-
-	// RemoteHits counts cache misses filled by a cluster peer's result
-	// (SetRemote) instead of a local simulation.
-	RemoteHits int64
 
 	// Waits counts requests that found their scenario in flight, blocked
 	// on the single-flight entry, and received its result.
@@ -207,25 +197,13 @@ type Stats struct {
 // flight; a negative balance means the accounting is broken (the
 // auditor's conservation invariant).
 func (s Stats) Balance() int64 {
-	return s.Requests - (s.Simulated + s.CacheHits + s.RemoteHits + s.Waits + s.Cancelled)
-}
-
-// Add accumulates another snapshot into s, for cluster-wide aggregation
-// across replicas.
-func (s Stats) Add(o Stats) Stats {
-	s.Requests += o.Requests
-	s.Simulated += o.Simulated
-	s.CacheHits += o.CacheHits
-	s.RemoteHits += o.RemoteHits
-	s.Waits += o.Waits
-	s.Cancelled += o.Cancelled
-	return s
+	return s.Requests - (s.Simulated + s.CacheHits + s.Waits + s.Cancelled)
 }
 
 // String renders the counters compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d scenario requests: %d simulated, %d cache hits, %d remote hits, %d single-flight waits, %d cancelled",
-		s.Requests, s.Simulated, s.CacheHits, s.RemoteHits, s.Waits, s.Cancelled)
+	return fmt.Sprintf("%d scenario requests: %d simulated, %d cache hits, %d single-flight waits, %d cancelled",
+		s.Requests, s.Simulated, s.CacheHits, s.Waits, s.Cancelled)
 }
 
 // Stats returns the profiler's scheduler counters. The fields are read
@@ -236,11 +214,10 @@ func (s Stats) String() string {
 // stays >= 0 even mid-flight.
 func (p *Profiler) Stats() Stats {
 	s := Stats{
-		Simulated:  p.simulated.Load(),
-		CacheHits:  p.hits.Load(),
-		RemoteHits: p.remoteHits.Load(),
-		Waits:      p.waits.Load(),
-		Cancelled:  p.cancelled.Load(),
+		Simulated: p.simulated.Load(),
+		CacheHits: p.hits.Load(),
+		Waits:     p.waits.Load(),
+		Cancelled: p.cancelled.Load(),
 	}
 	s.Requests = p.requests.Load()
 	return s
@@ -257,11 +234,10 @@ func (p *Profiler) TenantStats() map[string]Stats {
 	out := make(map[string]Stats, len(p.tenants))
 	for name, tc := range p.tenants {
 		s := Stats{
-			Simulated:  tc.simulated.Load(),
-			CacheHits:  tc.hits.Load(),
-			RemoteHits: tc.remoteHits.Load(),
-			Waits:      tc.waits.Load(),
-			Cancelled:  tc.cancelled.Load(),
+			Simulated: tc.simulated.Load(),
+			CacheHits: tc.hits.Load(),
+			Waits:     tc.waits.Load(),
+			Cancelled: tc.cancelled.Load(),
 		}
 		s.Requests = tc.requests.Load()
 		out[name] = s
@@ -373,27 +349,11 @@ const (
 // the goroutines still waiting on it.
 //
 // Counter discipline: a request that passes the fit check increments
-// requests, then exactly one outcome counter — simulated, hits,
-// remoteHits, waits, or cancelled — so the Stats conservation invariant
-// holds. A waiter whose context expires counts as cancelled, not as a
-// wait: it never received the result it was waiting for.
-//
-// In cluster mode (SetRemote) the cache miss is offered to the remote
-// resolver before the local engine: a peer-resolved result fills the
-// entry and counts as remoteHits; a decline (no cluster, we own the
-// key, or the owner died) falls through to a local simulation. The
-// waiters parked on the entry never see the difference.
+// requests, then exactly one outcome counter — simulated, hits, waits,
+// or cancelled — so the Stats conservation invariant holds. A waiter
+// whose context expires counts as cancelled, not as a wait: it never
+// received the result it was waiting for.
 func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*train.Result, error) {
-	return p.runScenario(ctx, job, sc, true)
-}
-
-// runLocal is run without the remote hop: the owner-side entry point
-// (see RunLocalScenario), immune to forwarding loops by construction.
-func (p *Profiler) runLocal(ctx context.Context, job workload.Job, sc scenario) (*train.Result, error) {
-	return p.runScenario(ctx, job, sc, false)
-}
-
-func (p *Profiler) runScenario(ctx context.Context, job workload.Job, sc scenario, allowRemote bool) (*train.Result, error) {
 	if err := checkFit(job, sc.instance); err != nil {
 		return nil, err
 	}
@@ -447,28 +407,6 @@ func (p *Profiler) runScenario(ctx context.Context, job workload.Job, sc scenari
 	e := &cacheEntry{done: make(chan struct{})}
 	p.cache[key] = e
 	p.mu.Unlock()
-
-	if allowRemote {
-		if rr := p.remoteResolver(); rr != nil {
-			spec := ScenarioSpec{
-				Model:    key.model,
-				Batch:    key.batch,
-				Instance: key.instance,
-				Count:    key.count,
-				GPUsPer:  key.gpusPer,
-				Mode:     int(key.mode),
-			}
-			if out, ok := rr(ctx, spec); ok {
-				e.res, e.err = out.Res, out.Err
-				p.remoteHits.Add(1)
-				if tc != nil {
-					tc.remoteHits.Add(1)
-				}
-				close(e.done)
-				return e.res, e.err
-			}
-		}
-	}
 
 	e.res, e.err = p.simulate(job, sc)
 	p.simulated.Add(1)

@@ -37,15 +37,14 @@ type Config struct {
 	Parallelism int
 
 	// Pool, when non-nil, is the profiler every sweep of this
-	// configuration uses instead of the process-wide shared LRU. A
-	// long-lived server (stashd) sets it so its scenario cache is its
-	// own — isolated from other servers in the same process (in-process
-	// cluster tests run several replicas side by side) and eligible for
-	// a per-server cluster remote-resolver hook (core.SetRemote). The
-	// caller must construct the pool with the same Iterations, Seed and
-	// Parallelism as this Config, or sweep results will not match the
-	// configuration they claim to describe. Experiments that need extra
-	// profiler options still build fresh unshared profilers.
+	// configuration uses instead of the process-wide shared LRU, so the
+	// caller owns its scenario cache and counters outright. A cold-cache
+	// measurement sets a fresh pool per run, so no run replays scenarios
+	// an earlier run in the same process simulated. The caller must
+	// construct the pool with the same Iterations, Seed and Parallelism
+	// as this Config, or sweep results will not match the configuration
+	// they claim to describe. Experiments that need extra profiler
+	// options still build fresh unshared profilers.
 	Pool *core.Profiler
 
 	// ctx, when set via WithContext, cancels the configuration's sweeps:

@@ -46,14 +46,24 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# The cluster layer is the newest concurrency surface (gossip, steal
-# leases, remote single-flight); run it under the race detector with
-# caching disabled so every CI run actually re-executes it.
-echo "==> go test -race -count=1 ./internal/cluster"
-go test -race -count=1 ./internal/cluster
+# Every request decoder and validator must never panic or hang on
+# hostile input. `go test ./...` above replays each target's seeds;
+# here each one also explores for a few seconds.
+for target in \
+  "FuzzJobCreate ./internal/api" \
+  "FuzzTenantOf ./internal/api" \
+  "FuzzParseTenantWeights ./cmd/stashd" \
+  "FuzzResolve ./internal/dnn" \
+  "FuzzByName ./internal/cloud"; do
+  set -- $target
+  echo "==> go test -fuzz $1 -fuzztime=5s $2"
+  go test -run '^$' -fuzz "^$1\$" -fuzztime=5s "$2"
+done
 
-echo "==> clustersmoke (3 loopback replicas: byte-identity + cluster-wide single-flight)"
-go run ./cmd/clustersmoke
+# stashbench (bench/, its own module) self-test: a tiny traced run of
+# each workload under the race detector.
+echo "==> stashbench vet + self-test (bench/)"
+(cd bench && go vet ./... && go test -race .)
 
 echo "==> stash -selfcheck (cross-layer invariant audit)"
 go run ./cmd/stash -selfcheck
