@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -278,5 +279,93 @@ func TestCacheModeString(t *testing.T) {
 	}
 	if CacheMode(0).String() != "CacheMode(0)" {
 		t.Error("unknown CacheMode string wrong")
+	}
+}
+
+// loaderTrace is what the timing oracle pins for one setup: the virtual
+// time at which each consumer received each batch, and the bytes the
+// disk and CPU links carried over the whole run.
+type loaderTrace struct {
+	deliveries [][]time.Duration
+	disk, cpu  float64
+}
+
+// traceLoaders starts one loader per consumer on a fresh rig and drains
+// them with continuation consumers that compute 1 ms per batch.
+func traceLoaders(t *testing.T, cfg Config, mode CacheMode, loaders, batch, iters int) loaderTrace {
+	t.Helper()
+	r := newRig(t, cfg)
+	r.hp.SetCacheMode(mode)
+	tr := loaderTrace{deliveries: make([][]time.Duration, loaders)}
+	for i := 0; i < loaders; i++ {
+		l, err := r.hp.NewLoader(smallJob(t, batch), []*simnet.Link{r.upload}, iters)
+		if err != nil {
+			t.Fatalf("NewLoader: %v", err)
+		}
+		l.Start("loader")
+		i := i
+		var task *sim.Task
+		var next func()
+		next = func() {
+			l.NextFunc(func(_ Batch, ok bool) {
+				if !ok {
+					task.End()
+					return
+				}
+				tr.deliveries[i] = append(tr.deliveries[i], r.eng.Now())
+				task.After(time.Millisecond, next)
+			})
+		}
+		task = r.eng.Spawn("consumer", next)
+	}
+	if err := r.eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	tr.disk = r.hp.DiskLink().BytesCarried()
+	tr.cpu = r.hp.CPULink().BytesCarried()
+	return tr
+}
+
+// TestLoaderTimingOracle pins the exact delivery schedule and link totals
+// of three loader setups, so any change to how the stages are expressed
+// must reproduce every simulated timestamp bit for bit.
+func TestLoaderTimingOracle(t *testing.T) {
+	partial := defaultCfg()
+	partial.CacheBytes = workload.ImageNet1k.TotalBytes() / 2
+	cases := []struct {
+		name                 string
+		cfg                  Config
+		mode                 CacheMode
+		loaders, batch, iter int
+		want                 loaderTrace
+	}{
+		{"cold-gp2", defaultCfg(), CacheCold, 1, 128, 5, loaderTrace{
+			deliveries: [][]time.Duration{{96427528, 176427528, 256427528, 336427528, 416427528}},
+			disk:       6.643942592964072e+07,
+			cpu:        640,
+		}},
+		{"warm-partial", partial, CacheWarm, 1, 32, 5, loaderTrace{
+			deliveries: [][]time.Duration{{14110632, 24110633, 34110634, 44110635, 54110636}},
+			disk:       8.30492824120509e+06,
+			cpu:        160,
+		}},
+		{"cold-contended", defaultCfg(), CacheCold, 2, 64, 4, loaderTrace{
+			deliveries: [][]time.Duration{
+				{96427528, 176427528, 256427528, 336427528},
+				{96427528, 176427528, 256427528, 336427528},
+			},
+			disk: 5.315154074371256e+07,
+			cpu:  512,
+		}},
+	}
+	for _, c := range cases {
+		got := traceLoaders(t, c.cfg, c.mode, c.loaders, c.batch, c.iter)
+		if !reflect.DeepEqual(got.deliveries, c.want.deliveries) {
+			t.Errorf("%s: deliveries = %v, want %v", c.name, got.deliveries, c.want.deliveries)
+		}
+		//lint:allow floatcmp the oracle pins exact totals; any drift means the event sequence changed
+		if got.disk != c.want.disk || got.cpu != c.want.cpu {
+			t.Errorf("%s: disk, cpu = %v, %v; want %v, %v", c.name, got.disk, got.cpu, c.want.disk, c.want.cpu)
+		}
 	}
 }
