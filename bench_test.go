@@ -11,12 +11,17 @@ import (
 	"stash/internal/report"
 )
 
-// benchCfg returns a per-iteration configuration. Distinct seeds defeat
-// the shared result cache so every bench iteration performs the full
-// simulation work.
-func benchCfg(i int) experiments.Config {
+// benchCfg returns the configuration for bench iteration i with its own
+// fresh profiler pool, so every sample simulates every scenario. Seeds
+// alone do not: the process-wide shared profiler is keyed by
+// {iterations, seed}, and under -benchtime=1x -count=N every sample has
+// i == 0, so a shared pool would let samples 2..N replay the cache
+// sample 1 filled.
+func benchCfg(i, parallelism int) experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = int64(i + 1)
+	cfg.Parallelism = parallelism
+	cfg.Pool = core.New(core.WithIterations(cfg.Iterations), core.WithSeed(cfg.Seed), core.WithParallelism(parallelism))
 	return cfg
 }
 
@@ -33,7 +38,7 @@ func runExperiment(b *testing.B, id string) []*report.Table {
 	var out []*report.Table
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(benchCfg(i))
+		tables, err := e.Run(benchCfg(i, 0))
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -164,18 +169,13 @@ func BenchmarkClaims(b *testing.B) {
 // contiguous per-worker batches (core.ForEachCtx), so each worker's
 // simulate calls hit the same per-P pooled simContext — engine, network
 // and provisioner scratch recycled across cells instead of reallocated.
-// Every sample gets a fresh profiler pool, so every scenario simulates:
-// the process-wide shared profiler is keyed by {iterations, seed}, and
-// under -benchtime=1x -count=N each sample has i == 0, so a shared pool
-// would let samples 2..N replay the cache sample 1 filled.
+// Every sample gets a fresh profiler pool (benchCfg).
 func benchSuite(b *testing.B, parallelism int) {
 	b.Helper()
 	reg := experiments.Registry()
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(i)
-		cfg.Parallelism = parallelism
-		cfg.Pool = core.New(core.WithIterations(cfg.Iterations), core.WithSeed(cfg.Seed), core.WithParallelism(parallelism))
+		cfg := benchCfg(i, parallelism)
 		cells = 0
 		for _, r := range experiments.RunMany(cfg, reg) {
 			if r.Err != nil {

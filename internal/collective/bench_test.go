@@ -2,6 +2,7 @@ package collective
 
 import (
 	"testing"
+	"time"
 
 	"stash/internal/hw"
 	"stash/internal/sim"
@@ -29,9 +30,9 @@ func benchRing(b *testing.B, bytes float64) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var done time.Duration
 		for rank := 0; rank < 8; rank++ {
-			rank := rank
-			e.Go("w", func(p *sim.Process) { g.AllReduce(p, rank, bytes) })
+			spawnAllReduce(e, g, rank, 0, bytes, &done)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

@@ -274,14 +274,6 @@ func (g *Group) AllReduceAsync(rank int, bytes float64) *sim.Signal {
 	return o.done
 }
 
-// AllReduce issues the collective and blocks the calling process until it
-// completes.
-//
-//lint:allow hotpath thin blocking wrapper for process-style callers; train's hot loop awaits AllReduceAsync continuations
-func (g *Group) AllReduce(p *sim.Process, rank int, bytes float64) {
-	p.Await(g.AllReduceAsync(rank, bytes))
-}
-
 func (g *Group) maybeStart() {
 	if g.executing || len(g.ready) == 0 {
 		return
@@ -341,9 +333,9 @@ func (g *Group) psRoutes(toServer bool) [][]*simnet.Link {
 // not allocate. Ops execute one at a time (g.executing), so a single exec
 // per group suffices.
 //
-// The state transitions reproduce, event for event, the retired process
-// implementation: a spawn event at issue, one timer for the call
-// overhead, then per phase a batch of flow starts awaited in rank order.
+// The event footprint per op is a spawn event at issue, one timer for
+// the call overhead, then per phase a batch of flow starts awaited in
+// rank order.
 type exec struct {
 	g     *Group
 	o     *op

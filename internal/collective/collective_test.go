@@ -52,19 +52,30 @@ func pcieMachine(n int, rootBW float64) topo.MachineSpec {
 	}
 }
 
+// spawnAllReduce spawns one task per rank that waits until start, issues
+// an all-reduce of bytes, and records in *done the latest completion time
+// any rank has seen.
+func spawnAllReduce(e *sim.Engine, g *Group, rank int, start time.Duration, bytes float64, done *time.Duration) {
+	var task *sim.Task
+	task = e.Spawn("worker", func() {
+		task.After(start, func() {
+			g.AllReduceAsync(rank, bytes).OnFire(func() {
+				if t := e.Now(); t > *done {
+					*done = t
+				}
+				task.End()
+			})
+		})
+	})
+}
+
 // runAllReduce has every rank issue one all-reduce of bytes and returns
 // the completion time.
 func runAllReduce(t *testing.T, r *rig, g *Group, bytes float64) time.Duration {
 	t.Helper()
 	var done time.Duration
 	for rank := 0; rank < g.WorldSize(); rank++ {
-		rank := rank
-		r.eng.Go("worker", func(p *sim.Process) {
-			g.AllReduce(p, rank, bytes)
-			if t := p.Now(); t > done {
-				done = t
-			}
-		})
+		spawnAllReduce(r.eng, g, rank, 0, bytes, &done)
 	}
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -213,12 +224,16 @@ func TestCollectivesSerializeInOrder(t *testing.T) {
 	var done time.Duration
 	for rank := 0; rank < 4; rank++ {
 		rank := rank
-		r.eng.Go("worker", func(p *sim.Process) {
+		var task *sim.Task
+		task = r.eng.Spawn("worker", func() {
 			s1 := g.AllReduceAsync(rank, bytes)
 			s2 := g.AllReduceAsync(rank, bytes)
-			p.Await(s1)
-			p.Await(s2)
-			done = p.Now()
+			s1.OnFire(func() {
+				s2.OnFire(func() {
+					done = r.eng.Now()
+					task.End()
+				})
+			})
 		})
 	}
 	if err := r.eng.Run(); err != nil {
@@ -250,16 +265,11 @@ func TestAllReduceWaitsForAllRanks(t *testing.T) {
 	}
 	var done time.Duration
 	for rank := 0; rank < 4; rank++ {
-		rank := rank
-		r.eng.Go("worker", func(p *sim.Process) {
-			if rank == 3 {
-				p.Sleep(time.Second) // straggler
-			}
-			g.AllReduce(p, rank, hw.MB)
-			if p.Now() > done {
-				done = p.Now()
-			}
-		})
+		var start time.Duration
+		if rank == 3 {
+			start = time.Second // straggler
+		}
+		spawnAllReduce(r.eng, g, rank, start, hw.MB, &done)
 	}
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -1,22 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
-
-// hotpathPackages are the packages whose inner loops were converted from
-// coroutine processes to run-to-completion continuations (sim.Task). The
-// conversion bought the engine its allocation-free, handoff-free hot
-// path; this analyzer keeps the Process API from quietly leaking back
-// in. The fixture package is listed so the analyzer's own testdata
-// exercises it.
-var hotpathPackages = map[string]bool{
-	"stash/internal/train":      true,
-	"stash/internal/collective": true,
-	"stash/internal/simnet":     true,
-	"fixture/hotpath":           true,
-}
+import "go/ast"
 
 // engineConstructionPackages are the packages whose per-cell paths must
 // acquire pooled simContexts instead of constructing engines: a
@@ -29,60 +13,22 @@ var engineConstructionPackages = map[string]bool{
 	"fixture/hotpathcore": true,
 }
 
-// simEnginePkg is the import path of the simulation engine whose Process
-// API the hot-loop packages must not reintroduce.
+// simEnginePkg is the import path of the simulation engine.
 const simEnginePkg = "stash/internal/sim"
 
-// Hotpath flags reintroductions of the coroutine Process API into the
-// converted hot-loop packages: calls to (*sim.Engine).Go and function
-// declarations taking a *sim.Process. Each process step costs two
-// Go-scheduler handoffs where a continuation costs one event dispatch,
-// so a Process in an inner loop silently undoes the engine's measured
-// speedup. Deliberate thin compatibility wrappers carry
-// //lint:allow hotpath annotations.
+// Hotpath flags sim.NewEngine() calls in internal/core's per-cell path,
+// where cells must run on pooled simContexts. Deliberate construction
+// sites carry //lint:allow hotpath annotations.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc: "forbid the coroutine Process API (Engine.Go, *sim.Process parameters) in the " +
-		"converted hot-loop packages (train, collective, simnet), and sim.NewEngine() in " +
-		"internal/core's per-cell path (pooled simContexts replace per-cell construction)",
-	Run: runHotpath,
+	Doc:  "forbid sim.NewEngine() in internal/core's per-cell path (pooled simContexts replace per-cell construction)",
+	Run:  runHotpath,
 }
 
 func runHotpath(pass *Pass) {
-	if engineConstructionPackages[pass.Pkg.Path()] {
-		runEngineConstruction(pass)
-	}
-	if !hotpathPackages[pass.Pkg.Path()] {
+	if !engineConstructionPackages[pass.Pkg.Path()] {
 		return
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.CallExpr:
-				fn := funcFor(pass.Info, v)
-				if fn == nil || fn.Name() != "Go" || fn.Pkg() == nil {
-					return true
-				}
-				sig, ok := fn.Type().(*types.Signature)
-				if !ok || sig.Recv() == nil {
-					return true
-				}
-				if isSimType(sig.Recv().Type(), "Engine") {
-					pass.Reportf(v.Pos(), "(*sim.Engine).Go spawns a coroutine process in a converted hot-loop package; use Engine.Spawn continuations (sim.Task) or annotate //lint:allow hotpath <reason>")
-				}
-			case *ast.FuncDecl:
-				reportProcessParams(pass, v.Type)
-			case *ast.FuncLit:
-				reportProcessParams(pass, v.Type)
-			}
-			return true
-		})
-	}
-}
-
-// runEngineConstruction flags sim.NewEngine calls in the packages that
-// must run cells on pooled simContexts.
-func runEngineConstruction(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			v, ok := n.(*ast.CallExpr)
@@ -97,32 +43,4 @@ func runEngineConstruction(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// reportProcessParams flags parameters typed *sim.Process.
-func reportProcessParams(pass *Pass, ft *ast.FuncType) {
-	if ft.Params == nil {
-		return
-	}
-	for _, field := range ft.Params.List {
-		tv, ok := pass.Info.Types[field.Type]
-		if !ok || !isSimType(tv.Type, "Process") {
-			continue
-		}
-		pass.Reportf(field.Pos(), "*sim.Process parameter reintroduces the coroutine API into a converted hot-loop package; express the body as continuations (sim.Task) or annotate //lint:allow hotpath <reason>")
-	}
-}
-
-// isSimType reports whether t is (a pointer to) the named type
-// internal/sim.<name>.
-func isSimType(t types.Type, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == simEnginePkg && obj.Name() == name
 }

@@ -6,8 +6,8 @@
 // iteration, or lock-across-blocking-call ever reaches a release;
 // these analyzers reject that class of bug before it can fire on some
 // schedule. The hotpath analyzer additionally guards a performance
-// invariant: the converted hot-loop packages stay on the engine's
-// continuation fast path instead of coroutine processes.
+// invariant: internal/core's per-cell path runs on pooled engines
+// instead of constructing one per cell.
 //
 // Three of the analyzers are interprocedural: RunAll builds a Program —
 // a module-wide call graph over go/types with per-function summaries

@@ -50,7 +50,6 @@ func TestFixtures(t *testing.T) {
 		{PoolSafe, "poolsafe"},
 		{PoolSafe, "allowscope"},
 		{FloatCmp, "floatcmp"},
-		{Hotpath, "hotpath"},
 		{Hotpath, "hotpathcore"},
 	}
 	l := fixtureLoader(t)

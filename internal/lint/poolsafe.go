@@ -29,9 +29,8 @@ import (
 //
 // The analyzer also guards sim.Signal's waiter lifecycle: Rearm while a
 // waiter registered by OnFire may still be parked panics at runtime
-// mid-simulation; here it is caught at compile time. Fire and
-// Process.Await clear the parked set (Await returns only after the
-// signal fired and its waiter list drained).
+// mid-simulation; here it is caught at compile time. Fire clears the
+// parked set.
 var PoolSafe = &Analyzer{
 	Name: "poolsafe",
 	Doc: "forbid use of a pooled object after Network.Recycle/Network.Reset/Engine.Reset/" +
@@ -496,11 +495,6 @@ func (sc *psScan) applyCall(st *psState, call *ast.CallExpr) {
 			sc.pass.Reportf(call.Pos(),
 				"Rearm of %s while a waiter registered at line %d may still be parked; Fire the signal or drop the waiter before re-arming (Rearm panics on parked waiters at runtime)",
 				k, at)
-		}
-		return
-	case sigAwait:
-		if len(call.Args) == 1 {
-			delete(st.parked, exprKey(call.Args[0]))
 		}
 		return
 	}

@@ -45,7 +45,7 @@ type funcFacts struct {
 	invalidates map[int]string // index → invalidating API ("Network.Recycle", …)
 	resets      map[int]string // index → whole-pool reset API ("Network.Reset", …)
 	registers   map[int]bool   // signal param gains a parked waiter (OnFire)
-	clears      map[int]bool   // signal param is fired or awaited
+	clears      map[int]bool   // signal param is fired
 	rearms      map[int]bool   // signal param is re-armed
 
 	// Lock facts: every canonical lock key this function may acquire,
@@ -249,13 +249,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 			case sigRearm:
 				if i, ok := paramOf(recv); ok {
 					next.rearms[i] = true
-				}
-				return true
-			case sigAwait:
-				if len(v.Args) == 1 {
-					if i, ok := paramOf(v.Args[0]); ok {
-						next.clears[i] = true
-					}
 				}
 				return true
 			}
@@ -470,12 +463,9 @@ const (
 	sigOnFire
 	sigFire
 	sigRearm
-	sigAwait
 )
 
-// signalOp classifies sim.Signal waiter-lifecycle calls. Process.Await
-// counts as a clear: by the time Await returns, the signal has fired
-// and its waiter list is empty.
+// signalOp classifies sim.Signal waiter-lifecycle calls.
 func signalOp(fn *types.Func) sigOp {
 	if isMethodOn(fn, "internal/sim", "Signal", "OnFire") {
 		return sigOnFire
@@ -485,9 +475,6 @@ func signalOp(fn *types.Func) sigOp {
 	}
 	if isMethodOn(fn, "internal/sim", "Signal", "Rearm") {
 		return sigRearm
-	}
-	if isMethodOn(fn, "internal/sim", "Process", "Await") {
-		return sigAwait
 	}
 	return sigNone
 }

@@ -223,13 +223,6 @@ func goodRearmAfterFire(e *sim.Engine) {
 	s.Rearm()
 }
 
-// Await returns only after the signal fired and drained its waiters.
-func goodRearmAfterAwait(p *sim.Process, s *sim.Signal) {
-	s.OnFire(func() {})
-	p.Await(s)
-	s.Rearm()
-}
-
 func rearmIt(s *sim.Signal) {
 	s.Rearm()
 }

@@ -57,7 +57,7 @@ type Config struct {
 
 	// PrefetchDepth is how many batches each dataloader keeps in flight
 	// ahead of the consumer (PyTorch DataLoader prefetch); 0 uses the
-	// default of 2.
+	// default of 4.
 	PrefetchDepth int
 }
 
@@ -141,12 +141,11 @@ type Loader struct {
 	iterations int
 	queue      *sim.Queue[Batch]
 	credits    *sim.Resource
-	proc       *sim.Process
 }
 
 // NewLoader creates a dataloader that will produce the given number of
 // batches for job, uploading each decoded batch along uploadTo (the
-// host-to-GPU route). Call Start to spawn its producer process.
+// host-to-GPU route). Call Start to spawn its stage tasks.
 func (hp *HostPipeline) NewLoader(job workload.Job, uploadTo []*simnet.Link, iterations int) (*Loader, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("pipeline: iterations %d < 1", iterations)
@@ -164,81 +163,95 @@ func (hp *HostPipeline) NewLoader(job workload.Job, uploadTo []*simnet.Link, ite
 	}, nil
 }
 
-// Start spawns the loader's stage processes. Fetch, prep and upload run
-// as a three-stage pipeline (as PyTorch DataLoader workers plus the
+// Start spawns the loader's stage tasks. Fetch, prep and upload run as a
+// three-stage pipeline (as PyTorch DataLoader workers plus the
 // pinned-memory uploader do), so steady-state loader throughput is set by
-// the slowest stage, not their sum. Name prefixes the process names.
+// the slowest stage, not their sum. Name prefixes the task names.
 func (l *Loader) Start(name string) {
+	hp := l.hp
 	batch := float64(l.job.BatchPerGPU)
 	ds := l.job.Dataset
-	fetched := sim.NewQueue[Batch](l.hp.eng)
-	prepped := sim.NewQueue[Batch](l.hp.eng)
+	fetched := sim.NewQueue[Batch](hp.eng)
+	prepped := sim.NewQueue[Batch](hp.eng)
 
-	l.proc = l.hp.eng.Go(name+"/fetch", func(p *sim.Process) {
-		for i := 0; i < l.iterations; i++ {
-			l.credits.Acquire(p)
-			// Read the encoded batch from the volume, minus cache hits.
-			// Bytes and read operations are separate budgets consumed
-			// concurrently; the slower one gates the fetch.
-			missFrac := 1 - l.hp.hitFraction(ds)
-			diskBytes := batch * ds.DiskBytesPerSample * missFrac
-			if diskBytes > 0 {
-				bytesFlow := l.hp.net.StartFlow(diskBytes, []*simnet.Link{l.hp.disk})
-				if l.hp.iops != nil {
-					opsFlow := l.hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{l.hp.iops}, 0)
-					p.Await(opsFlow.Done())
-				}
-				p.Await(bytesFlow.Done())
-			}
-			fetched.Put(Batch{Index: i})
+	// Fetch takes a prefetch credit, then reads the encoded batch from
+	// the volume, minus cache hits. Bytes and read operations are
+	// separate budgets consumed concurrently; the slower one gates the
+	// fetch.
+	var fetch *sim.Task
+	var next, read, put func()
+	i := 0
+	next = func() {
+		if i == l.iterations {
+			fetched.Close()
+			fetch.End()
+			return
 		}
-		fetched.Close()
-	})
-	l.hp.eng.Go(name+"/prep", func(p *sim.Process) {
-		for {
-			b, ok := fetched.Get(p)
-			if !ok {
-				prepped.Close()
-				return
-			}
-			// Decode+augment on the shared CPU pool. The "bytes" of this
-			// flow are samples of standard prep work.
-			if prepWork := batch * ds.PrepCostFactor; prepWork > 0 {
-				l.hp.net.Transfer(p, prepWork, []*simnet.Link{l.hp.cpu})
-			}
-			prepped.Put(b)
-		}
-	})
-	l.hp.eng.Go(name+"/upload", func(p *sim.Process) {
-		for {
-			b, ok := prepped.Get(p)
-			if !ok {
-				l.queue.Close()
-				return
-			}
-			// Upload the decoded batch to the GPU over PCIe.
-			l.hp.net.Transfer(p, batch*l.job.Model.SampleBytes, l.uploadTo)
-			l.queue.Put(b)
-		}
-	})
-}
-
-// Next blocks the consumer until a batch is ready; ok is false after the
-// final batch. The time spent blocked here is the worker's fetch+prep
-// stall.
-func (l *Loader) Next(p *sim.Process) (Batch, bool) {
-	b, ok := l.queue.Get(p)
-	if ok {
-		l.credits.Release()
+		l.credits.AcquireFunc(read)
 	}
-	return b, ok
+	put = func() {
+		fetched.Put(Batch{Index: i})
+		i++
+		next()
+	}
+	read = func() {
+		missFrac := 1 - hp.hitFraction(ds)
+		diskBytes := batch * ds.DiskBytesPerSample * missFrac
+		if diskBytes <= 0 {
+			put()
+			return
+		}
+		bytesFlow := hp.net.StartFlow(diskBytes, []*simnet.Link{hp.disk})
+		if hp.iops == nil {
+			bytesFlow.Done().OnFire(put)
+			return
+		}
+		opsFlow := hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{hp.iops}, 0)
+		opsFlow.Done().OnFire(func() { bytesFlow.Done().OnFire(put) })
+	}
+	fetch = hp.eng.Spawn(name+"/fetch", next)
+
+	// Decode+augment on the shared CPU pool. The "bytes" of this flow are
+	// samples of standard prep work.
+	prepWork := batch * ds.PrepCostFactor
+	l.stage(name+"/prep", fetched, prepped, prepWork > 0, prepWork, []*simnet.Link{hp.cpu})
+	// Upload the decoded batch to the GPU over PCIe.
+	l.stage(name+"/upload", prepped, l.queue, true, batch*l.job.Model.SampleBytes, l.uploadTo)
 }
 
-// NextFunc is Next for continuation-style consumers: fn receives the next
-// batch synchronously when one is buffered, otherwise when the upload
-// stage produces it. The prefetch credit is returned before fn runs,
-// exactly as Next returns it before its caller resumes, so the producer
-// side observes an identical event sequence either way.
+// stage spawns a task that moves each batch from in to out, carrying
+// bytes along route first when carry is set, and closes out once in is
+// drained.
+func (l *Loader) stage(name string, in, out *sim.Queue[Batch], carry bool, bytes float64, route []*simnet.Link) {
+	var task *sim.Task
+	var cur Batch
+	var next func()
+	put := func() {
+		out.Put(cur)
+		next()
+	}
+	got := func(b Batch, ok bool) {
+		if !ok {
+			out.Close()
+			task.End()
+			return
+		}
+		cur = b
+		if carry {
+			l.hp.net.StartFlow(bytes, route).Done().OnFire(put)
+			return
+		}
+		put()
+	}
+	next = func() { in.GetFunc(got) }
+	task = l.hp.eng.Spawn(name, next)
+}
+
+// NextFunc hands the consumer its next batch: fn receives it
+// synchronously when one is buffered, otherwise when the upload stage
+// produces it; ok is false after the final batch. The time spent waiting
+// here is the worker's fetch+prep stall. The prefetch credit is returned
+// before fn runs.
 func (l *Loader) NextFunc(fn func(Batch, bool)) {
 	l.queue.GetFunc(func(b Batch, ok bool) {
 		if ok {

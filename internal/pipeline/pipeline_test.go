@@ -53,20 +53,30 @@ func defaultCfg() Config {
 	}
 }
 
-// consume drains n batches, sleeping computeTime per batch, and returns
-// the total elapsed virtual time.
+// spawnConsumer drains l with a task that computes for computeTime per
+// batch, storing the virtual time at which it saw the stream end in *end.
+func (r *testRig) spawnConsumer(l *Loader, computeTime time.Duration, end *time.Duration) {
+	var task *sim.Task
+	var next func()
+	next = func() {
+		l.NextFunc(func(_ Batch, ok bool) {
+			if !ok {
+				*end = r.eng.Now()
+				task.End()
+				return
+			}
+			task.After(computeTime, next)
+		})
+	}
+	task = r.eng.Spawn("consumer", next)
+}
+
+// consume drains l, computing for computeTime per batch, and returns the
+// total elapsed virtual time.
 func (r *testRig) consume(t *testing.T, l *Loader, computeTime time.Duration) time.Duration {
 	t.Helper()
 	var elapsed time.Duration
-	r.eng.Go("consumer", func(p *sim.Process) {
-		for {
-			if _, ok := l.Next(p); !ok {
-				break
-			}
-			p.Sleep(computeTime)
-		}
-		elapsed = p.Now()
-	})
+	r.spawnConsumer(l, computeTime, &elapsed)
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -214,16 +224,7 @@ func TestTwoLoadersContendOnDisk(t *testing.T) {
 		var max time.Duration
 		done := make([]time.Duration, nLoaders)
 		for i, l := range loaders {
-			i, l := i, l
-			r.eng.Go("consumer", func(p *sim.Process) {
-				for {
-					if _, ok := l.Next(p); !ok {
-						break
-					}
-					p.Sleep(time.Millisecond)
-				}
-				done[i] = p.Now()
-			})
+			r.spawnConsumer(l, time.Millisecond, &done[i])
 		}
 		if err := r.eng.Run(); err != nil {
 			t.Fatalf("Run: %v", err)

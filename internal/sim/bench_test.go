@@ -24,25 +24,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the goroutine handoff cost of a
-// process park/resume cycle.
-func BenchmarkProcessSwitch(b *testing.B) {
-	e := NewEngine()
-	e.Go("sleeper", func(p *Process) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkTaskSwitch measures the same sleep loop as
-// BenchmarkProcessSwitch expressed as a continuation task: one event
-// dispatch per step, no goroutine handoffs, no allocations.
+// BenchmarkTaskSwitch measures a task's sleep loop: one event dispatch
+// per step, no allocations.
 func BenchmarkTaskSwitch(b *testing.B) {
 	e := NewEngine()
 	var task *Task
@@ -57,24 +40,6 @@ func BenchmarkTaskSwitch(b *testing.B) {
 		task.End()
 	}
 	task = e.Spawn("sleeper", step)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkBarrier measures a 8-way barrier round.
-func BenchmarkBarrier(b *testing.B) {
-	e := NewEngine()
-	bar := NewBarrier(e, 8)
-	for i := 0; i < 8; i++ {
-		e.Go("w", func(p *Process) {
-			for r := 0; r < b.N; r++ {
-				bar.Wait(p)
-			}
-		})
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {

@@ -1,11 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock and a priority queue of events.
-// Higher-level code is written either as run-to-completion continuations
-// (see task.go) — the allocation-free hot path — or as processes (see
-// process.go): goroutines that run one at a time, interleaved with event
-// dispatch. Both styles share one scheduler, so the whole simulation is
-// sequential and reproducible regardless of how it is expressed.
+// Higher-level code is written as tasks (see task.go): run-to-completion
+// continuations that wait on signals, resources and queues (sync.go) by
+// registering the callback that resumes them. Everything runs on one
+// scheduler with no goroutines, so the whole simulation is sequential and
+// reproducible.
 //
 // Internally events live in pooled, generation-counted nodes: firing or
 // cancelling an event returns its node to a free list, so steady-state
@@ -23,10 +23,10 @@ import (
 	"time"
 )
 
-// ErrDeadlock is returned by Run when live processes or tasks remain but
-// no events are scheduled, meaning the simulation can never make progress
+// ErrDeadlock is returned by Run when live tasks remain but no events
+// are scheduled, meaning the simulation can never make progress
 // again.
-var ErrDeadlock = errors.New("sim: deadlock: live processes but no pending events")
+var ErrDeadlock = errors.New("sim: deadlock: live tasks but no pending events")
 
 // ErrRunning is returned by Run and RunUntil when called re-entrantly —
 // from inside an event callback, or from a second goroutine while a run
@@ -99,7 +99,7 @@ type Engine struct {
 
 	free    []*eventNode // recycled nodes
 	pending int          // scheduled, not-yet-cancelled events
-	live    int          // processes and tasks that have not completed
+	live    int          // tasks that have not ended
 	running bool
 
 	// arena is per-engine scratch storage that survives Reset: packages
@@ -117,7 +117,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Reset returns the engine to its initial state — clock at zero, no
-// pending events, no live processes or tasks — while keeping its pooled
+// pending events, no live tasks — while keeping its pooled
 // storage: the node free list, the heap and ring backing arrays, and the
 // scratch arena (see arena.go) all survive, so a recycled engine runs its
 // next simulation with the allocation profile of a warmed-up one. Every
@@ -281,7 +281,7 @@ func (e *Engine) pop(n *eventNode) {
 }
 
 // Run dispatches events until none remain. It returns ErrDeadlock if live
-// processes or tasks remain blocked with no way to wake them, and
+// tasks remain blocked with no way to wake them, and
 // ErrRunning when called re-entrantly.
 func (e *Engine) Run() error {
 	return e.RunUntil(maxDuration)
@@ -289,7 +289,7 @@ func (e *Engine) Run() error {
 
 // RunUntil dispatches events with timestamps <= limit, then advances the
 // clock to limit if it ran out of events earlier. It returns ErrDeadlock
-// if it stops with live processes or tasks still blocked and no pending
+// if it stops with live tasks still blocked and no pending
 // events, and ErrRunning when called re-entrantly (from an event callback
 // or while another RunUntil is in progress).
 func (e *Engine) RunUntil(limit time.Duration) error {

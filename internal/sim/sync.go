@@ -1,0 +1,190 @@
+package sim
+
+import "fmt"
+
+// The wait primitives below hand control between tasks without parking
+// anything: a task that has to wait registers the continuation that
+// resumes it, and the wake-up is an ordinary event scheduled at offset 0.
+
+// Signal is a one-shot broadcast: continuations register OnFire, Fire
+// wakes them all. Once fired, OnFire runs its callback immediately,
+// forever after.
+type Signal struct {
+	eng   *Engine
+	fired bool
+
+	// waiters holds the OnFire continuations in arrival order, so they
+	// wake in exactly the order they registered.
+	waiters []func()
+}
+
+// NewSignal returns an unfired signal bound to the engine.
+func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
+
+// MakeSignal returns an unfired signal value for embedding into a larger
+// struct, saving the separate allocation of NewSignal. Methods are on the
+// pointer; embedders hand out &s.
+func MakeSignal(e *Engine) Signal { return Signal{eng: e} }
+
+// Fired reports whether Fire has been called.
+func (s *Signal) Fired() bool { return s.fired }
+
+// Fire wakes all current and future waiters. Firing twice is a no-op.
+// It may be called from any event callback.
+func (s *Signal) Fire() {
+	if s.fired {
+		return
+	}
+	s.fired = true
+	waiters := s.waiters
+	s.waiters = nil
+	for _, w := range waiters {
+		s.eng.Schedule(0, w)
+	}
+}
+
+// Rearm returns a fired signal to the unfired state so pooled owners
+// (recycled flows, reused collective ops) can use one signal across many
+// completions. The caller must guarantee no outstanding reference still
+// expects the previous firing: re-arming while a stale holder could call
+// OnFire would silently re-block it. Rearm panics if continuations are
+// currently registered — re-arming an unfired signal that tasks wait on
+// is always a bug.
+func (s *Signal) Rearm() {
+	if len(s.waiters) != 0 {
+		panic("sim: Rearm on a signal with parked waiters")
+	}
+	s.fired = false
+}
+
+// OnFire registers fn to run when the signal fires: it is scheduled at
+// the firing instant, in arrival order with the other waiters. If the
+// signal has already fired, fn runs synchronously.
+func (s *Signal) OnFire(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	s.waiters = append(s.waiters, fn)
+}
+
+// Resource is a counting semaphore with a FIFO wait queue.
+type Resource struct {
+	eng      *Engine
+	capacity int
+	inUse    int
+	queue    []func()
+}
+
+// NewResource returns a resource with the given capacity (>= 1).
+func NewResource(e *Engine, capacity int) *Resource {
+	if capacity < 1 {
+		panic(fmt.Sprintf("sim: resource capacity %d < 1", capacity))
+	}
+	return &Resource{eng: e, capacity: capacity}
+}
+
+// Capacity returns the total number of units.
+func (r *Resource) Capacity() int { return r.capacity }
+
+// InUse returns the number of units currently held.
+func (r *Resource) InUse() int { return r.inUse }
+
+// AcquireFunc claims a unit for fn: synchronously when one is free,
+// otherwise fn joins the wait queue and runs once a Release hands it the
+// unit.
+func (r *Resource) AcquireFunc(fn func()) {
+	if r.inUse < r.capacity {
+		r.inUse++
+		fn()
+		return
+	}
+	r.queue = append(r.queue, fn)
+}
+
+// Release returns a unit, scheduling the longest waiter, if any, at the
+// current instant.
+func (r *Resource) Release() {
+	if r.inUse <= 0 {
+		panic("sim: Release without matching Acquire")
+	}
+	if len(r.queue) > 0 {
+		next := r.queue[0]
+		r.queue = r.queue[1:]
+		// The unit passes directly to the waiter; inUse stays constant.
+		r.eng.Schedule(0, next)
+		return
+	}
+	r.inUse--
+}
+
+// Queue is an unbounded FIFO channel between tasks: Put never blocks,
+// GetFunc waits while the queue is empty.
+type Queue[T any] struct {
+	eng     *Engine
+	items   []T
+	waiters []func()
+	closed  bool
+}
+
+// NewQueue returns an empty queue bound to the engine.
+func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{eng: e} }
+
+// Len reports the number of buffered items.
+func (q *Queue[T]) Len() int { return len(q.items) }
+
+// Put appends an item and wakes one waiting getter, if any. It may be
+// called from any event callback.
+func (q *Queue[T]) Put(v T) {
+	if q.closed {
+		panic("sim: Put on closed queue")
+	}
+	q.items = append(q.items, v)
+	q.wakeOne()
+}
+
+// Close marks the queue closed: subsequent GetFuncs on an empty queue
+// deliver ok=false instead of waiting. Buffered items can still be
+// drained.
+func (q *Queue[T]) Close() {
+	if q.closed {
+		return
+	}
+	q.closed = true
+	waiters := q.waiters
+	q.waiters = nil
+	for _, w := range waiters {
+		q.eng.Schedule(0, w)
+	}
+}
+
+func (q *Queue[T]) wakeOne() {
+	if len(q.waiters) == 0 {
+		return
+	}
+	w := q.waiters[0]
+	q.waiters = q.waiters[1:]
+	q.eng.Schedule(0, w)
+}
+
+// GetFunc delivers the oldest item to fn: synchronously when an item is
+// buffered (or the queue is closed and drained, with ok=false), otherwise
+// once a Put or Close wakes this getter. A woken getter re-checks the
+// queue, so several getters keep FIFO fairness.
+func (q *Queue[T]) GetFunc(fn func(v T, ok bool)) {
+	if len(q.items) == 0 {
+		if q.closed {
+			var zero T
+			fn(zero, false)
+			return
+		}
+		q.waiters = append(q.waiters, func() { q.GetFunc(fn) })
+		return
+	}
+	v := q.items[0]
+	q.items = q.items[1:]
+	if len(q.items) > 0 {
+		q.wakeOne()
+	}
+	fn(v, true)
+}

@@ -3,22 +3,13 @@ package sim
 import "time"
 
 // Task is a simulated thread of control expressed as run-to-completion
-// continuations instead of a coroutine: each step is an ordinary event
-// callback that runs, schedules its successor (After, Signal.OnFire, or
-// Engine.Schedule directly), and returns. Tasks never park a goroutine,
-// so stepping one costs an event dispatch — no Go-scheduler handoffs —
-// and, with a long-lived step closure, no allocations.
-//
-// A Task and a Process are interchangeable from the engine's point of
-// view: Spawn enqueues the first step exactly where Go enqueues a
-// process's first resume, a continuation registered with Signal.OnFire
-// wakes exactly where an Await-parked process wakes, and End releases
-// the engine's liveness accounting exactly where a process body's return
-// does. Converting a hot loop from a Process to a Task therefore leaves
-// the event sequence — and every simulated timestamp — bit-identical.
-//
-// Use a Task for hot inner loops; keep the Process API where complex
-// control flow reads better as straight-line code.
+// continuations: each step is an ordinary event callback that runs,
+// schedules its successor (After, Signal.OnFire, Resource.AcquireFunc,
+// Queue.GetFunc, or Engine.Schedule directly), and returns. A task never
+// parks a goroutine, so stepping one costs an event dispatch and, with a
+// long-lived step closure, no allocations. Because every wait is an
+// event, a task still waiting when Run stops holds no goroutine either:
+// Engine.Reset reclaims it along with the event queue.
 type Task struct {
 	eng    *Engine
 	name   string
@@ -27,9 +18,8 @@ type Task struct {
 }
 
 // Spawn starts a new task: first is scheduled to run at the current
-// virtual time, after already-queued events at this instant — the same
-// slot a process body spawned by Go would first run in. The task counts
-// as live (for deadlock detection) until End is called.
+// virtual time, after already-queued events at this instant. The task
+// counts as live (for deadlock detection) until End is called.
 func (e *Engine) Spawn(name string, first func()) *Task {
 	t := &Task{eng: e, name: name}
 	e.live++
@@ -46,9 +36,8 @@ func (t *Task) Name() string { return t.name }
 // Now returns the current virtual time.
 func (t *Task) Now() time.Duration { return t.eng.now }
 
-// After schedules fn to run after d of virtual time — the continuation
-// analogue of Process.Sleep, with the remainder of the step chained
-// through fn instead of resuming below a blocking call.
+// After schedules fn to run after d of virtual time: the task sleeps,
+// and fn is the rest of the step.
 func (t *Task) After(d time.Duration, fn func()) Event {
 	return t.eng.Schedule(d, fn)
 }
@@ -69,8 +58,8 @@ func (t *Task) End() {
 	}
 }
 
-// Completion returns a signal that fires when the task ends. Await it (or
-// register OnFire) to join the task.
+// Completion returns a signal that fires when the task ends. Register
+// OnFire on it to join the task.
 func (t *Task) Completion() *Signal {
 	if t.doneSg == nil {
 		t.doneSg = NewSignal(t.eng)

@@ -76,42 +76,6 @@ func TestTaskCompletion(t *testing.T) {
 	}
 }
 
-func TestTaskAndProcessInterleaveDeterministically(t *testing.T) {
-	// A task and a process doing the same sleep pattern must alternate in
-	// spawn order at every instant.
-	e := NewEngine()
-	var got []string
-	p := e.Go("proc", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			got = append(got, "proc")
-			p.Sleep(time.Second)
-		}
-	})
-	var task *Task
-	n := 0
-	var step func()
-	step = func() {
-		got = append(got, "task")
-		n++
-		if n < 3 {
-			task.After(time.Second, step)
-			return
-		}
-		task.End()
-	}
-	task = e.Spawn("task", step)
-	_ = p
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []string{"proc", "task", "proc", "task", "proc", "task"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interleave = %v, want %v", got, want)
-		}
-	}
-}
-
 // --- RunUntil re-entrancy (exported ErrRunning sentinel) ---
 
 func TestRunInsideCallbackReturnsErrRunning(t *testing.T) {

@@ -240,15 +240,6 @@ func (n *Network) Reset() {
 	}
 }
 
-// Transfer starts a flow and blocks the process until it completes.
-//
-//lint:allow hotpath thin blocking wrapper for process-style callers; hot paths use StartFlow + Done().OnFire
-func (n *Network) Transfer(p *sim.Process, bytes float64, route []*Link) *Flow {
-	f := n.StartFlow(bytes, route)
-	p.Await(&f.done)
-	return f
-}
-
 func (n *Network) activate(f *Flow) {
 	for _, l := range f.route {
 		l.flowsCarried++

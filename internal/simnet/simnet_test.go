@@ -186,23 +186,6 @@ func TestPerGPUBandwidthDropsWithContention(t *testing.T) {
 	}
 }
 
-func TestTransferBlocksProcess(t *testing.T) {
-	e := sim.NewEngine()
-	n := New(e)
-	l := n.NewLink("link", 1*gb, 0)
-	var elapsed time.Duration
-	e.Go("sender", func(p *sim.Process) {
-		n.Transfer(p, 2*gb, []*Link{l})
-		elapsed = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := elapsed.Seconds(); !almostEqual(got, 2, 1e-6) {
-		t.Errorf("Transfer returned at %vs, want 2s", got)
-	}
-}
-
 func TestLinkStatistics(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e)

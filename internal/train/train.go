@@ -365,10 +365,8 @@ func newIterationPlan(job workload.Job, gpu hw.GPUSpec, buckets []collective.Buc
 }
 
 // Worker states. The per-iteration loop is a run-to-completion state
-// machine driven by step: each Sleep of the old process body became a
-// Schedule(d, w.cont) followed by a return, each Await became an
-// OnFire(w.cont), so the engine sees the exact event sequence the
-// coroutine produced without any goroutine handoffs.
+// machine driven by step: a compute phase is a Schedule(d, w.cont)
+// followed by a return, a wait on a signal is an OnFire(w.cont).
 const (
 	wIterStart = iota // top of the iteration loop (warmup bookkeeping, data fetch)
 	wForward          // launch forward compute

@@ -36,16 +36,16 @@
 #   COUNT           repetitions per benchmark (default 3; the JSON keeps
 #                   every sample so consumers can take min/median of the
 #                   non-warmup ones)
-#   FILTER          -bench regexp          (default Suite|RingAllReduce|
-#                   EventDispatch|ProcessSwitch|TaskSwitch|Barrier|
-#                   FlowLifecycle|BlameAttribute)
+#   FILTER          -bench regexp          (default SuiteSerial|
+#                   SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|
+#                   FlowLifecycle|BlameAttribute|TableRender)
 set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
 MICRO_BENCHTIME="${MICRO_BENCHTIME:-0.5s}"
 COUNT="${COUNT:-3}"
-FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|ProcessSwitch|TaskSwitch|Barrier|FlowLifecycle|BlameAttribute|TableRender}"
+FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|FlowLifecycle|BlameAttribute|TableRender}"
 # The effective scheduler width: parallel_speedup (SuiteSerial /
 # SuiteParallel) is only meaningful when the parallel suite actually had
 # more than one P to run on, so single-P hosts record gomaxprocs and
