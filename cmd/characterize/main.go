@@ -49,6 +49,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: must be at least 1", *iters)
+	}
 
 	if *list {
 		for _, e := range experiments.Registry() {

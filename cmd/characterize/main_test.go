@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -41,5 +44,12 @@ func TestUnknownExperiment(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Error("bad flag should fail")
+	}
+}
+
+func TestZeroIters(t *testing.T) {
+	err := run([]string{"-run", "table2", "-iters", "0"})
+	if err == nil || !strings.Contains(err.Error(), "-iters 0") {
+		t.Errorf("run -iters 0 = %v, want an error naming -iters 0", err)
 	}
 }

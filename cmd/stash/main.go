@@ -72,6 +72,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: must be at least 1", *iters)
+	}
 
 	if *selfcheck {
 		// -iters keeps its own profiling default; the audit only adopts
@@ -112,15 +115,21 @@ func run(args []string) error {
 		})
 	}
 
+	// An explicit -nodes must be a split the network-stall step can
+	// run: 0 to skip, or at least 2 nodes sharing the GPUs evenly.
+	nodesSet := false
+	fs.Visit(func(f *flag.Flag) { nodesSet = nodesSet || f.Name == "nodes" })
+	if nodesSet && *nodes != 0 && (*nodes < 2 || it.NGPUs%*nodes != 0) {
+		return fmt.Errorf("-nodes %d: must be 0, or at least 2 and a divisor of %s's %d GPUs", *nodes, it.Name, it.NGPUs)
+	}
+
 	if *blame {
 		// -nodes keeps its network-stall default of 2; a blame run stays
 		// on one instance unless the split is requested explicitly.
 		blameNodes := 0
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				blameNodes = *nodes
-			}
-		})
+		if nodesSet {
+			blameNodes = *nodes
+		}
 		return runBlame(p, job, it, blameNodes, *straggler, *stragglerScale)
 	}
 
@@ -136,7 +145,7 @@ func run(args []string) error {
 
 	// Profile already reports the 2-node network stall; only re-measure
 	// for a different split.
-	if *nodes >= 2 && *nodes != 2 && it.NGPUs%*nodes == 0 {
+	if nodesSet && *nodes > 2 {
 		nw, err := p.NetworkStall(job, it, *nodes)
 		if err != nil {
 			return err

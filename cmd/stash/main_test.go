@@ -11,16 +11,32 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors checks that bad flag values fail instead of being
+// replaced; want, when set, is the flag the error must name.
 func TestRunFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"-model", "nope"},
-		{"-instance", "m5.large"},
-		{"-batch", "0"},
-		{"-badflag"},
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-model", "nope"}, ""},
+		{[]string{"-instance", "m5.large"}, ""},
+		{[]string{"-batch", "0"}, ""},
+		{[]string{"-badflag"}, ""},
+		{[]string{"-iters", "0"}, "-iters 0"},
+		{[]string{"-iters", "-3"}, "-iters -3"},
+		{[]string{"-selfcheck", "-iters", "0"}, "-iters 0"},
+		{[]string{"-nodes", "3"}, "-nodes 3"},
+		{[]string{"-nodes", "1"}, "-nodes 1"},
+		{[]string{"-nodes", "-2"}, "-nodes -2"},
+		{[]string{"-nodes", "2", "-instance", "p3.2xlarge"}, "-nodes 2"},
+		{[]string{"-blame", "-nodes", "1"}, "-nodes 1"},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) should fail", args)
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("run(%v) should fail", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want it to name %q", c.args, err, c.want)
 		}
 	}
 }

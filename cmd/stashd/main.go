@@ -9,11 +9,10 @@
 //	       [-parallel N] [-max-concurrent N]
 //	       [-request-timeout D] [-drain-timeout D]
 //	       [-job-workers N] [-job-ttl D] [-max-jobs N]
-//	       [-tenant-quota N] [-tenant-weights name=w,...]
+//	       [-tenant-quota N]
 //
-// A flag value the server cannot honor as given — a zero pool size or
-// quota, a non-positive timeout, a tenant weight outside
-// [1, api.MaxTenantWeight] or an invalid tenant name — stops startup
+// A flag value the server cannot honor as given — a zero pool size,
+// iteration count or quota, or a non-positive timeout — stops startup
 // with an error naming the flag, the value and the reason; no value is
 // ever adjusted.
 //
@@ -36,8 +35,9 @@
 // All requests share one single-flight memoized profiler, so repeated
 // and concurrent requests for overlapping scenarios simulate each
 // distinct scenario exactly once. Jobs are scoped to the tenant named
-// by the X-Stash-Tenant header and scheduled by a two-level weighted
-// fair queue on a worker pool separate from the v1 concurrency gate.
+// by the X-Stash-Tenant header, admitted under a per-tenant quota, and
+// dispatched in submission order (one FIFO) on a worker pool separate
+// from the v1 concurrency gate.
 // On SIGTERM/SIGINT the server rejects new jobs, cancels queued ones,
 // gives running jobs and in-flight requests up to -drain-timeout to
 // settle, then exits.
@@ -55,7 +55,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -84,19 +83,18 @@ func (e *ConfigError) Error() string {
 
 // config holds the parsed flags.
 type config struct {
-	addr          string
-	iters         int
-	expIters      int
-	seed          int64
-	parallel      int
-	maxConc       int
-	reqTimeout    time.Duration
-	drainTimeout  time.Duration
-	jobWorkers    int
-	jobTTL        time.Duration
-	maxJobs       int
-	tenantQuota   int
-	tenantWeights string
+	addr         string
+	iters        int
+	expIters     int
+	seed         int64
+	parallel     int
+	maxConc      int
+	reqTimeout   time.Duration
+	drainTimeout time.Duration
+	jobWorkers   int
+	jobTTL       time.Duration
+	maxJobs      int
+	tenantQuota  int
 }
 
 // newFlagSet declares every stashd flag, bound to c.
@@ -114,7 +112,6 @@ func newFlagSet(c *config) *flag.FlagSet {
 	fs.DurationVar(&c.jobTTL, "job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
 	fs.IntVar(&c.maxJobs, "max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
 	fs.IntVar(&c.tenantQuota, "tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs per tenant")
-	fs.StringVar(&c.tenantWeights, "tenant-weights", "", "fair-queue tenant weights as name=w,name=w (default weight 1)")
 	return fs
 }
 
@@ -152,12 +149,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	weights, err := parseTenantWeights(c.tenantWeights)
-	if err != nil {
-		return err
-	}
 
-	opts := []api.Option{
+	srv := api.New(
 		api.WithIterations(c.iters),
 		api.WithExperimentIterations(c.expIters),
 		api.WithSeed(c.seed),
@@ -168,12 +161,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		api.WithJobTTL(c.jobTTL),
 		api.WithJobStoreMax(c.maxJobs),
 		api.WithTenantQuota(c.tenantQuota),
-	}
-	for _, tw := range weights {
-		opts = append(opts, api.WithTenantWeight(tw.name, tw.weight))
-	}
-
-	srv := api.New(opts...)
+	)
 	hs := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -212,43 +200,4 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "stashd: drained, exiting")
 	return nil
-}
-
-// tenantWeight is one -tenant-weights entry.
-type tenantWeight struct {
-	name   string
-	weight int
-}
-
-// parseTenantWeights parses "name=w,name=w" into ordered entries. Every
-// name must pass api.CheckTenantName, every weight must lie in
-// [1, api.MaxTenantWeight], and no name may repeat.
-func parseTenantWeights(s string) ([]tenantWeight, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []tenantWeight
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		bad := func(reason string) error {
-			return &ConfigError{Flag: "tenant-weights", Value: part, Reason: reason}
-		}
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, bad("not name=weight")
-		}
-		if err := api.CheckTenantName(name); err != nil {
-			return nil, bad("tenant name: " + err.Error())
-		}
-		if seen[name] {
-			return nil, bad("tenant " + name + " listed twice")
-		}
-		seen[name] = true
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 || w > api.MaxTenantWeight {
-			return nil, bad(fmt.Sprintf("weight must be an integer in [1, %d]", api.MaxTenantWeight))
-		}
-		out = append(out, tenantWeight{name: name, weight: w})
-	}
-	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -15,8 +14,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"stash/internal/api"
 )
 
 // TestServeAndShutdown runs the full lifecycle: boot on an ephemeral
@@ -89,7 +86,6 @@ func TestRunFlagError(t *testing.T) {
 		flag string // "" = no ConfigError
 	}{
 		{"unknown flag", []string{"-badflag"}, ""},
-		{"weights at the bounds", []string{"-tenant-weights", fmt.Sprintf("acme=1, b.c-d_e=%d", api.MaxTenantWeight)}, ""},
 		{"zero iters", []string{"-iters", "0"}, "iters"},
 		{"zero exp-iters", []string{"-exp-iters", "0"}, "exp-iters"},
 		{"zero max-concurrent", []string{"-max-concurrent", "0"}, "max-concurrent"},
@@ -99,14 +95,6 @@ func TestRunFlagError(t *testing.T) {
 		{"zero job-workers", []string{"-job-workers", "0"}, "job-workers"},
 		{"zero max-jobs", []string{"-max-jobs", "0"}, "max-jobs"},
 		{"zero tenant-quota", []string{"-tenant-quota", "0"}, "tenant-quota"},
-		{"weight over bound", []string{"-tenant-weights", "acme=841"}, "tenant-weights"},
-		{"zero weight", []string{"-tenant-weights", "acme=0"}, "tenant-weights"},
-		{"non-integer weight", []string{"-tenant-weights", "acme=x"}, "tenant-weights"},
-		{"missing weight", []string{"-tenant-weights", "acme"}, "tenant-weights"},
-		{"empty name", []string{"-tenant-weights", "=2"}, "tenant-weights"},
-		{"invalid name", []string{"-tenant-weights", "bad name=2"}, "tenant-weights"},
-		{"name too long", []string{"-tenant-weights", strings.Repeat("a", 65) + "=2"}, "tenant-weights"},
-		{"duplicate name", []string{"-tenant-weights", "acme=2,acme=3"}, "tenant-weights"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append([]string{"-addr", "127.0.0.1:notaport"}, tc.args...)
@@ -172,30 +160,4 @@ func TestRunListenError(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "127.0.0.1:notaport"}, io.Discard); err == nil {
 		t.Fatal("bad address should fail")
 	}
-}
-
-// FuzzParseTenantWeights feeds arbitrary -tenant-weights values through
-// the parser. It must not panic; a rejection is a ConfigError for the
-// flag, and an accepted list obeys the same rules the server applies.
-func FuzzParseTenantWeights(f *testing.F) {
-	for _, seed := range []string{"", "acme=3", "acme=1, beta=840", "acme=841", "a=1,a=2", "=", ",", "x=+5", "bad name=2"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		got, err := parseTenantWeights(s)
-		if err != nil {
-			var ce *ConfigError
-			if !errors.As(err, &ce) || ce.Flag != "tenant-weights" {
-				t.Fatalf("error %v is not a tenant-weights ConfigError", err)
-			}
-			return
-		}
-		seen := map[string]bool{}
-		for _, tw := range got {
-			if api.CheckTenantName(tw.name) != nil || tw.weight < 1 || tw.weight > api.MaxTenantWeight || seen[tw.name] {
-				t.Fatalf("accepted %+v from %q", tw, s)
-			}
-			seen[tw.name] = true
-		}
-	})
 }

@@ -120,20 +120,6 @@ func WithTenantQuota(n int) Option {
 	return func(s *Server) { s.tenantQuota = n }
 }
 
-// WithTenantWeight assigns a fair-queueing weight to a tenant (default
-// 1): a weight-3 tenant's jobs dispatch three times as often as a
-// weight-1 tenant's while both are backlogged. The scheduler bounds w
-// to [1, MaxTenantWeight]; cmd/stashd instead rejects such weights, and
-// names that fail CheckTenantName, at startup.
-func WithTenantWeight(name string, w int) Option {
-	return func(s *Server) {
-		if s.tenantWeights == nil {
-			s.tenantWeights = make(map[string]int64)
-		}
-		s.tenantWeights[name] = int64(w)
-	}
-}
-
 // Server is the stashd HTTP service. Create with New, mount with
 // Handler; it is safe for concurrent use.
 type Server struct {
@@ -147,7 +133,6 @@ type Server struct {
 	jobTTL        time.Duration
 	jobStoreMax   int
 	tenantQuota   int
-	tenantWeights map[string]int64
 
 	profiler  *core.Profiler
 	expCfg    experiments.Config
@@ -190,7 +175,7 @@ func New(opts ...Option) *Server {
 		Parallelism: s.parallelism,
 	}
 	s.sem = make(chan struct{}, s.maxConcurrent)
-	s.jobsStore = newJobStore(s.jobWorkers, s.jobTTL, s.jobStoreMax, s.tenantQuota, s.tenantWeights)
+	s.jobsStore = newJobStore(s.jobWorkers, s.jobTTL, s.jobStoreMax, s.tenantQuota)
 	s.metrics = newMetrics(s.profiler, s.expCfg, s.jobsStore)
 	s.jobsStore.start(s.executeJob)
 

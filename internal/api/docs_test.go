@@ -49,7 +49,7 @@ const opsDoc = "../../docs/OPERATIONS.md"
 // shared server, so the v2 job ids below are the server's global
 // sequence: job-1 is the profile job, job-2/job-3 the sweeps that
 // saturate both default workers (which is what keeps job-4 queued until
-// its cancel), job-4 the prioritized job the cancel example removes.
+// its cancel), job-4 the queued job the cancel example removes.
 var docExamples = []docExample{
 	{name: "healthz", method: http.MethodGet, path: "/healthz", wantStatus: http.StatusOK},
 	{name: "healthz-deep", method: http.MethodGet, path: "/healthz?deep=1", wantStatus: http.StatusOK},
@@ -81,7 +81,7 @@ var docExamples = []docExample{
 	{name: "sweep-saturate", method: http.MethodPost, path: "/v2/jobs",
 		request: `{"type":"experiments","experiments":{}}`, wantStatus: http.StatusAccepted, hidden: true},
 	{name: "jobs-queued", method: http.MethodPost, path: "/v2/jobs",
-		request:    `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"},"priority":7}`,
+		request:    `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`,
 		wantStatus: http.StatusAccepted},
 	{name: "jobs-cancel", method: http.MethodDelete, path: "/v2/jobs/job-4", wantStatus: http.StatusOK},
 	{name: "sweep-cancel", method: http.MethodDelete, path: "/v2/jobs/job-2",

@@ -299,11 +299,6 @@ type JobCreateRequest struct {
 
 	// Experiments selects artifacts for an experiments job.
 	Experiments *ExperimentsJobSpec `json:"experiments,omitempty"`
-
-	// Priority orders jobs within one tenant and class: 0 (lowest) to
-	// 9 (highest), default 5. Higher-priority jobs dispatch first;
-	// equal priorities dispatch in submission order.
-	Priority *int `json:"priority,omitempty"`
 }
 
 // ExperimentsJobSpec selects which paper artifacts an experiments job
@@ -331,7 +326,6 @@ type JobStatus struct {
 	Tenant   string      `json:"tenant"`
 	Type     string      `json:"type"`
 	State    string      `json:"state"`
-	Priority int         `json:"priority"`
 	Progress JobProgress `json:"progress"`
 
 	// Partials lists the labels of partial results that have settled so

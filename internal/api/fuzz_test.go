@@ -27,7 +27,7 @@ func docRequestBodies(f *testing.F) []string {
 
 // FuzzJobCreate feeds arbitrary POST /v2/jobs bodies through the
 // shared decoder and the job validator. Neither may panic, and an
-// accepted job must name a known class with an in-range priority.
+// accepted job's class must be its requested type.
 func FuzzJobCreate(f *testing.F) {
 	for _, b := range docRequestBodies(f) {
 		f.Add(b)
@@ -43,18 +43,15 @@ func FuzzJobCreate(f *testing.F) {
 			}
 			return
 		}
-		class, priority, aerr := validateJobCreate(req)
+		class, aerr := validateJobCreate(req)
 		if aerr != nil {
 			if aerr.status != http.StatusBadRequest {
 				t.Fatalf("validate status %d", aerr.status)
 			}
 			return
 		}
-		if classIndex(class) < 0 || class != req.Type {
+		if class != req.Type {
 			t.Fatalf("accepted class %q for type %q", class, req.Type)
-		}
-		if priority < 0 || priority > maxJobPriority {
-			t.Fatalf("accepted priority %d", priority)
 		}
 	})
 }

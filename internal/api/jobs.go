@@ -31,31 +31,6 @@ func terminalState(s string) bool {
 	return s == jobStateDone || s == jobStateFailed || s == jobStateCancelled
 }
 
-// jobClasses are the job types in fixed dispatch order, with their
-// fair-queueing weights: a backlogged tenant's interactive profiles
-// and blame attributions dispatch 4x as often as its experiment
-// sweeps, 2x as often as its recommendations. The array index is the
-// class id everywhere below.
-var jobClasses = [...]struct {
-	name   string
-	weight int64
-}{
-	{"profile", 4},
-	{"blame", 4},
-	{"recommend", 2},
-	{"experiments", 1},
-}
-
-// classIndex maps a class name to its jobClasses index (-1 if unknown).
-func classIndex(name string) int {
-	for i := range jobClasses {
-		if jobClasses[i].name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 const (
 	// DefaultJobWorkers is the size of the job executor pool. It is
 	// deliberately fixed (not GOMAXPROCS-derived) so a server's
@@ -77,22 +52,6 @@ const (
 	// DefaultTenantQuota caps one tenant's active (queued + running)
 	// jobs.
 	DefaultTenantQuota = 16
-
-	// defaultJobPriority is the priority when a request omits it;
-	// priorities order jobs within one (tenant, class) queue only.
-	defaultJobPriority = 5
-	maxJobPriority     = 9
-
-	// strideScale is the stride numerator of the fair queue: an entity
-	// of weight w advances its virtual-time pass by strideScale/w per
-	// dispatch, so passes stay exact integers for every weight up to
-	// strideScale and scheduling never compares floats.
-	strideScale = 840
-
-	// MaxTenantWeight is the largest fair-queue weight a tenant can
-	// hold (WithTenantWeight): the stride numerator, so every weight's
-	// stride is a whole number of virtual-time units.
-	MaxTenantWeight = strideScale
 )
 
 // tenantHeader names the requesting tenant; absent means
@@ -110,8 +69,8 @@ const tenantNamePattern = `[A-Za-z0-9][A-Za-z0-9_.-]{0,63}`
 
 var tenantNameRe = regexp.MustCompile(`^` + tenantNamePattern + `$`)
 
-// CheckTenantName reports whether name can identify a tenant, both in
-// the X-Stash-Tenant header and in a WithTenantWeight entry.
+// CheckTenantName reports whether name can identify a tenant in the
+// X-Stash-Tenant header.
 func CheckTenantName(name string) error {
 	if !tenantNameRe.MatchString(name) {
 		return fmt.Errorf("need %s", tenantNamePattern)
@@ -146,12 +105,10 @@ type jobPartial struct {
 // is what makes every observable transition and every snapshot exact
 // (the conservation audit holds at any instant, not just quiescence).
 type job struct {
-	id       string
-	seq      int64
-	tenant   string
-	class    string
-	priority int
-	req      JobCreateRequest
+	id     string
+	tenant string
+	class  string
+	req    JobCreateRequest
 
 	cellsDone  atomic.Int64
 	cellsTotal atomic.Int64
@@ -170,34 +127,6 @@ type job struct {
 	subs         []chan struct{} // SSE wakeups, coalesced cap-1 channels
 }
 
-// classQueue is one (tenant, class) pending-job queue with its stride
-// scheduler state.
-type classQueue struct {
-	stride int64
-	pass   int64
-	jobs   []*job // submission order; dispatch picks max priority
-}
-
-// tenantSched is one tenant's scheduler node: a stride pass among
-// tenants, and a nested stride schedule across its class queues.
-type tenantSched struct {
-	name    string
-	stride  int64
-	pass    int64
-	vtime   int64 // pass of this tenant's last dispatched class
-	classes [len(jobClasses)]classQueue
-}
-
-// hasPending reports whether any class queue holds a job.
-func (ts *tenantSched) hasPending() bool {
-	for i := range ts.classes {
-		if len(ts.classes[i].jobs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // jobTally is one tenant's job accounting, guarded by jobStore.mu so
 // the lifecycle balance (audit.JobCounters) is exact at every
 // snapshot.
@@ -209,17 +138,14 @@ type jobTally struct {
 }
 
 // jobStore is the v2 job subsystem: admission (per-tenant quotas, a
-// bounded store with TTL + LRU eviction of terminal jobs), a two-level
-// weighted fair queue (stride scheduling across tenants, then across
-// job classes within the tenant, priorities within a class), a fixed
-// worker pool, cancellation and drain. One mutex guards all state
-// transitions and snapshots.
+// bounded store with TTL + LRU eviction of terminal jobs), one FIFO
+// queue in submission order, a fixed worker pool, cancellation and
+// drain. One mutex guards all state transitions and snapshots.
 type jobStore struct {
 	workers int
 	ttl     time.Duration
 	maxJobs int
 	quota   int
-	weights map[string]int64
 
 	exec   func(*job)
 	wakeCh chan struct{}
@@ -227,17 +153,14 @@ type jobStore struct {
 
 	mu       sync.Mutex
 	draining bool
-	stopped  bool
 	nextSeq  int64
 	doneSeq  int64
-	vtime    int64 // pass of the last dispatched tenant
 	jobs     map[string]*job
-	order    []*job // submission order (evicted jobs removed)
-	sched    map[string]*tenantSched
+	order    []*job // submission order (evicted jobs removed); the FIFO queue
 	tallies  map[string]*jobTally
 }
 
-func newJobStore(workers int, ttl time.Duration, maxJobs, quota int, weights map[string]int64) *jobStore {
+func newJobStore(workers int, ttl time.Duration, maxJobs, quota int) *jobStore {
 	if workers < 1 {
 		workers = DefaultJobWorkers
 	}
@@ -252,11 +175,9 @@ func newJobStore(workers int, ttl time.Duration, maxJobs, quota int, weights map
 		ttl:     ttl,
 		maxJobs: maxJobs,
 		quota:   quota,
-		weights: weights,
 		wakeCh:  make(chan struct{}, workers),
 		stopCh:  make(chan struct{}),
 		jobs:    make(map[string]*job),
-		sched:   make(map[string]*tenantSched),
 		tallies: make(map[string]*jobTally),
 	}
 }
@@ -294,7 +215,7 @@ func (st *jobStore) worker() {
 
 // wakeWorkers nudges idle workers after an enqueue. The channel holds
 // one token per worker, so dropping a send is only possible when every
-// worker already has a pending wakeup; workers drain queues in a loop,
+// worker already has a pending wakeup; workers drain the queue in a loop,
 // so no job is stranded either way.
 func (st *jobStore) wakeWorkers() {
 	select {
@@ -334,11 +255,11 @@ func (st *jobStore) tallyLocked(tenant string) *jobTally {
 }
 
 // submit admits one job: drain and quota checks, capacity eviction,
-// then enqueue into the fair queue. The returned JobStatus is
+// then enqueue at the tail of the FIFO. The returned JobStatus is
 // snapshotted inside the same critical section that enqueues, so a 202
 // body always reads "queued" with zeroed progress — byte-stable no
 // matter how fast a worker picks the job up.
-func (st *jobStore) submit(tenant string, req JobCreateRequest, class string, priority int) (JobStatus, *apiError) {
+func (st *jobStore) submit(tenant string, req JobCreateRequest, class string) (JobStatus, *apiError) {
 	now := time.Now() //lint:allow wallclock job-store TTL/eviction deadlines, never enters a stall table
 	st.mu.Lock()
 	tally := st.tallyLocked(tenant)
@@ -363,18 +284,15 @@ func (st *jobStore) submit(tenant string, req JobCreateRequest, class string, pr
 	}
 	st.nextSeq++
 	j := &job{
-		id:       fmt.Sprintf("job-%d", st.nextSeq),
-		seq:      st.nextSeq,
-		tenant:   tenant,
-		class:    class,
-		priority: priority,
-		req:      req,
-		state:    jobStateQueued,
-		doneCh:   make(chan struct{}),
+		id:     fmt.Sprintf("job-%d", st.nextSeq),
+		tenant: tenant,
+		class:  class,
+		req:    req,
+		state:  jobStateQueued,
+		doneCh: make(chan struct{}),
 	}
 	st.jobs[j.id] = j
 	st.order = append(st.order, j)
-	st.enqueueLocked(j)
 	tally.accepted++
 	tally.queued++
 	snap := st.statusLocked(j)
@@ -383,96 +301,29 @@ func (st *jobStore) submit(tenant string, req JobCreateRequest, class string, pr
 	return snap, nil
 }
 
-// enqueueLocked inserts j into its (tenant, class) queue, activating
-// scheduler nodes as needed. An idle entity rejoins at the current
-// virtual time (max of its old pass and the last dispatch's pass), the
-// stride-scheduling rule that stops an idle tenant from hoarding
-// credit and then monopolizing the workers.
-func (st *jobStore) enqueueLocked(j *job) {
-	ts := st.sched[j.tenant]
-	if ts == nil {
-		w := min(max(st.weights[j.tenant], 1), MaxTenantWeight)
-		ts = &tenantSched{name: j.tenant, stride: strideScale / w, pass: st.vtime}
-		for i := range ts.classes {
-			ts.classes[i].stride = strideScale / jobClasses[i].weight
-			ts.classes[i].pass = ts.vtime
-		}
-		st.sched[j.tenant] = ts
-	}
-	if !ts.hasPending() {
-		ts.pass = max(ts.pass, st.vtime)
-	}
-	cq := &ts.classes[classIndex(j.class)]
-	if len(cq.jobs) == 0 {
-		cq.pass = max(cq.pass, ts.vtime)
-	}
-	cq.jobs = append(cq.jobs, j)
-}
-
-// dispatchLocked picks the next job per the two-level stride schedule
-// and transitions it queued -> running. Ties break deterministically:
-// lexicographic tenant name, then class order (profile before
-// recommend before experiments), then highest priority, then
-// submission order — so a given submission history always dispatches
-// in the same order regardless of goroutine scheduling.
+// dispatchLocked takes the oldest queued job and transitions it
+// queued -> running. Dispatch order is submission order, so a given
+// submission history always dispatches the same way regardless of
+// goroutine scheduling; per-tenant isolation comes from the admission
+// quota, which bounds how many of one tenant's jobs sit ahead of
+// anyone else's.
 func (st *jobStore) dispatchLocked() *job {
-	var best *tenantSched
-	for _, ts := range st.sched {
-		if !ts.hasPending() {
-			continue
-		}
-		if best == nil || ts.pass < best.pass || (ts.pass == best.pass && ts.name < best.name) {
-			best = ts
+	var j *job
+	for _, q := range st.order {
+		if q.state == jobStateQueued {
+			j = q
+			break
 		}
 	}
-	if best == nil {
+	if j == nil {
 		return nil
 	}
-	ci := -1
-	for i := range best.classes {
-		if len(best.classes[i].jobs) == 0 {
-			continue
-		}
-		if ci < 0 || best.classes[i].pass < best.classes[ci].pass {
-			ci = i
-		}
-	}
-	cq := &best.classes[ci]
-	bi := 0
-	for i := 1; i < len(cq.jobs); i++ {
-		if cq.jobs[i].priority > cq.jobs[bi].priority {
-			bi = i
-		}
-	}
-	j := cq.jobs[bi]
-	cq.jobs = append(cq.jobs[:bi], cq.jobs[bi+1:]...)
-
-	st.vtime = best.pass
-	best.pass += best.stride
-	best.vtime = cq.pass
-	cq.pass += cq.stride
-
 	j.state = jobStateRunning
 	j.runCtx, j.cancel = context.WithCancel(context.Background())
 	tally := st.tallyLocked(j.tenant)
 	tally.queued--
 	tally.running++
 	return j
-}
-
-// removeQueuedLocked takes a queued job out of its class queue.
-func (st *jobStore) removeQueuedLocked(j *job) {
-	ts := st.sched[j.tenant]
-	if ts == nil {
-		return
-	}
-	cq := &ts.classes[classIndex(j.class)]
-	for i, q := range cq.jobs {
-		if q == j {
-			cq.jobs = append(cq.jobs[:i], cq.jobs[i+1:]...)
-			return
-		}
-	}
 }
 
 // finish records a running job's terminal result. If the job was
@@ -507,7 +358,7 @@ func (st *jobStore) finish(j *job, result []byte, status int, errBody *ErrorBody
 }
 
 // cancelLocked transitions a non-terminal job to cancelled: a queued
-// job leaves its queue immediately; a running job is marked terminal
+// job is skipped by dispatch from now on; a running job is marked terminal
 // here and now (its executor's context is cancelled by the caller via
 // the returned func, and the executor discards whatever it computes).
 // Terminal jobs are untouched. Returns the context cancel func to
@@ -518,7 +369,6 @@ func (st *jobStore) cancelLocked(j *job, now time.Time) (context.CancelFunc, []c
 	var fn context.CancelFunc
 	switch j.state {
 	case jobStateQueued:
-		st.removeQueuedLocked(j)
 		tally.queued--
 	case jobStateRunning:
 		fn = j.cancel
@@ -636,7 +486,6 @@ func (st *jobStore) statusLocked(j *job) JobStatus {
 		Tenant:   j.tenant,
 		Type:     j.class,
 		State:    j.state,
-		Priority: j.priority,
 		Progress: JobProgress{CellsDone: done, CellsTotal: total},
 	}
 	if len(j.partials) > 0 {
@@ -791,7 +640,6 @@ func (st *jobStore) drain(ctx context.Context) {
 		return
 	}
 	st.draining = true
-	st.stopped = true
 	var wake []chan struct{}
 	var running []*job
 	for _, j := range st.order {
@@ -824,9 +672,9 @@ func (st *jobStore) drain(ctx context.Context) {
 	}
 }
 
-// validateJobCreate checks a POST /v2/jobs body: a known type, exactly
-// its matching spec, and an in-range priority.
-func validateJobCreate(req JobCreateRequest) (class string, priority int, aerr *apiError) {
+// validateJobCreate checks a POST /v2/jobs body: a known type and
+// exactly its matching spec.
+func validateJobCreate(req JobCreateRequest) (class string, aerr *apiError) {
 	specs := 0
 	if req.Profile != nil {
 		specs++
@@ -840,8 +688,8 @@ func validateJobCreate(req JobCreateRequest) (class string, priority int, aerr *
 	if req.Experiments != nil {
 		specs++
 	}
-	bad := func(msg string) (string, int, *apiError) {
-		return "", 0, newAPIError(http.StatusBadRequest, errInvalidRequest, msg)
+	bad := func(msg string) (string, *apiError) {
+		return "", newAPIError(http.StatusBadRequest, errInvalidRequest, msg)
 	}
 	switch req.Type {
 	case "profile":
@@ -863,14 +711,7 @@ func validateJobCreate(req JobCreateRequest) (class string, priority int, aerr *
 	default:
 		return bad(`"type" must be "profile", "recommend", "blame" or "experiments"`)
 	}
-	priority = defaultJobPriority
-	if req.Priority != nil {
-		priority = *req.Priority
-		if priority < 0 || priority > maxJobPriority {
-			return bad(fmt.Sprintf(`"priority" must be 0..%d, got %d`, maxJobPriority, priority))
-		}
-	}
-	return req.Type, priority, nil
+	return req.Type, nil
 }
 
 // executeJob runs one dispatched job to its terminal state. The job's
@@ -945,12 +786,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
-	class, priority, aerr := validateJobCreate(req)
+	class, aerr := validateJobCreate(req)
 	if aerr != nil {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
-	snap, aerr := s.jobsStore.submit(tenant, req, class, priority)
+	snap, aerr := s.jobsStore.submit(tenant, req, class)
 	if aerr != nil {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return

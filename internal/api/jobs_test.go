@@ -196,7 +196,7 @@ func TestJobValidation(t *testing.T) {
 		{"missing spec", `{"type":"profile"}`},
 		{"mismatched spec", `{"type":"profile","recommend":{"model":"resnet18"}}`},
 		{"two specs", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"},"recommend":{"model":"resnet18"}}`},
-		{"priority out of range", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"},"priority":10}`},
+		{"unknown field priority", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"},"priority":10}`},
 		{"malformed JSON", `{"type":`},
 	}
 	for _, c := range cases {
@@ -337,104 +337,65 @@ func TestJobResultNotReady(t *testing.T) {
 	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+queued, "", "")
 }
 
-// TestJobWFQTenantFairness drives dispatchLocked directly (no workers):
-// a weight-2 tenant with a deep backlog dispatches twice as often as a
-// weight-1 tenant, with ties broken lexicographically — the full order
-// is a pure function of the submission history.
-func TestJobWFQTenantFairness(t *testing.T) {
-	st := newJobStore(1, time.Minute, 64, 32, map[string]int64{"a": 2, "b": 1})
-	spec := JobCreateRequest{Type: "profile"}
-	for i := 0; i < 4; i++ {
-		if _, aerr := st.submit("a", spec, "profile", defaultJobPriority); aerr != nil {
-			t.Fatal(aerr.message)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, aerr := st.submit("b", spec, "profile", defaultJobPriority); aerr != nil {
-			t.Fatal(aerr.message)
-		}
-	}
-	var order []string
-	for {
-		st.mu.Lock()
-		j := st.dispatchLocked()
-		st.mu.Unlock()
-		if j == nil {
-			break
-		}
-		order = append(order, j.tenant)
-		st.finish(j, []byte("{}\n"), http.StatusOK, nil)
-	}
-	want := "a b a a b a" // weight 2:1 interleave, lexicographic tie-break
-	if got := strings.Join(order, " "); got != want {
-		t.Errorf("dispatch order = %q, want %q", got, want)
-	}
-}
-
-// TestJobWFQClassWeights: within one tenant, classes dispatch by their
-// 4:2:1 strides with class-order tie-breaks.
-func TestJobWFQClassWeights(t *testing.T) {
-	st := newJobStore(1, time.Minute, 64, 32, nil)
-	for i := 0; i < 3; i++ {
-		if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile", defaultJobPriority); aerr != nil {
-			t.Fatal(aerr.message)
-		}
-	}
-	if _, aerr := st.submit("t", JobCreateRequest{Type: "recommend"}, "recommend", defaultJobPriority); aerr != nil {
-		t.Fatal(aerr.message)
-	}
-	if _, aerr := st.submit("t", JobCreateRequest{Type: "experiments"}, "experiments", defaultJobPriority); aerr != nil {
-		t.Fatal(aerr.message)
-	}
-	var order []string
-	for {
-		st.mu.Lock()
-		j := st.dispatchLocked()
-		st.mu.Unlock()
-		if j == nil {
-			break
-		}
-		order = append(order, j.class)
-		st.finish(j, []byte("{}\n"), http.StatusOK, nil)
-	}
-	want := "profile recommend experiments profile profile"
-	if got := strings.Join(order, " "); got != want {
-		t.Errorf("class dispatch order = %q, want %q", got, want)
-	}
-}
-
-// TestJobPriorityWithinClass: priority reorders one (tenant, class)
-// queue; equal priorities keep submission order.
-func TestJobPriorityWithinClass(t *testing.T) {
-	st := newJobStore(1, time.Minute, 64, 32, nil)
-	ids := make(map[string]string) // label -> job id
-	for _, c := range []struct {
-		label string
-		prio  int
-	}{{"low", 3}, {"mid1", 5}, {"high", 9}, {"mid2", 5}} {
-		snap, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile", c.prio)
-		if aerr != nil {
-			t.Fatal(aerr.message)
-		}
-		ids[c.label] = snap.ID
-	}
-	var order []string
-	for {
-		st.mu.Lock()
-		j := st.dispatchLocked()
-		st.mu.Unlock()
-		if j == nil {
-			break
-		}
-		for label, id := range ids {
-			if id == j.id {
-				order = append(order, label)
+// TestJobDispatchFIFO drives dispatchLocked directly (no workers): in
+// every case the jobs dispatch in exactly their submission order, with
+// a cancelled queued job skipped. The cases are the histories the old
+// tenant, class and priority orders were pinned on, plus two tenants
+// submitting mixed classes with one job cancelled while queued.
+func TestJobDispatchFIFO(t *testing.T) {
+	type sub struct{ tenant, class string }
+	for _, tc := range []struct {
+		name   string
+		subs   []sub
+		cancel int // index into subs of the job cancelled while queued, or -1
+	}{
+		{"tenant_backlog", []sub{
+			{"a", "profile"}, {"a", "profile"}, {"a", "profile"}, {"a", "profile"},
+			{"b", "profile"}, {"b", "profile"},
+		}, -1},
+		{"mixed_classes", []sub{
+			{"t", "profile"}, {"t", "profile"}, {"t", "profile"},
+			{"t", "recommend"}, {"t", "experiments"},
+		}, -1},
+		{"one_class", []sub{
+			{"t", "profile"}, {"t", "profile"}, {"t", "profile"}, {"t", "profile"},
+		}, -1},
+		{"two_tenants_one_cancelled", []sub{
+			{"b", "experiments"}, {"a", "profile"}, {"b", "recommend"},
+			{"a", "blame"}, {"a", "experiments"}, {"b", "profile"},
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newJobStore(1, time.Minute, 64, 32)
+			var want []string
+			for i, s := range tc.subs {
+				snap, aerr := st.submit(s.tenant, JobCreateRequest{Type: s.class}, s.class)
+				if aerr != nil {
+					t.Fatal(aerr.message)
+				}
+				if i == tc.cancel {
+					if _, aerr := st.cancel(s.tenant, snap.ID); aerr != nil {
+						t.Fatal(aerr.message)
+					}
+					continue
+				}
+				want = append(want, snap.ID)
 			}
-		}
-		st.finish(j, []byte("{}\n"), http.StatusOK, nil)
-	}
-	if got := strings.Join(order, " "); got != "high mid1 mid2 low" {
-		t.Errorf("priority order = %q, want %q", got, "high mid1 mid2 low")
+			var got []string
+			for {
+				st.mu.Lock()
+				j := st.dispatchLocked()
+				st.mu.Unlock()
+				if j == nil {
+					break
+				}
+				got = append(got, j.id)
+				st.finish(j, []byte("{}\n"), http.StatusOK, nil)
+			}
+			if g, w := strings.Join(got, " "), strings.Join(want, " "); g != w {
+				t.Errorf("dispatch order = %q, want %q", g, w)
+			}
+		})
 	}
 }
 
@@ -443,10 +404,10 @@ func TestJobPriorityWithinClass(t *testing.T) {
 // a new one, refuses when everything is live, and TTL-expired results
 // vanish on the next touch.
 func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
-	st := newJobStore(1, 50*time.Millisecond, 2, 32, nil)
+	st := newJobStore(1, 50*time.Millisecond, 2, 32)
 	finishOne := func() string {
 		t.Helper()
-		snap, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile", defaultJobPriority)
+		snap, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile")
 		if aerr != nil {
 			t.Fatal(aerr.message)
 		}
@@ -463,7 +424,7 @@ func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
 	second := finishOne()
 	// Store is at max 2 with two terminal jobs: admitting a third evicts
 	// the oldest-finished (first).
-	third, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile", defaultJobPriority)
+	third, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile")
 	if aerr != nil {
 		t.Fatal(aerr.message)
 	}
@@ -476,10 +437,10 @@ func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
 	// Now both slots are an active job + a terminal one; cancel nothing:
 	// a fourth submission evicts `second`, a fifth finds only live jobs
 	// and bounces store_full.
-	if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile", defaultJobPriority); aerr != nil {
+	if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile"); aerr != nil {
 		t.Fatalf("fourth submit: %s", aerr.message)
 	}
-	if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile", defaultJobPriority); aerr == nil || aerr.code != errStoreFull {
+	if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile"); aerr == nil || aerr.code != errStoreFull {
 		t.Fatalf("fifth submit should bounce store_full, got %v", aerr)
 	}
 	// TTL: run the live jobs to terminal, let them expire, and any read

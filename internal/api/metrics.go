@@ -216,7 +216,7 @@ func (m *metrics) render() string {
 		fmt.Fprintf(&b, "stashd_jobs_terminal_total{tenant=%q,outcome=\"done\"} %d\n", t, jc[t].Done)
 		fmt.Fprintf(&b, "stashd_jobs_terminal_total{tenant=%q,outcome=\"failed\"} %d\n", t, jc[t].Failed)
 	}
-	b.WriteString("# HELP stashd_jobs_queued Jobs waiting in the fair queue, by tenant.\n")
+	b.WriteString("# HELP stashd_jobs_queued Jobs waiting in the FIFO job queue, by tenant.\n")
 	b.WriteString("# TYPE stashd_jobs_queued gauge\n")
 	for _, t := range tenants {
 		fmt.Fprintf(&b, "stashd_jobs_queued{tenant=%q} %d\n", t, jc[t].Queued)

@@ -27,9 +27,9 @@ func writeTree(t *testing.T, files map[string]string) string {
 // the module) and must not analyze `// Code generated` files.
 func TestExpandSkipsTestdataAndGenerated(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"go.mod":       "module tmpmod\n",
-		"a/a.go":       "package a\n\nfunc A() int { return 1 }\n",
-		"a/gen.go":     "// Code generated by tmpgen; DO NOT EDIT.\n\npackage a\n\nfunc Gen() int { return 2 }\n",
+		"go.mod":                    "module tmpmod\n",
+		"a/a.go":                    "package a\n\nfunc A() int { return 1 }\n",
+		"a/gen.go":                  "// Code generated by tmpgen; DO NOT EDIT.\n\npackage a\n\nfunc Gen() int { return 2 }\n",
 		"a/testdata/src/fix/fix.go": "package fix\n\nfunc Broken() { undefinedSymbol() }\n",
 	})
 	pkgs, err := NewLoader(root, "tmpmod").Expand([]string{"./..."})

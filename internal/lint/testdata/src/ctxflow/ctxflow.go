@@ -26,7 +26,7 @@ func root() error {
 
 type engine struct{}
 
-func (e *engine) Run(n int) error                          { return nil }
+func (e *engine) Run(n int) error                             { return nil }
 func (e *engine) RunContext(ctx context.Context, n int) error { _ = ctx; return nil }
 
 func badSibling(ctx context.Context, e *engine) error {
@@ -37,9 +37,9 @@ func goodSibling(ctx context.Context, e *engine) error {
 	return e.RunContext(ctx, 1)
 }
 
-func load(n int) int                          { return n }
-func loadCtx(ctx context.Context, n int) int  { _ = ctx; return n }
-func sweep(n int) int                         { return n }
+func load(n int) int                         { return n }
+func loadCtx(ctx context.Context, n int) int { _ = ctx; return n }
+func sweep(n int) int                        { return n }
 
 func badPkgSibling(ctx context.Context) int {
 	return load(1) // want `load has a context-threading variant loadCtx`

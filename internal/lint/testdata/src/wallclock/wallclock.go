@@ -9,10 +9,10 @@ import (
 )
 
 func bad() time.Duration {
-	start := time.Now() // want `time\.Now reads the wall clock`
-	_ = rand.Intn(10)   // want `rand\.Intn draws from the global seed-dependent source`
+	start := time.Now()                // want `time\.Now reads the wall clock`
+	_ = rand.Intn(10)                  // want `rand\.Intn draws from the global seed-dependent source`
 	rand.Shuffle(3, func(i, j int) {}) // want `rand\.Shuffle draws from the global`
-	return time.Since(start) // want `time\.Since reads the wall clock`
+	return time.Since(start)           // want `time\.Since reads the wall clock`
 }
 
 func badUntil(deadline time.Time) time.Duration {

@@ -2,16 +2,24 @@
 # ci.sh — the repository's full verification gate.
 #
 # Tier-1 (ROADMAP.md) is `go build ./... && go test ./...`; this script
-# adds vet, the stashlint static determinism/concurrency gate, an
-# explicit build of every runnable (CLIs, stashd, each example), the
-# documentation checks (docs/API.md examples replayed against a live
-# server, markdown cross-references resolved), and a race-detector
-# pass — the real guard for the parallel scenario scheduler and the
-# stashd concurrency gate. Run from the repository root:
+# adds a gofmt check, vet, the stashlint static determinism/concurrency
+# gate, an explicit build of every runnable (CLIs, stashd, each
+# example), the documentation checks (docs/API.md examples replayed
+# against a live server, markdown cross-references resolved), and a
+# race-detector pass — the real guard for the parallel scenario
+# scheduler and the stashd concurrency gate. Run from the repository root:
 #
 #   ./scripts/ci.sh
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (every tracked .go file is gofmt-clean)"
+unformatted=$(git ls-files '*.go' | grep -v '^\.bench_build/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt would reformat:"
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -52,7 +60,6 @@ go test -race ./...
 for target in \
   "FuzzJobCreate ./internal/api" \
   "FuzzTenantOf ./internal/api" \
-  "FuzzParseTenantWeights ./cmd/stashd" \
   "FuzzResolve ./internal/dnn" \
   "FuzzByName ./internal/cloud"; do
   set -- $target
