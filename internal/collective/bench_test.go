@@ -2,43 +2,51 @@ package collective
 
 import (
 	"testing"
-	"time"
 
-	"stash/internal/hw"
+	"stash/internal/cloud"
 	"stash/internal/sim"
 	"stash/internal/simnet"
-	"stash/internal/topo"
 )
 
-// benchRing measures a full ring all-reduce on an 8-GPU NVLink machine.
-func benchRing(b *testing.B, bytes float64) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		net := simnet.New(e)
-		top, err := topo.BuildCluster(net, []topo.MachineSpec{{
-			GPU: hw.V100, NGPUs: 8,
-			Interconnect:         topo.InterconnectNVLink,
-			PCIe:                 hw.PCIeGen3x16,
-			RootComplexBandwidth: 48 * hw.GB,
-			NVLink:               hw.NVLink2,
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := NewGroup(e, net, top, top.AllGPUs())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var done time.Duration
-		for rank := 0; rank < 8; rank++ {
-			spawnAllReduce(e, g, rank, 0, bytes, &done)
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkRingAllReduce measures one ring all-reduce of a 25 MB DDP
+// bucket on a warm group, across the fabrics the suite exercises. The
+// fluid model's cost depends on ranks and contention, not on bytes.
+func BenchmarkRingAllReduce(b *testing.B) {
+	fabrics := []struct {
+		name     string
+		instance string
+		nodes    int
+	}{
+		{"pcie16", "p2.16xlarge", 1},  // 16 ranks on one PCIe root complex
+		{"nvlink8", "p3.16xlarge", 1}, // 8 ranks over the NVLink crossbar
+		{"vpc2x4", "p3.8xlarge", 2},   // 8 ranks, two of the hops over the VPC
+	}
+	for _, fab := range fabrics {
+		b.Run(fab.name, func(b *testing.B) {
+			it, err := cloud.ByName(fab.instance)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := sim.NewEngine()
+			net := simnet.New(e)
+			top, err := cloud.NewProvisioner(cloud.SliceClean, 1).Provision(net, it, fab.nodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := NewGroup(e, net, top, top.AllGPUs())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for rank := 0; rank < g.WorldSize(); rank++ {
+					g.AllReduceAsync(rank, 25e6)
+				}
+				if err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkRingAllReduce1MB(b *testing.B)   { benchRing(b, 1e6) }
-func BenchmarkRingAllReduce100MB(b *testing.B) { benchRing(b, 1e8) }

@@ -334,8 +334,8 @@ func (g *Group) psRoutes(toServer bool) [][]*simnet.Link {
 // per group suffices.
 //
 // The event footprint per op is a spawn event at issue, one timer for
-// the call overhead, then per phase a batch of flow starts awaited in
-// rank order.
+// the call overhead, then one await per phase: the ring's flow group, or
+// each parameter-server batch of flow starts in rank order.
 type exec struct {
 	g     *Group
 	o     *op
@@ -344,18 +344,16 @@ type exec struct {
 	start time.Duration
 	state int
 
-	chunk float64        // ring: per-step chunk size
-	step  int            // ring: current step of 2(world-1)
-	idx   int            // await progress within flows
-	flows []*simnet.Flow // scratch, one slot per rank
+	ring  *simnet.FlowGroup // ring: the in-flight all-reduce
+	idx   int               // ps: await progress within flows
+	flows []*simnet.Flow    // ps: scratch, one slot per rank
 }
 
 // exec states.
 const (
 	xStart       = iota // spawn event fired; charge call overhead
 	xDispatch           // overhead elapsed; choose algorithm
-	xRingLaunch         // start this ring step's flows
-	xRingAwait          // await this ring step's flows in rank order
+	xRingAwait          // await the ring's flow group; op complete
 	xPSPush             // start all gradient pushes to the server
 	xPSPushAwait        // await pushes
 	xPSPull             // start all parameter pulls from the server
@@ -367,6 +365,7 @@ const (
 // scratch only grows.
 func (x *exec) init(g *Group) {
 	x.g = g
+	x.ring = nil
 	if x.cont == nil {
 		x.cont = x.run
 	}
@@ -411,42 +410,29 @@ func (x *exec) run() {
 			}
 			switch g.algorithm {
 			case Ring:
-				x.chunk = x.o.bytes / float64(len(g.gpus))
-				x.step = 0
-				x.state = xRingLaunch
+				// 2(p-1) steps in which every rank forwards a 1/p chunk
+				// to its successor concurrently. A step ends with its
+				// slowest route, which is how a single network hop
+				// throttles the whole ring (§IV-B2). The first step pays
+				// route latency; later steps stream over the already-
+				// pipelined path (NCCL slices the chunk so their latency
+				// hides behind the previous step's tail).
+				world := len(g.gpus)
+				x.ring = g.net.StartGroup(g.ringRoutes(), x.o.bytes/float64(world), 2*(world-1))
+				x.state = xRingAwait
 			case ParameterServer:
 				x.state = xPSPush
 			}
 
-		case xRingLaunch:
-			// One ring step: every rank forwards a 1/p chunk to its
-			// successor concurrently. Step time is set by the slowest
-			// route, which is how a single network hop throttles the
-			// whole ring (§IV-B2).
-			routes := g.ringRoutes()
-			for i := range routes {
-				// The first step pays route latency; later steps stream
-				// over the already-pipelined path (NCCL slices the chunk
-				// so their latency hides behind the previous step's tail).
-				if x.step == 0 {
-					x.flows[i] = g.net.StartFlow(x.chunk, routes[i])
-				} else {
-					x.flows[i] = g.net.StartFlowLatency(x.chunk, routes[i], 0)
-				}
-			}
-			x.idx = 0
-			x.state = xRingAwait
-
 		case xRingAwait:
-			if !x.awaitFlows() {
+			if done := x.ring.Done(); !done.Fired() {
+				done.OnFire(x.cont)
 				return
 			}
-			x.recycleFlows()
-			x.step++
-			if x.step < 2*(len(g.gpus)-1) {
-				x.state = xRingLaunch
-				continue
-			}
+			// The exec owns the group and is its only waiter, which
+			// has just woken.
+			g.net.RecycleGroup(x.ring)
+			x.ring = nil
 			x.finish()
 			return
 

@@ -13,8 +13,10 @@ import (
 // a silent, schedule-dependent way to break the byte-identical stall
 // tables. Tracked invalidators, keyed off the real APIs:
 //
-//   - Network.Recycle(f): f and everything reached through it is stale;
-//   - Network.Reset(): every flow started on that network is stale;
+//   - Network.Recycle(f) / Network.RecycleGroup(g): the flow or flow
+//     group and everything reached through it is stale;
+//   - Network.Reset(): every flow and flow group started on that
+//     network is stale;
 //   - Engine.Reset(): every Event handle and *Task spawned from that
 //     engine is stale (generation counters make them dangle);
 //   - Group.Release(): the group's storage returns to the engine arena.
@@ -33,7 +35,7 @@ import (
 // parked set.
 var PoolSafe = &Analyzer{
 	Name: "poolsafe",
-	Doc: "forbid use of a pooled object after Network.Recycle/Network.Reset/Engine.Reset/" +
+	Doc: "forbid use of a pooled object after Network.Recycle/RecycleGroup/Reset, Engine.Reset or " +
 		"Group.Release, and Signal.Rearm while a waiter may be parked: a recycled handle " +
 		"aliases another owner's state, corrupting stall tables nondeterministically",
 	Run: runPoolSafe,

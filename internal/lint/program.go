@@ -425,6 +425,8 @@ func poolInvalidator(fn *types.Func) (label string, kind invKind) {
 	switch {
 	case isMethodOn(fn, "internal/simnet", "Network", "Recycle"):
 		return "Network.Recycle", invArg0
+	case isMethodOn(fn, "internal/simnet", "Network", "RecycleGroup"):
+		return "Network.RecycleGroup", invArg0
 	case isMethodOn(fn, "internal/collective", "Group", "Release"):
 		return "Group.Release", invRecv
 	}
@@ -504,8 +506,9 @@ func isMethodOn(fn *types.Func, pkgSuffix, typeName, name string) bool {
 }
 
 // pooledClassOf classifies a type as one of the recycled families:
-// "flow" (*simnet.Flow), "handle" (sim.Event / *sim.Task, both stale
-// after Engine.Reset) or "group" (*collective.Group).
+// "flow" (*simnet.Flow and *simnet.FlowGroup, both stale after
+// Network.Reset), "handle" (sim.Event / *sim.Task, both stale after
+// Engine.Reset) or "group" (*collective.Group).
 func pooledClassOf(t types.Type) string {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
@@ -517,7 +520,7 @@ func pooledClassOf(t types.Type) string {
 	path := named.Obj().Pkg().Path()
 	name := named.Obj().Name()
 	switch {
-	case name == "Flow" && pathEndsIn(path, "internal/simnet"):
+	case (name == "Flow" || name == "FlowGroup") && pathEndsIn(path, "internal/simnet"):
 		return "flow"
 	case (name == "Event" || name == "Task") && pathEndsIn(path, "internal/sim"):
 		return "handle"
@@ -542,7 +545,7 @@ func creatorSrc(info *types.Info, call *ast.CallExpr) string {
 	}
 	isCreator := false
 	switch fn.Name() {
-	case "StartFlow", "StartFlowLatency", "Transfer":
+	case "StartFlow", "StartFlowLatency", "StartGroup":
 		isCreator = isMethodOn(fn, "internal/simnet", "Network", fn.Name())
 	case "Schedule", "ScheduleArg", "ScheduleAt", "Spawn":
 		isCreator = isMethodOn(fn, "internal/sim", "Engine", fn.Name())

@@ -104,6 +104,27 @@ func goodFallthroughOrder(n *simnet.Network, r []*simnet.Link, k int) float64 {
 	return v
 }
 
+// ---- flow groups: Network.RecycleGroup / Network.Reset ----------------
+
+func badUseAfterRecycleGroup(n *simnet.Network, r [][]*simnet.Link) bool {
+	g := n.StartGroup(r, 1024, 2)
+	n.RecycleGroup(g)
+	return g.Completed() // want `g used after Network\.RecycleGroup`
+}
+
+func goodRecycleGroupLast(n *simnet.Network, r [][]*simnet.Link) bool {
+	g := n.StartGroup(r, 1024, 2)
+	done := g.Completed()
+	n.RecycleGroup(g)
+	return done
+}
+
+func badGroupAfterNetReset(n *simnet.Network, r [][]*simnet.Link) bool {
+	g := n.StartGroup(r, 1024, 2)
+	n.Reset()
+	return g.Completed() // want `g used after Network\.Reset`
+}
+
 // ---- engine handles: Engine.Reset -------------------------------------
 
 func badEventAfterEngineReset(e *sim.Engine) bool {

@@ -1,0 +1,411 @@
+package simnet
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"stash/internal/sim"
+)
+
+// checkMaxMin reports whether the standing rates are a max-min fair
+// allocation of the current flow set: no link carries more than its
+// capacity, and every flow crosses a saturated link on which no flow has
+// a higher rate.
+func checkMaxMin(n *Network) error {
+	const tol = 1e-9
+	load := make(map[*Link]float64)
+	top := make(map[*Link]float64)
+	for _, f := range n.flows {
+		for _, l := range f.route {
+			load[l] += f.rate
+			top[l] = math.Max(top[l], f.rate)
+		}
+	}
+	for _, l := range n.links {
+		if load[l] > l.capacity*(1+tol) {
+			return fmt.Errorf("link %s carries %v > capacity %v", l.name, load[l], l.capacity)
+		}
+	}
+	for i, f := range n.flows {
+		bottlenecked := false
+		for _, l := range f.route {
+			if load[l] >= l.capacity*(1-tol) && f.rate >= top[l]*(1-tol) {
+				bottlenecked = true
+				break
+			}
+		}
+		if !bottlenecked {
+			return fmt.Errorf("flow %d at rate %v has no saturated link on which it is the fastest", i, f.rate)
+		}
+	}
+	return nil
+}
+
+// watchSolutions checks checkMaxMin after every settle and completion
+// event on n — every solve, and every completion that kept the standing
+// rates — and returns a pointer to the number of checks made.
+func watchSolutions(t *testing.T, n *Network) *int {
+	t.Helper()
+	checks := new(int)
+	check := func() {
+		*checks++
+		if err := checkMaxMin(n); err != nil {
+			t.Errorf("at %v: %v", n.eng.Now(), err)
+		}
+	}
+	settle, complete := n.settleFn, n.completionFn
+	n.settleFn = func() { settle(); check() }
+	n.completionFn = func() { complete(); check() }
+	return checks
+}
+
+// ringSpec is one ring of a generated scenario.
+type ringSpec struct {
+	routes [][]*Link
+	bytes  float64
+	rounds int
+	start  time.Duration
+}
+
+// flowSpec is one background flow of a generated scenario.
+type flowSpec struct {
+	route []*Link
+	bytes float64
+	start time.Duration
+}
+
+// randomScenario builds links on n and draws rings and background flows
+// over them. The same seed draws the same scenario on any network.
+func randomScenario(seed int64, n *Network) ([]ringSpec, []flowSpec) {
+	rng := rand.New(rand.NewSource(seed))
+	links := make([]*Link, 3+rng.Intn(10))
+	for i := range links {
+		var lat time.Duration
+		if rng.Intn(2) == 0 {
+			lat = time.Duration(rng.Intn(20000))
+		}
+		links[i] = n.NewLink(fmt.Sprintf("l%d", i), gb*(0.5+4*rng.Float64()), lat)
+	}
+	route := func() []*Link {
+		perm := rng.Perm(len(links))
+		r := make([]*Link, 1+rng.Intn(3))
+		for i := range r {
+			r[i] = links[perm[i]]
+		}
+		return r
+	}
+	rings := make([]ringSpec, 1+rng.Intn(3))
+	for i := range rings {
+		p := 2 + rng.Intn(7)
+		rs := ringSpec{
+			routes: make([][]*Link, p),
+			bytes:  1e5 + 1e7*rng.Float64(),
+			rounds: 2 * (p - 1),
+			start:  time.Duration(rng.Intn(2e6)),
+		}
+		// One ring in three has a private, equal link per member, so
+		// every round ends in one event: the path that keeps the rates.
+		private := rng.Intn(3) == 0
+		for m := range rs.routes {
+			if private {
+				rs.routes[m] = []*Link{n.NewLink(fmt.Sprintf("r%dm%d", i, m), 2*gb, 0)}
+			} else {
+				rs.routes[m] = route()
+			}
+		}
+		rings[i] = rs
+	}
+	flows := make([]flowSpec, rng.Intn(10))
+	for i := range flows {
+		flows[i] = flowSpec{route: route(), bytes: 1e4 + 3e7*rng.Float64(), start: time.Duration(rng.Intn(2e7))}
+	}
+	return rings, flows
+}
+
+// startStepRing runs a ring the per-flow way: each round is one
+// StartFlow per member (zero latency after the first round), awaited in
+// member order before the next round launches. It records the finish
+// instant in *done.
+func startStepRing(n *Network, rs ringSpec, done *time.Duration) {
+	step, idx := 0, 0
+	flows := make([]*Flow, len(rs.routes))
+	var launch, await func()
+	launch = func() {
+		for i, r := range rs.routes {
+			if step == 0 {
+				flows[i] = n.StartFlow(rs.bytes, r)
+			} else {
+				flows[i] = n.StartFlowLatency(rs.bytes, r, 0)
+			}
+		}
+		idx = 0
+		await()
+	}
+	await = func() {
+		for ; idx < len(flows); idx++ {
+			if sig := flows[idx].Done(); !sig.Fired() {
+				sig.OnFire(await)
+				return
+			}
+		}
+		step++
+		if step < rs.rounds {
+			launch()
+			return
+		}
+		*done = n.eng.Now()
+	}
+	launch()
+}
+
+// scenarioResult is everything observable about one run of a scenario.
+type scenarioResult struct {
+	rings  []time.Duration
+	flows  []time.Duration
+	counts []int
+	bytes  []float64
+	checks int
+}
+
+func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
+	t.Helper()
+	e := sim.NewEngine()
+	n := New(e)
+	checks := watchSolutions(t, n)
+	rings, flows := randomScenario(seed, n)
+	var res scenarioResult
+	res.rings = make([]time.Duration, len(rings))
+	for i, rs := range rings {
+		e.Schedule(rs.start, func() {
+			if !grouped {
+				startStepRing(n, rs, &res.rings[i])
+				return
+			}
+			g := n.StartGroup(rs.routes, rs.bytes, rs.rounds)
+			g.Done().OnFire(func() {
+				res.rings[i] = e.Now()
+				n.RecycleGroup(g)
+			})
+		})
+	}
+	started := make([]*Flow, len(flows))
+	for i, fs := range flows {
+		e.Schedule(fs.start, func() { started[i] = n.StartFlow(fs.bytes, fs.route) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range started {
+		res.flows = append(res.flows, f.finished)
+	}
+	for _, l := range n.links {
+		res.counts = append(res.counts, l.FlowsCarried())
+		res.bytes = append(res.bytes, l.BytesCarried())
+	}
+	res.checks = *checks
+	return res
+}
+
+// TestGroupMatchesPerStepRing is the differential oracle for StartGroup:
+// on random rings with heterogeneous routes beside random background
+// flows, a flow group finishes every ring and every other flow at
+// exactly the instants the per-flow ring does, with the same per-link
+// flow counts and the same bytes up to float summation order. Both runs
+// pass the max-min check after every solve.
+func TestGroupMatchesPerStepRing(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		want := runScenario(t, seed, false)
+		got := runScenario(t, seed, true)
+		if fmt.Sprint(got.rings) != fmt.Sprint(want.rings) {
+			t.Errorf("seed %d: ring completions %v, per-step %v", seed, got.rings, want.rings)
+		}
+		if fmt.Sprint(got.flows) != fmt.Sprint(want.flows) {
+			t.Errorf("seed %d: flow completions %v, per-step %v", seed, got.flows, want.flows)
+		}
+		if fmt.Sprint(got.counts) != fmt.Sprint(want.counts) {
+			t.Errorf("seed %d: FlowsCarried %v, per-step %v", seed, got.counts, want.counts)
+		}
+		for i := range want.bytes {
+			if math.Abs(got.bytes[i]-want.bytes[i]) > 1e-9*math.Abs(want.bytes[i]) {
+				t.Errorf("seed %d: link %d BytesCarried %v, per-step %v", seed, i, got.bytes[i], want.bytes[i])
+			}
+		}
+		if got.checks == 0 || want.checks == 0 {
+			t.Fatalf("seed %d: no solution checked", seed)
+		}
+	}
+}
+
+// TestMaxMinOracleOnRandomFlows checks the fairness conditions after
+// every solve of random plain-flow networks with staggered arrivals.
+func TestMaxMinOracleOnRandomFlows(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := sim.NewEngine()
+		n := New(e)
+		checks := watchSolutions(t, n)
+		links := make([]*Link, 2+rng.Intn(8))
+		for i := range links {
+			links[i] = n.NewLink(fmt.Sprintf("l%d", i), 1+100*rng.Float64(), 0)
+		}
+		for i := 0; i < 1+rng.Intn(30); i++ {
+			perm := rng.Perm(len(links))
+			route := make([]*Link, 1+rng.Intn(len(links)))
+			for j := range route {
+				route[j] = links[perm[j]]
+			}
+			bytes := 1 + 1000*rng.Float64()
+			e.Schedule(time.Duration(rng.Intn(1e10)), func() { n.StartFlow(bytes, route) })
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if *checks == 0 {
+			t.Fatalf("seed %d: no solution checked", seed)
+		}
+	}
+}
+
+// TestMaxMinOracleCatchesUnfairRates proves the oracle bites: halving one
+// flow's rate leaves it without a saturated bottleneck, and doubling one
+// overloads its link.
+func TestMaxMinOracleCatchesUnfairRates(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	l1 := n.NewLink("l1", 10, 0)
+	l2 := n.NewLink("l2", 4, 0)
+	n.StartFlow(1e12, []*Link{l1})
+	n.StartFlow(1e12, []*Link{l1, l2})
+	n.StartFlow(1e12, []*Link{l2})
+	if err := e.RunUntil(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkMaxMin(n); err != nil {
+		t.Fatalf("solved rates rejected: %v", err)
+	}
+	for _, scale := range []float64{0.5, 2} {
+		f := n.flows[0]
+		saved := f.rate
+		f.rate *= scale
+		if checkMaxMin(n) == nil {
+			t.Errorf("rate scaled by %v accepted", scale)
+		}
+		f.rate = saved
+	}
+}
+
+// TestGroupRoundsAndLinkStats: a lone group of equal private links
+// re-arms in place each round, so it takes rounds × (bytes / capacity)
+// after the route latency and counts one flow per round on each link.
+func TestGroupRoundsAndLinkStats(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	const rounds = 6
+	routes := make([][]*Link, 4)
+	for i := range routes {
+		routes[i] = []*Link{n.NewLink("l", 1*gb, time.Millisecond)}
+	}
+	g := n.StartGroup(routes, 0.25*gb, rounds)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Completed() || !g.Done().Fired() {
+		t.Fatal("group did not complete")
+	}
+	if want := time.Millisecond + rounds*250*time.Millisecond; e.Now() != want {
+		t.Errorf("group finished at %v, want %v", e.Now(), want)
+	}
+	for _, r := range routes {
+		if r[0].FlowsCarried() != rounds {
+			t.Errorf("FlowsCarried = %d, want %d", r[0].FlowsCarried(), rounds)
+		}
+		if !almostEqual(r[0].BytesCarried(), rounds*0.25*gb, 1e-9) {
+			t.Errorf("BytesCarried = %v, want %v", r[0].BytesCarried(), rounds*0.25*gb)
+		}
+	}
+	if n.ActiveFlows() != 0 {
+		t.Errorf("ActiveFlows = %d after the group, want 0", n.ActiveFlows())
+	}
+}
+
+func TestRecycleGroupReusesStorage(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	route := [][]*Link{{n.NewLink("l", 1*gb, 0)}}
+	g1 := n.StartGroup(route, 1e6, 2)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n.RecycleGroup(g1)
+	g2 := n.StartGroup(route, 1e6, 3)
+	if g2 != g1 {
+		t.Error("StartGroup after RecycleGroup minted fresh storage")
+	}
+	if g2.Completed() || g2.Done().Fired() {
+		t.Error("recycled group kept completed state")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !g2.Completed() || route[0][0].FlowsCarried() != 5 {
+		t.Errorf("recycled group: completed %v, FlowsCarried %d, want true and 5",
+			g2.Completed(), route[0][0].FlowsCarried())
+	}
+}
+
+func TestRecycleIncompleteGroupPanics(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	g := n.StartGroup([][]*Link{{n.NewLink("l", 1*gb, 0)}}, 1e6, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("RecycleGroup of an in-flight group did not panic")
+		}
+	}()
+	n.RecycleGroup(g)
+}
+
+func TestStartGroupRejectsBadInput(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	l := n.NewLink("l", 1*gb, 0)
+	cases := []struct {
+		name   string
+		routes [][]*Link
+		bytes  float64
+		rounds int
+	}{
+		{"zero rounds", [][]*Link{{l}}, 1, 0},
+		{"zero bytes", [][]*Link{{l}}, 0, 1},
+		{"negative bytes", [][]*Link{{l}}, -1, 1},
+		{"bytes at the finish residual", [][]*Link{{l}}, epsilonBytes, 1},
+		{"NaN bytes", [][]*Link{{l}}, math.NaN(), 1},
+		{"no members", nil, 1, 1},
+		{"empty route", [][]*Link{{l}, {}}, 1, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("StartGroup did not panic")
+				}
+			}()
+			n.StartGroup(c.routes, c.bytes, c.rounds)
+		})
+	}
+}
+
+func TestStartFlowLatencyRejectsNegativeLatency(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	l := n.NewLink("l", 1*gb, 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("negative latency was accepted")
+		}
+	}()
+	n.StartFlowLatency(1, []*Link{l}, -time.Nanosecond)
+}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"testing"
+	"time"
 
 	"stash/internal/sim"
 )
@@ -52,32 +53,46 @@ func TestRecycleIncompleteFlowPanics(t *testing.T) {
 }
 
 // TestNetworkResetMatchesFreshBuild is the world-reuse guarantee the core
-// pool depends on: after Engine.Reset + Network.Reset, a transfer over
-// the surviving links behaves exactly like one on a brand-new network,
-// and the link statistics start from zero.
+// pool depends on: after Engine.Reset + Network.Reset, transfers and flow
+// groups over the surviving links behave exactly like ones on a brand-new
+// network, and the link statistics start from zero. A group in flight at
+// Reset is dropped; a recycled one stays on the free list.
 func TestNetworkResetMatchesFreshBuild(t *testing.T) {
-	run := func(e *sim.Engine, n *Network, l *Link) (float64, float64) {
+	run := func(e *sim.Engine, n *Network, l *Link) (float64, float64, time.Duration) {
 		a := n.StartFlow(3e6, []*Link{l})
 		b := n.StartFlow(3e6, []*Link{l})
+		g := n.StartGroup([][]*Link{{l}, {l}}, 1e6, 3)
+		var groupDone time.Duration
+		g.Done().OnFire(func() { groupDone = e.Now() })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return a.Throughput(), b.Throughput()
+		return a.Throughput(), b.Throughput(), groupDone
 	}
 
 	fresh := sim.NewEngine()
 	freshNet := New(fresh)
 	freshLink := freshNet.NewLink("l", 1*gb, 0)
-	wantA, wantB := run(fresh, freshNet, freshLink)
+	wantA, wantB, wantG := run(fresh, freshNet, freshLink)
 
 	used := sim.NewEngine()
 	usedNet := New(used)
 	usedLink := usedNet.NewLink("l", 1*gb, 0)
-	// Foreign history: an unrelated flow left mid-flight, then the world
-	// is recycled.
+	// Foreign history: a finished group recycled, then an unrelated flow
+	// and a group left mid-flight, then the world is recycled.
+	recycled := usedNet.StartGroup([][]*Link{{usedLink}}, 1e3, 1)
+	if err := used.Run(); err != nil {
+		t.Fatal(err)
+	}
 	usedNet.StartFlow(1e12, []*Link{usedLink})
+	inFlight := usedNet.StartGroup([][]*Link{{usedLink}, {usedLink}}, 1e12, 4)
+	usedNet.RecycleGroup(recycled)
 	if err := used.RunUntil(1e6); err != nil {
 		t.Fatal(err)
+	}
+	if inFlight.Completed() || usedNet.ActiveFlows() != 3 {
+		t.Fatalf("foreign history not in flight: group completed %v, %d active flows",
+			inFlight.Completed(), usedNet.ActiveFlows())
 	}
 	used.Reset()
 	usedNet.Reset()
@@ -90,10 +105,13 @@ func TestNetworkResetMatchesFreshBuild(t *testing.T) {
 		t.Errorf("Reset network has %d links and %d active flows, want 1 and 0",
 			usedNet.NumLinks(), usedNet.ActiveFlows())
 	}
-	gotA, gotB := run(used, usedNet, usedLink)
+	if len(usedNet.freeGroups) != 1 || usedNet.freeGroups[0] != recycled {
+		t.Errorf("Reset did not keep the group free list: %v", usedNet.freeGroups)
+	}
+	gotA, gotB, gotG := run(used, usedNet, usedLink)
 	//lint:allow floatcmp byte-identity is the property under test: recycled worlds must match fresh ones exactly
-	if gotA != wantA || gotB != wantB {
-		t.Errorf("recycled world differs from fresh: got (%v, %v), want (%v, %v)",
-			gotA, gotB, wantA, wantB)
+	if gotA != wantA || gotB != wantB || gotG != wantG {
+		t.Errorf("recycled world differs from fresh: got (%v, %v, %v), want (%v, %v, %v)",
+			gotA, gotB, gotG, wantA, wantB, wantG)
 	}
 }

@@ -8,6 +8,12 @@
 // simnet runs on the virtual clock of an internal/sim Engine. Rate
 // recomputation is coalesced: any number of flow arrivals and departures
 // at one instant trigger a single progressive-filling pass.
+//
+// A FlowGroup runs a set of flows in lockstep rounds (a ring all-reduce
+// is 2(p-1) rounds of p neighbor transfers). A round's members re-arm in
+// place when its last member finishes, and when they all finished at
+// that same instant with nothing else changed, the flow set is the one
+// the last pass solved, so its rates stand and no pass runs.
 package simnet
 
 import (
@@ -67,6 +73,7 @@ type Flow struct {
 	completed bool
 	started   time.Duration
 	finished  time.Duration
+	group     *FlowGroup // owning group of a member flow, nil otherwise
 	done      sim.Signal // embedded to keep a flow at one allocation
 }
 
@@ -98,15 +105,38 @@ func (f *Flow) Throughput() float64 {
 	return f.bytes / d
 }
 
+// FlowGroup is a set of member flows that transfer in lockstep rounds.
+// Every member carries the same bytes in each round over its own route.
+// A round ends when its last member finishes; the next round starts at
+// that instant with no startup latency, and Done fires after the last.
+type FlowGroup struct {
+	members   []Flow
+	bytes     float64
+	rounds    int
+	round     int    // rounds finished so far; rounds once complete
+	pending   int    // members of the current round still transferring
+	firstLeft uint64 // completion event in which the round's first member finished
+	done      sim.Signal
+}
+
+// Done returns a signal fired when the group's last round completes.
+func (g *FlowGroup) Done() *sim.Signal { return &g.done }
+
+// Completed reports whether every round has finished.
+func (g *FlowGroup) Completed() bool { return g.round == g.rounds }
+
 // Network owns a set of links and the flows crossing them.
 type Network struct {
-	eng        *sim.Engine
-	links      []*Link
-	flows      []*Flow
-	free       []*Flow // recycled flows (see Recycle)
-	lastSettle time.Duration
-	completion sim.Event
-	dirty      bool
+	eng         *sim.Engine
+	links       []*Link
+	flows       []*Flow
+	free        []*Flow      // recycled flows (see Recycle)
+	freeGroups  []*FlowGroup // recycled groups (see RecycleGroup)
+	finished    []*Flow      // onCompletion scratch
+	completions uint64       // completion events run, stamps FlowGroup.firstLeft
+	lastSettle  time.Duration
+	completion  sim.Event
+	dirty       bool
 
 	// Long-lived callbacks, bound once so the per-flow and per-settle
 	// scheduling operations never mint closures.
@@ -157,9 +187,9 @@ func (n *Network) StartFlow(bytes float64, route []*Link) *Flow {
 }
 
 // StartFlowLatency is StartFlow with an explicit startup latency instead
-// of the route's propagation latency. Pipelined protocols (e.g. ring
-// all-reduce slices after the first) use zero here because their path is
-// already streaming.
+// of the route's propagation latency. A flow that rides beside another
+// transfer's startup (a disk read's IOPS budget beside its bytes) uses
+// zero here. Panics on a negative latency.
 func (n *Network) StartFlowLatency(bytes float64, route []*Link, latency time.Duration) *Flow {
 	if bytes < 0 {
 		panic(fmt.Sprintf("simnet: negative flow size %v", bytes))
@@ -168,7 +198,7 @@ func (n *Network) StartFlowLatency(bytes float64, route []*Link, latency time.Du
 		panic("simnet: non-zero flow with empty route")
 	}
 	if latency < 0 {
-		latency = 0
+		panic(fmt.Sprintf("simnet: negative flow latency %v", latency))
 	}
 	var f *Flow
 	if k := len(n.free); k > 0 {
@@ -216,19 +246,81 @@ func (n *Network) Recycle(f *Flow) {
 	n.free = append(n.free, f)
 }
 
+// StartGroup begins a FlowGroup of one member per route, each carrying
+// bytesPerMember in every one of rounds rounds. Round 0 pays each
+// member's route latency, as StartFlow does; later rounds start the
+// instant the previous one ends, as a streaming pipeline does. Panics on
+// rounds < 1, an empty route, or bytesPerMember not above the residual
+// at which a flow counts as finished.
+func (n *Network) StartGroup(routes [][]*Link, bytesPerMember float64, rounds int) *FlowGroup {
+	if rounds < 1 {
+		panic(fmt.Sprintf("simnet: flow group with %d rounds", rounds))
+	}
+	if !(bytesPerMember > epsilonBytes) {
+		panic(fmt.Sprintf("simnet: flow group member size %v <= %v", bytesPerMember, epsilonBytes))
+	}
+	if len(routes) == 0 {
+		panic("simnet: flow group with no members")
+	}
+	for _, r := range routes {
+		if len(r) == 0 {
+			panic("simnet: flow group member with empty route")
+		}
+	}
+	var g *FlowGroup
+	if k := len(n.freeGroups); k > 0 {
+		// The done signal was re-armed at RecycleGroup time.
+		g = n.freeGroups[k-1]
+		n.freeGroups[k-1] = nil
+		n.freeGroups = n.freeGroups[:k-1]
+	} else {
+		g = &FlowGroup{done: sim.MakeSignal(n.eng)}
+	}
+	if cap(g.members) >= len(routes) {
+		g.members = g.members[:len(routes)]
+	} else {
+		g.members = make([]Flow, len(routes))
+	}
+	g.bytes, g.rounds, g.round, g.pending = bytesPerMember, rounds, 0, len(routes)
+	now := n.eng.Now()
+	for i, r := range routes {
+		m := &g.members[i]
+		*m = Flow{route: r, remaining: bytesPerMember, bytes: bytesPerMember, index: -1, started: now, group: g}
+		n.eng.ScheduleArg(RouteLatency(r), n.activateFn, m)
+	}
+	return g
+}
+
+// RecycleGroup returns a completed group's storage for reuse by a later
+// StartGroup, re-arming its done signal. The ownership rules are
+// Recycle's. Panics if the group has not completed or if waiters are
+// still parked on its signal.
+func (n *Network) RecycleGroup(g *FlowGroup) {
+	if !g.Completed() {
+		panic("simnet: RecycleGroup of an incomplete group")
+	}
+	g.done.Rearm()
+	for i := range g.members {
+		g.members[i].route = nil
+	}
+	n.freeGroups = append(n.freeGroups, g)
+}
+
 // Reset returns the network to its just-constructed state while keeping
 // what is expensive to rebuild: the links (with statistics and
-// progressive-filling scratch zeroed) and the flow free list. Active and
-// latency-phase flows are dropped, not recycled — their completion state
-// is undefined once their events are gone. Reset must be paired with a
-// Reset of the owning engine (the network's pending settle/activate/
-// completion events have to die with it); the pair makes a pooled
-// (engine, network, topology) world byte-identical to a fresh build.
+// progressive-filling scratch zeroed) and the flow and group free lists.
+// Active and latency-phase flows and groups are dropped, not recycled —
+// their completion state is undefined once their events are gone. Reset
+// must be paired with a Reset of the owning engine (the network's pending
+// settle/activate/completion events have to die with it); the pair makes
+// a pooled (engine, network, topology) world byte-identical to a fresh
+// build.
 func (n *Network) Reset() {
 	for i := range n.flows {
 		n.flows[i] = nil
 	}
 	n.flows = n.flows[:0]
+	n.completions = 0
 	n.lastSettle = 0
 	n.dirty = false
 	n.completion = sim.Event{}
@@ -259,6 +351,40 @@ func (n *Network) finish(f *Flow) {
 	f.finished = n.eng.Now()
 	f.rate = 0
 	f.done.Fire()
+}
+
+// leave records that group member f finished its round in this
+// completion event. When f is the round's last member, the round ends:
+// every member re-arms in place for the next round (full size, one more
+// flow carried per link, back in the flow set), or Done fires after the
+// last round. leave reports whether the group re-armed with every member
+// having finished in this event; then the group's part of the flow set
+// is back to what the last solve saw.
+func (n *Network) leave(f *Flow) bool {
+	g := f.group
+	if g.pending == len(g.members) {
+		g.firstLeft = n.completions
+	}
+	g.pending--
+	if g.pending > 0 {
+		return false
+	}
+	g.round++
+	if g.round == g.rounds {
+		g.done.Fire()
+		return false
+	}
+	for i := range g.members {
+		m := &g.members[i]
+		for _, l := range m.route {
+			l.flowsCarried++
+		}
+		m.remaining = g.bytes
+		m.index = len(n.flows)
+		n.flows = append(n.flows, m)
+	}
+	g.pending = len(g.members)
+	return g.firstLeft == n.completions
 }
 
 // removeFlow drops an active flow by swap-removal.
@@ -398,8 +524,12 @@ func (n *Network) recompute() {
 			}
 		}
 	}
+	n.scheduleCompletion()
+}
 
-	// Schedule the earliest completion.
+// scheduleCompletion schedules the completion event for the earliest
+// finishing flow at the current rates.
+func (n *Network) scheduleCompletion() {
 	next := math.Inf(1)
 	for _, f := range n.flows {
 		if f.rate <= 0 {
@@ -423,19 +553,48 @@ func (n *Network) recompute() {
 	n.completion = n.eng.Schedule(delay, n.completionFn)
 }
 
+// onCompletion retires every finished flow and re-solves, except in two
+// cases. If an activation at this instant is pending, its settle solves
+// the final flow set before time moves. If every finished flow was a
+// group member re-armed in this event with its whole round, the flow set
+// is the one the last solve saw; progressive filling does not depend on
+// the order of the flow set, so the standing rates are that solve's
+// answer and only the next completion needs scheduling.
 func (n *Network) onCompletion() {
 	n.completion = sim.Event{}
 	n.settle()
+	n.completions++
+	// Collect before acting: re-arming a group appends its members to
+	// n.flows, where the swap-removal scan must not meet them.
+	done := n.finished
 	for i := 0; i < len(n.flows); {
 		f := n.flows[i]
 		if f.remaining <= epsilonBytes {
 			n.removeFlow(f)
-			n.finish(f)
+			done = append(done, f)
 			continue // swapped element now at i
 		}
 		i++
 	}
-	n.recompute()
+	unchanged := true
+	for i, f := range done {
+		done[i] = nil
+		if f.group == nil {
+			n.finish(f)
+			unchanged = false
+		} else if !n.leave(f) {
+			unchanged = false
+		}
+	}
+	n.finished = done[:0]
+	switch {
+	case n.dirty:
+		// The pending settle solves the final flow set.
+	case unchanged:
+		n.scheduleCompletion()
+	default:
+		n.recompute()
+	}
 }
 
 // ActiveFlows reports the number of flows currently competing for

@@ -2,7 +2,9 @@
 # bench.sh — the repository's perf-trajectory snapshot.
 #
 # Runs the suite-level benchmarks (root Suite*/experiment benches, the
-# collective ring benches, and the simulation-engine/simnet microbenches)
+# collective ring all-reduce sweep over the suite's fabrics —
+# BenchmarkRingAllReduce/{pcie16,nvlink8,vpc2x4} — and the
+# simulation-engine/simnet microbenches)
 # with a fixed -benchtime and -count, then converts `go test -bench`
 # output into a machine-readable BENCH_<date>.json so successive commits
 # accumulate comparable data points.
