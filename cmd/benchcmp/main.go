@@ -26,6 +26,11 @@
 // informational — two or three Ps leave too little headroom for a
 // stable floor.
 //
+// When either file carries a layer_share object (bench.sh copies the
+// per-layer cpu_share.* of one traced stashbench suite-cold pass into
+// it), the shares are diffed layer by layer in percentage points. That
+// diff is advisory: one traced pass is one sample, so it never fails.
+//
 // Exit status: 0 when no matched benchmark regressed by more than
 // -threshold percent and the parallel_speedup floor (when armed) held,
 // 1 when at least one failed, 2 on usage or parse errors — including a
@@ -57,6 +62,47 @@ type benchFile struct {
 	// files from before the field existed (treated as multi-P, the
 	// historical assumption).
 	GoMaxProcs *int `json:"gomaxprocs"`
+
+	// LayerShare is the share of CPU each simulator layer took in one
+	// traced stashbench suite-cold pass, keyed by layer; nil in files
+	// from before the field existed.
+	LayerShare map[string]float64 `json:"layer_share"`
+}
+
+// layerShareDiff renders the advisory per-layer CPU share diff, or
+// nothing when neither file carries layer shares.
+func layerShareDiff(w io.Writer, before, after *benchFile) {
+	if before.LayerShare == nil && after.LayerShare == nil {
+		return
+	}
+	layers := map[string]bool{}
+	for k := range before.LayerShare {
+		layers[k] = true
+	}
+	for k := range after.LayerShare {
+		layers[k] = true
+	}
+	sorted := make([]string, 0, len(layers))
+	for k := range layers {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	share := func(m map[string]float64, k string) string {
+		if v, ok := m[k]; ok {
+			return fmt.Sprintf("%.3f", v)
+		}
+		return "-"
+	}
+	fmt.Fprintf(w, "%-55s %14s %14s %9s\n", "layer share (traced suite-cold, advisory)", "old", "new", "delta pp")
+	for _, k := range sorted {
+		o, haveOld := before.LayerShare[k]
+		n, haveNew := after.LayerShare[k]
+		delta := ""
+		if haveOld && haveNew {
+			delta = fmt.Sprintf("%+8.1f", 100*(n-o))
+		}
+		fmt.Fprintf(w, "%-55s %14s %14s %9s\n", "cpu_share."+k, share(before.LayerShare, k), share(after.LayerShare, k), delta)
+	}
 }
 
 // singleP reports whether a file was recorded on a host without real
@@ -277,6 +323,7 @@ func main() {
 	if line != "" {
 		fmt.Println(line)
 	}
+	layerShareDiff(os.Stdout, before, after)
 	if len(regressed) > 0 {
 		fmt.Fprintf(os.Stderr, "benchcmp: %d benchmark(s) regressed beyond %.1f%%\n", len(regressed), *threshold)
 	}

@@ -169,3 +169,33 @@ func TestSpeedupSinglePStillSkipsWithNote(t *testing.T) {
 		t.Errorf("missing skip note: %q", line)
 	}
 }
+
+func TestLayerShareDiff(t *testing.T) {
+	before := &benchFile{LayerShare: map[string]float64{"simnet": 0.733, "sim": 0.203, "gone": 0.01}}
+	after := &benchFile{LayerShare: map[string]float64{"simnet": 0.641, "sim": 0.25, "fresh": 0.02}}
+	var buf strings.Builder
+	layerShareDiff(&buf, before, after)
+	out := buf.String()
+	for _, want := range []string{"advisory", "cpu_share.simnet", "0.733", "0.641", "-9.2", "+4.7"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("layer-share diff lacks %q:\n%s", want, out)
+		}
+	}
+	// A layer only one side has shows "-" on the other and no delta.
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "cpu_share.gone") && !strings.Contains(line, " -") {
+			t.Errorf("gone layer not dashed: %q", line)
+		}
+	}
+	if !strings.Contains(out, "cpu_share.fresh") {
+		t.Errorf("new layer missing:\n%s", out)
+	}
+}
+
+func TestLayerShareDiffSilentWithoutShares(t *testing.T) {
+	var buf strings.Builder
+	layerShareDiff(&buf, fileOf(), fileOf())
+	if buf.Len() != 0 {
+		t.Errorf("files without layer_share printed:\n%s", buf.String())
+	}
+}

@@ -78,7 +78,9 @@ type flowSpec struct {
 }
 
 // randomScenario builds links on n and draws rings and background flows
-// over them. The same seed draws the same scenario on any network.
+// over them. The same seed draws the same scenario on any network. One
+// scenario in four keeps only its first ring, alone on the network, so
+// whole rounds repeat and the group replays its solves.
 func randomScenario(seed int64, n *Network) ([]ringSpec, []flowSpec) {
 	rng := rand.New(rand.NewSource(seed))
 	links := make([]*Link, 3+rng.Intn(10))
@@ -121,6 +123,9 @@ func randomScenario(seed int64, n *Network) ([]ringSpec, []flowSpec) {
 	flows := make([]flowSpec, rng.Intn(10))
 	for i := range flows {
 		flows[i] = flowSpec{route: route(), bytes: 1e4 + 3e7*rng.Float64(), start: time.Duration(rng.Intn(2e7))}
+	}
+	if rng.Intn(4) == 0 {
+		return rings[:1], nil
 	}
 	return rings, flows
 }
@@ -168,6 +173,8 @@ type scenarioResult struct {
 	counts []int
 	bytes  []float64
 	checks int
+
+	filled, kept, replayed uint64
 }
 
 func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
@@ -206,6 +213,7 @@ func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
 		res.bytes = append(res.bytes, l.BytesCarried())
 	}
 	res.checks = *checks
+	res.filled, res.kept, res.replayed = n.filled, n.kept, n.replayed
 	return res
 }
 
@@ -214,8 +222,11 @@ func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
 // flows, a flow group finishes every ring and every other flow at
 // exactly the instants the per-flow ring does, with the same per-link
 // flow counts and the same bytes up to float summation order. Both runs
-// pass the max-min check after every solve.
+// pass the max-min check after every solve. The group runs must take
+// both fast paths, keeping standing rates and replaying a lone group's
+// solves, or the test proves nothing about them.
 func TestGroupMatchesPerStepRing(t *testing.T) {
+	var kept, replayed uint64
 	for seed := int64(1); seed <= 300; seed++ {
 		want := runScenario(t, seed, false)
 		got := runScenario(t, seed, true)
@@ -236,6 +247,12 @@ func TestGroupMatchesPerStepRing(t *testing.T) {
 		if got.checks == 0 || want.checks == 0 {
 			t.Fatalf("seed %d: no solution checked", seed)
 		}
+		kept += got.kept
+		replayed += got.replayed
+	}
+	t.Logf("group runs kept %d completions and replayed %d solves", kept, replayed)
+	if kept == 0 || replayed == 0 {
+		t.Errorf("group runs kept %d completions and replayed %d solves, want both > 0", kept, replayed)
 	}
 }
 
@@ -329,6 +346,75 @@ func TestGroupRoundsAndLinkStats(t *testing.T) {
 	if n.ActiveFlows() != 0 {
 		t.Errorf("ActiveFlows = %d after the group, want 0", n.ActiveFlows())
 	}
+}
+
+// TestLoneGroupSolvesOnce pins the solver's fast paths for a group alone
+// on the network. On equal private links every round ends in one event,
+// so each op fills once and keeps its rates for every later round. On a
+// heterogeneous ring members finish one by one, so each round is several
+// solves; round 1 repeats none of round 0 (staggered activations), and
+// every later round replays round 1.
+func TestLoneGroupSolvesOnce(t *testing.T) {
+	t.Run("equal private links", func(t *testing.T) {
+		e := sim.NewEngine()
+		n := New(e)
+		watchSolutions(t, n)
+		const ops, rounds = 3, 6
+		routes := make([][]*Link, 4)
+		for i := range routes {
+			routes[i] = []*Link{n.NewLink("l", 1*gb, time.Microsecond)}
+		}
+		for op := 0; op < ops; op++ {
+			g := n.StartGroup(routes, 1e6, rounds)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			n.RecycleGroup(g)
+		}
+		if n.filled != ops || n.kept != ops*(rounds-1) || n.replayed != 0 {
+			t.Errorf("filled %d, kept %d, replayed %d; want %d, %d, 0",
+				n.filled, n.kept, n.replayed, ops, ops*(rounds-1))
+		}
+	})
+	t.Run("heterogeneous ring", func(t *testing.T) {
+		e := sim.NewEngine()
+		n := New(e)
+		watchSolutions(t, n)
+		const p, rounds = 4, 2 * (4 - 1)
+		// Rates 1, 2, 3 and 3.5 GB/s: the bus binds the fastest member.
+		bus := n.NewLink("bus", 9.5*gb, 0)
+		routes := make([][]*Link, p)
+		for i := range routes {
+			up := n.NewLink("up", gb*float64(1+i), time.Duration(1+i)*time.Microsecond)
+			routes[i] = []*Link{up, bus}
+		}
+		g := n.StartGroup(routes, 1e6, rounds)
+		late := 0
+		for _, fn := range []*func(){&n.settleFn, &n.completionFn} {
+			inner := *fn
+			*fn = func() {
+				before := n.filled
+				inner()
+				if n.filled != before && g.round >= 2 {
+					late++
+				}
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if late != 0 {
+			t.Errorf("%d progressive-filling passes in rounds 2..%d, want 0", late, rounds-1)
+		}
+		// Each round from 1 on solves p times: at the re-arm and after
+		// each of the first p-1 members leaves.
+		if want := uint64((rounds - 2) * p); n.replayed != want {
+			t.Errorf("replayed %d solves, want %d", n.replayed, want)
+		}
+		if n.kept != 0 {
+			t.Errorf("kept %d completions of a ring whose members finish apart", n.kept)
+		}
+	})
 }
 
 func TestRecycleGroupReusesStorage(t *testing.T) {

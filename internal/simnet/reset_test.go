@@ -55,34 +55,55 @@ func TestRecycleIncompleteFlowPanics(t *testing.T) {
 // TestNetworkResetMatchesFreshBuild is the world-reuse guarantee the core
 // pool depends on: after Engine.Reset + Network.Reset, transfers and flow
 // groups over the surviving links behave exactly like ones on a brand-new
-// network, and the link statistics start from zero. A group in flight at
-// Reset is dropped; a recycled one stays on the free list.
+// network, and the link statistics and solver counters start from zero.
+// A group in flight at Reset is dropped; a recycled one stays on the free
+// list, and its replay memo, solved on faster links, must not leak into
+// its reuse.
 func TestNetworkResetMatchesFreshBuild(t *testing.T) {
-	run := func(e *sim.Engine, n *Network, l *Link) (float64, float64, time.Duration) {
-		a := n.StartFlow(3e6, []*Link{l})
-		b := n.StartFlow(3e6, []*Link{l})
-		g := n.StartGroup([][]*Link{{l}, {l}}, 1e6, 3)
-		var groupDone time.Duration
-		g.Done().OnFire(func() { groupDone = e.Now() })
+	type outcome struct {
+		a, b                   float64
+		lone, shared           time.Duration
+		filled, kept, replayed uint64
+	}
+	run := func(e *sim.Engine, n *Network, l *Link) outcome {
+		// The first group runs alone, so its solves consult its memo;
+		// then two flows and a second group share the link.
+		var out outcome
+		lone := n.StartGroup([][]*Link{{l}, {l}}, 1e6, 3)
+		lone.Done().OnFire(func() { out.lone = e.Now() })
+		var a, b *Flow
+		e.Schedule(20*time.Millisecond, func() {
+			a = n.StartFlow(3e6, []*Link{l})
+			b = n.StartFlow(3e6, []*Link{l})
+			shared := n.StartGroup([][]*Link{{l}, {l}}, 1e6, 3)
+			shared.Done().OnFire(func() { out.shared = e.Now() })
+		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return a.Throughput(), b.Throughput(), groupDone
+		out.a, out.b = a.Throughput(), b.Throughput()
+		out.filled, out.kept, out.replayed = n.filled, n.kept, n.replayed
+		return out
 	}
 
 	fresh := sim.NewEngine()
 	freshNet := New(fresh)
 	freshLink := freshNet.NewLink("l", 1*gb, 0)
-	wantA, wantB, wantG := run(fresh, freshNet, freshLink)
+	want := run(fresh, freshNet, freshLink)
 
 	used := sim.NewEngine()
 	usedNet := New(used)
 	usedLink := usedNet.NewLink("l", 1*gb, 0)
-	// Foreign history: a finished group recycled, then an unrelated flow
-	// and a group left mid-flight, then the world is recycled.
-	recycled := usedNet.StartGroup([][]*Link{{usedLink}}, 1e3, 1)
+	fast := usedNet.NewLink("fast", 4*gb, 0)
+	// Foreign history: a finished group, alone on faster links so it
+	// recorded a memo, recycled; then an unrelated flow and a group left
+	// mid-flight; then the world is recycled.
+	recycled := usedNet.StartGroup([][]*Link{{fast}, {fast}}, 1e6, 2)
 	if err := used.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(recycled.memoEnd) == 0 {
+		t.Fatal("foreign group recorded no memo")
 	}
 	usedNet.StartFlow(1e12, []*Link{usedLink})
 	inFlight := usedNet.StartGroup([][]*Link{{usedLink}, {usedLink}}, 1e12, 4)
@@ -101,17 +122,24 @@ func TestNetworkResetMatchesFreshBuild(t *testing.T) {
 		t.Errorf("link stats survived Reset: %v bytes, %d flows",
 			usedLink.BytesCarried(), usedLink.FlowsCarried())
 	}
-	if usedNet.NumLinks() != 1 || usedNet.ActiveFlows() != 0 {
-		t.Errorf("Reset network has %d links and %d active flows, want 1 and 0",
+	if usedNet.NumLinks() != 2 || usedNet.ActiveFlows() != 0 {
+		t.Errorf("Reset network has %d links and %d active flows, want 2 and 0",
 			usedNet.NumLinks(), usedNet.ActiveFlows())
+	}
+	if usedNet.filled != 0 || usedNet.kept != 0 || usedNet.replayed != 0 {
+		t.Errorf("solver counters survived Reset: filled %d, kept %d, replayed %d",
+			usedNet.filled, usedNet.kept, usedNet.replayed)
 	}
 	if len(usedNet.freeGroups) != 1 || usedNet.freeGroups[0] != recycled {
 		t.Errorf("Reset did not keep the group free list: %v", usedNet.freeGroups)
 	}
-	gotA, gotB, gotG := run(used, usedNet, usedLink)
-	//lint:allow floatcmp byte-identity is the property under test: recycled worlds must match fresh ones exactly
-	if gotA != wantA || gotB != wantB || gotG != wantG {
-		t.Errorf("recycled world differs from fresh: got (%v, %v, %v), want (%v, %v, %v)",
-			gotA, gotB, gotG, wantA, wantB, wantG)
+	got := run(used, usedNet, usedLink)
+	if len(usedNet.freeGroups) != 0 {
+		t.Errorf("the recycled group was not reused: %v", usedNet.freeGroups)
+	}
+	// Byte-identity is the property under test: recycled worlds must match
+	// fresh ones exactly.
+	if got != want {
+		t.Errorf("recycled world differs from fresh: got %+v, want %+v", got, want)
 	}
 }

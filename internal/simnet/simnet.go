@@ -13,7 +13,9 @@
 // is 2(p-1) rounds of p neighbor transfers). A round's members re-arm in
 // place when its last member finishes, and when they all finished at
 // that same instant with nothing else changed, the flow set is the one
-// the last pass solved, so its rates stand and no pass runs.
+// the last pass solved, so its rates stand and no pass runs. A group
+// alone on the network solves the same flow sets in the same order every
+// round, so it replays the previous round's rates instead of filling.
 package simnet
 
 import (
@@ -117,6 +119,16 @@ type FlowGroup struct {
 	pending   int    // members of the current round still transferring
 	firstLeft uint64 // completion event in which the round's first member finished
 	done      sim.Signal
+
+	// Round replay memo (see recompute): step k of the solves made while
+	// the group was alone on the network solved flow set
+	// memoFlows[memoEnd[k-1]:memoEnd[k]] (memoEnd[-1] = 0), in that order,
+	// to memoRates over the same range. Steps before step come from this
+	// round, the rest from the last round that reached them.
+	step      int // solves made alone so far in this round
+	memoEnd   []int
+	memoFlows []*Flow // members of this group, in flow-set order
+	memoRates []float64
 }
 
 // Done returns a signal fired when the group's last round completes.
@@ -137,6 +149,10 @@ type Network struct {
 	lastSettle  time.Duration
 	completion  sim.Event
 	dirty       bool
+
+	// Solver counters: progressive-filling passes run, completions that
+	// kept the standing rates, and solves replayed from a group's memo.
+	filled, kept, replayed uint64
 
 	// Long-lived callbacks, bound once so the per-flow and per-settle
 	// scheduling operations never mint closures.
@@ -282,6 +298,9 @@ func (n *Network) StartGroup(routes [][]*Link, bytesPerMember float64, rounds in
 		g.members = make([]Flow, len(routes))
 	}
 	g.bytes, g.rounds, g.round, g.pending = bytesPerMember, rounds, 0, len(routes)
+	// A recycled group's memo was solved over its old routes.
+	g.step = 0
+	g.memoEnd, g.memoFlows, g.memoRates = g.memoEnd[:0], g.memoFlows[:0], g.memoRates[:0]
 	now := n.eng.Now()
 	for i, r := range routes {
 		m := &g.members[i]
@@ -308,7 +327,8 @@ func (n *Network) RecycleGroup(g *FlowGroup) {
 
 // Reset returns the network to its just-constructed state while keeping
 // what is expensive to rebuild: the links (with statistics and
-// progressive-filling scratch zeroed) and the flow and group free lists.
+// progressive-filling scratch zeroed) and the flow and group free lists
+// (StartGroup clears a recycled group's replay memo).
 // Active and latency-phase flows and groups are dropped, not recycled —
 // their completion state is undefined once their events are gone. Reset
 // must be paired with a Reset of the owning engine (the network's pending
@@ -321,6 +341,7 @@ func (n *Network) Reset() {
 	}
 	n.flows = n.flows[:0]
 	n.completions = 0
+	n.filled, n.kept, n.replayed = 0, 0, 0
 	n.lastSettle = 0
 	n.dirty = false
 	n.completion = sim.Event{}
@@ -357,22 +378,21 @@ func (n *Network) finish(f *Flow) {
 // completion event. When f is the round's last member, the round ends:
 // every member re-arms in place for the next round (full size, one more
 // flow carried per link, back in the flow set), or Done fires after the
-// last round. leave reports whether the group re-armed with every member
-// having finished in this event; then the group's part of the flow set
-// is back to what the last solve saw.
-func (n *Network) leave(f *Flow) bool {
+// last round. A round end also restarts the group's replay steps.
+func (n *Network) leave(f *Flow) {
 	g := f.group
 	if g.pending == len(g.members) {
 		g.firstLeft = n.completions
 	}
 	g.pending--
 	if g.pending > 0 {
-		return false
+		return
 	}
 	g.round++
+	g.step = 0
 	if g.round == g.rounds {
 		g.done.Fire()
-		return false
+		return
 	}
 	for i := range g.members {
 		m := &g.members[i]
@@ -384,7 +404,14 @@ func (n *Network) leave(f *Flow) bool {
 		n.flows = append(n.flows, m)
 	}
 	g.pending = len(g.members)
-	return g.firstLeft == n.completions
+}
+
+// rearmedWhole reports whether group member f's whole round finished in
+// this completion event and re-armed: the round began leaving in this
+// event and is full again. A group that just completed has none pending.
+func (n *Network) rearmedWhole(f *Flow) bool {
+	g := f.group
+	return g != nil && g.pending == len(g.members) && g.firstLeft == n.completions
 }
 
 // removeFlow drops an active flow by swap-removal.
@@ -430,7 +457,12 @@ func (n *Network) settle() {
 }
 
 // recompute runs progressive filling to assign max-min fair rates, then
-// reschedules the next completion event.
+// reschedules the next completion event. When one group has the network
+// to itself and its memo holds this step's flow set in this order, the
+// memo's rates are the answer: progressive filling reads only the order
+// of the flow set, the flows' routes and the link capacities, and a
+// group's routes and every capacity are fixed, so filling would
+// reproduce them bit for bit.
 func (n *Network) recompute() {
 	// Cancel of a stale or zero handle is a no-op, so no pending check.
 	n.eng.Cancel(n.completion)
@@ -438,6 +470,13 @@ func (n *Network) recompute() {
 	if len(n.flows) == 0 {
 		return
 	}
+	g := n.loneGroup()
+	if g != nil && g.replay(n.flows) {
+		n.replayed++
+		n.scheduleCompletion()
+		return
+	}
+	n.filled++
 
 	// Reset scratch state on links touched by active flows.
 	for _, f := range n.flows {
@@ -524,7 +563,68 @@ func (n *Network) recompute() {
 			}
 		}
 	}
+	if g != nil {
+		g.record(n.flows)
+	}
 	n.scheduleCompletion()
+}
+
+// loneGroup returns the group every flow in the non-empty flow set
+// belongs to, or nil when there is no such group.
+func (n *Network) loneGroup() *FlowGroup {
+	g := n.flows[0].group
+	if g == nil {
+		return nil
+	}
+	for _, f := range n.flows[1:] {
+		if f.group != g {
+			return nil
+		}
+	}
+	return g
+}
+
+// replay assigns the memo's rates for this step when its flow set is
+// flows in the same order, and reports whether it did.
+func (g *FlowGroup) replay(flows []*Flow) bool {
+	if g.step >= len(g.memoEnd) {
+		return false
+	}
+	lo, hi := g.memoStart(g.step), g.memoEnd[g.step]
+	if hi-lo != len(flows) {
+		return false
+	}
+	for i, f := range g.memoFlows[lo:hi] {
+		if flows[i] != f {
+			return false
+		}
+	}
+	for i, r := range g.memoRates[lo:hi] {
+		flows[i].rate = r
+	}
+	g.step++
+	return true
+}
+
+// record stores the rates just filled for flows as this step's memo
+// entry, dropping the later steps of an older round.
+func (g *FlowGroup) record(flows []*Flow) {
+	lo := g.memoStart(g.step)
+	g.memoEnd = append(g.memoEnd[:g.step], lo+len(flows))
+	g.memoFlows, g.memoRates = g.memoFlows[:lo], g.memoRates[:lo]
+	for _, f := range flows {
+		g.memoFlows = append(g.memoFlows, f)
+		g.memoRates = append(g.memoRates, f.rate)
+	}
+	g.step++
+}
+
+// memoStart is where step k's entries begin in memoFlows and memoRates.
+func (g *FlowGroup) memoStart(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return g.memoEnd[k-1]
 }
 
 // scheduleCompletion schedules the completion event for the earliest
@@ -557,9 +657,20 @@ func (n *Network) scheduleCompletion() {
 // cases. If an activation at this instant is pending, its settle solves
 // the final flow set before time moves. If every finished flow was a
 // group member re-armed in this event with its whole round, the flow set
-// is the one the last solve saw; progressive filling does not depend on
-// the order of the flow set, so the standing rates are that solve's
-// answer and only the next completion needs scheduling.
+// holds the flows the last solve saw, on the same routes, and the
+// standing rates are kept: only the next completion is scheduled.
+//
+// The order of those flows may differ from the last solve's. When that
+// solve followed the previous re-arm of a group alone on the network,
+// both saw the members in member order, and the kept rates are exact.
+// Otherwise swap-removal has moved some flows and the members re-armed
+// at the end. Max-min fair rates do not depend on order in exact
+// arithmetic, but the freeze pass compares link shares with a 1e-12
+// tolerance and lowers residuals as it freezes, so in a near-tie the
+// order picks which flow freezes first, and a fresh solve could differ
+// in the last bits. Guards: the max-min oracle checked after every kept
+// completion, the per-step ring differential test (group_test.go), and
+// the suite's byte-identical output.
 func (n *Network) onCompletion() {
 	n.completion = sim.Event{}
 	n.settle()
@@ -576,13 +687,19 @@ func (n *Network) onCompletion() {
 		}
 		i++
 	}
+	for _, f := range done {
+		if f.group == nil {
+			n.finish(f)
+		} else {
+			n.leave(f)
+		}
+	}
+	// Decided once every round that ends here has re-armed: a member that
+	// is not its round's last cannot tell whether the rest follow.
 	unchanged := true
 	for i, f := range done {
 		done[i] = nil
-		if f.group == nil {
-			n.finish(f)
-			unchanged = false
-		} else if !n.leave(f) {
+		if !n.rearmedWhole(f) {
 			unchanged = false
 		}
 	}
@@ -591,6 +708,7 @@ func (n *Network) onCompletion() {
 	case n.dirty:
 		// The pending settle solves the final flow set.
 	case unchanged:
+		n.kept++
 		n.scheduleCompletion()
 	default:
 		n.recompute()

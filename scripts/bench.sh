@@ -15,6 +15,12 @@
 # consumers (cmd/benchcmp) compare steady-state samples only. -benchmem
 # is always on; bytes_per_op / allocs_per_op land in the JSON.
 #
+# The snapshot also records where the CPU goes: one short traced
+# stashbench suite-cold pass (bench/run.sh --workload suite-cold --seed 1
+# --trace 1; see bench/README.md) runs after the go benchmarks, and its
+# per-layer cpu_share.* metrics are copied into "layer_share", keyed by
+# layer. cmd/benchcmp diffs them as advisory output.
+#
 # Usage, from the repository root:
 #
 #   ./scripts/bench.sh            # writes BENCH_YYYYMMDD.json
@@ -63,7 +69,8 @@ if [ -z "${OUT:-}" ]; then
     done
 fi
 RAW="$(mktemp)"
-trap 'rm -f "$RAW"' EXIT
+TRACED="$(mktemp)"
+trap 'rm -f "$RAW" "$TRACED"' EXIT
 
 echo "==> go test -bench '$FILTER' -benchtime=$BENCHTIME -count=$COUNT (suite)"
 go test -run '^$' -bench "$FILTER" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
@@ -72,11 +79,23 @@ echo "==> go test -bench '$FILTER' -benchtime=$MICRO_BENCHTIME -count=$COUNT (mi
 go test -run '^$' -bench "$FILTER" -benchmem -benchtime "$MICRO_BENCHTIME" -count "$COUNT" \
     ./internal/collective ./internal/report ./internal/sim ./internal/simnet ./internal/trace | tee -a "$RAW"
 
+echo "==> bash bench/run.sh --workload suite-cold --seed 1 --seconds 1 --trace 1 (layer shares)"
+bash bench/run.sh --workload suite-cold --seed 1 --seconds 1 --trace 1 > "$TRACED"
+# The last line is the run's JSON result; every metric is
+# "name":{"value":v,"unit":u}. A wrong answer makes the shares worthless.
+if ! tail -n 1 "$TRACED" | grep -q '"correct":true'; then
+    echo "bench.sh: traced suite-cold pass was not correct:" >&2
+    tail -n 1 "$TRACED" >&2
+    exit 1
+fi
+LAYER_SHARE="$(tail -n 1 "$TRACED" | grep -o '"cpu_share\.[a-z]*":{"value":[^,}]*' |
+    sed 's/^"cpu_share\.\([a-z]*\)":{"value":\(.*\)$/"\1": \2/' | paste -sd, - | sed 's/,/, /g')"
+
 # Convert the textual benchmark lines into JSON. A line looks like
 #   BenchmarkSuiteSerial-8   1   123456789 ns/op   456 B/op   7 allocs/op
 # Fields beyond ns/op are optional and preserved when present. The first
 # sample of each benchmark is marked as warmup.
-awk -v date="$DATE" -v benchtime="$BENCHTIME" -v microbenchtime="$MICRO_BENCHTIME" -v count="$COUNT" -v gomaxprocs="$GOMAXPROCS_EFF" '
+awk -v date="$DATE" -v layershare="$LAYER_SHARE" -v benchtime="$BENCHTIME" -v microbenchtime="$MICRO_BENCHTIME" -v count="$COUNT" -v gomaxprocs="$GOMAXPROCS_EFF" '
 BEGIN { n = 0 }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
@@ -119,6 +138,7 @@ END {
     # omitted; benchcmp reads gomaxprocs and skips the diff with a note.
     if (serialMin && parallelMin && gomaxprocs + 0 >= 2)
         printf "  \"parallel_speedup\": %.4f,\n", serialMin / parallelMin
+    printf "  \"layer_share\": {%s},\n", layershare
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
     printf "  ]\n"
