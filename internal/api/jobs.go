@@ -158,6 +158,11 @@ type jobStore struct {
 	jobs     map[string]*job
 	order    []*job // submission order (evicted jobs removed); the FIFO queue
 	tallies  map[string]*jobTally
+
+	// hold, when set, runs on a dispatched job's context before the job
+	// executes. Tests use it to keep a job in flight until it is
+	// cancelled, however fast the simulator and however warm its caches.
+	hold func(context.Context)
 }
 
 func newJobStore(workers int, ttl time.Duration, maxJobs, quota int) *jobStore {
@@ -195,7 +200,7 @@ func (st *jobStore) worker() {
 	for {
 		st.mu.Lock()
 		j := st.dispatchLocked()
-		draining := st.draining
+		draining, hold := st.draining, st.hold
 		st.mu.Unlock()
 		if j == nil {
 			if draining {
@@ -209,6 +214,9 @@ func (st *jobStore) worker() {
 			continue
 		}
 		st.notify(j) // queued -> running is an observable transition
+		if hold != nil {
+			hold(j.runCtx)
+		}
 		st.exec(j)
 	}
 }

@@ -254,8 +254,10 @@ func TestJobTenantScoping(t *testing.T) {
 // second submission bounces 429 without touching other tenants.
 func TestJobQuotaExceeded(t *testing.T) {
 	s, ts := newTestServer(t, WithTenantQuota(1), WithJobWorkers(1))
-	// A full-registry sweep keeps the tenant's one slot active.
+	// A held sweep keeps the tenant's one slot active until cancelled.
+	held := holdFirstJob(s)
 	sweep := submitJob(t, ts.URL, "acme", `{"type":"experiments","experiments":{}}`)
+	<-held
 	code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", "acme",
 		`{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 	if code != http.StatusTooManyRequests || errCode(t, b) != errQuotaExceeded {
@@ -281,8 +283,10 @@ func TestJobQuotaExceeded(t *testing.T) {
 // queue immediately; a running job is cancelled mid-flight and its
 // computed result discarded. Both replay 410 Gone.
 func TestJobCancel(t *testing.T) {
-	_, ts := newTestServer(t, WithJobWorkers(1))
-	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`) // occupies the only worker
+	s, ts := newTestServer(t, WithJobWorkers(1))
+	held := holdFirstJob(s)
+	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	<-held // occupies the only worker until cancelled
 	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	// Cancel the queued job: synchronously terminal.
@@ -326,8 +330,10 @@ func TestJobCancel(t *testing.T) {
 
 // TestJobResultNotReady: fetching a non-terminal job's result is 409.
 func TestJobResultNotReady(t *testing.T) {
-	_, ts := newTestServer(t, WithJobWorkers(1))
+	s, ts := newTestServer(t, WithJobWorkers(1))
+	held := holdFirstJob(s)
 	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	<-held
 	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 	code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+queued+"/result", "", "")
 	if code != http.StatusConflict || errCode(t, b) != errJobNotReady {
@@ -631,11 +637,34 @@ func TestFullRegistrySweepAcceptance(t *testing.T) {
 	}
 }
 
+// holdFirstJob makes s's job runner keep the first job it dispatches in
+// flight until that job's context is cancelled (DELETE or drain), so a
+// test can rely on a running job however fast the simulator is and
+// whatever the process-wide profiler caches already hold. Later jobs run
+// as usual. The returned channel closes once the first job is held.
+func holdFirstJob(s *Server) <-chan struct{} {
+	held := make(chan struct{})
+	var once sync.Once
+	s.jobsStore.mu.Lock()
+	s.jobsStore.hold = func(ctx context.Context) {
+		first := false
+		once.Do(func() { first = true })
+		if first {
+			close(held)
+			<-ctx.Done()
+		}
+	}
+	s.jobsStore.mu.Unlock()
+	return held
+}
+
 // TestJobDrain: drain rejects new submissions, cancels queued jobs and
 // force-cancels running jobs past the deadline; conservation holds.
 func TestJobDrain(t *testing.T) {
 	s, ts := newTestServer(t, WithJobWorkers(1))
+	held := holdFirstJob(s)
 	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	<-held // running, and stays so until drain force-cancels it
 	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -237,7 +237,9 @@ func TestSSEClientDisconnect(t *testing.T) {
 // error event when drain sweeps the queue.
 func TestSSEDuringDrain(t *testing.T) {
 	s, ts := newTestServer(t, WithJobWorkers(1))
+	held := holdFirstJob(s)
 	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	<-held // occupies the only worker, so the next job stays queued
 	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	type streamResult struct {

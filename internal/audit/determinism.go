@@ -82,46 +82,46 @@ func auditDeterminism(ctx context.Context, opts Options, res *Result) error {
 	if err := auditCacheKey(ctx, opts, res); err != nil {
 		return err
 	}
-	return auditWarmPrefix(ctx, opts, res)
+	return auditOnePeriod(ctx, opts, res)
 }
 
-// auditWarmPrefix checks the warm-prefix forking guarantee: a profile
-// computed with forking enabled (the default — synthetic scenarios skip
-// simulating their warmup prefix and reconstruct CommBusy exactly) must
-// be deeply equal to one computed with forking disabled, which simulates
-// every warmup iteration. Any divergence means synthetic training is not
-// lockstep-periodic from iteration zero and the fork is unsound.
-func auditWarmPrefix(ctx context.Context, opts Options, res *Result) error {
+// auditOnePeriod checks the one-period guarantee: a profile computed
+// the default way (synthetic training runs simulate one step and scale
+// it, see train.Config.EveryIteration) must be deeply equal to one whose
+// every training run simulates all its warmup and measured steps. Any
+// divergence means synthetic training is not periodic from iteration
+// zero and the one-period path is unsound.
+func auditOnePeriod(ctx context.Context, opts Options, res *Result) error {
 	job, it, ok := fittingCell(opts)
 	if !ok {
 		return nil
 	}
-	mk := func(fork bool) *core.Profiler {
+	mk := func(every bool) *core.Profiler {
 		return core.New(
 			core.WithIterations(opts.Iterations),
 			core.WithSeed(opts.Seed),
 			core.WithParallelism(opts.Parallelism),
-			core.WithWarmPrefixFork(fork),
+			core.WithEveryIteration(every),
 		)
 	}
-	forked, err := mk(true).ProfileContext(ctx, job, it)
+	period, err := mk(false).ProfileContext(ctx, job, it)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		res.check(FamilyDeterminism, "warm-prefix-profile", false, "forked profile: %v", err)
+		res.check(FamilyDeterminism, "one-period-profile", false, "one-period profile: %v", err)
 		return nil
 	}
-	full, err := mk(false).ProfileContext(ctx, job, it)
+	full, err := mk(true).ProfileContext(ctx, job, it)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		res.check(FamilyDeterminism, "warm-prefix-profile", false, "unforked profile: %v", err)
+		res.check(FamilyDeterminism, "one-period-profile", false, "every-iteration profile: %v", err)
 		return nil
 	}
-	res.check(FamilyDeterminism, "forked-vs-unforked", reflect.DeepEqual(forked, full),
-		"%s@%s profiles differently with warm-prefix forking on vs off — synthetic warmup prefix is not a replica of the measured window",
+	res.check(FamilyDeterminism, "one-period-vs-full", reflect.DeepEqual(period, full),
+		"%s@%s profiles differently from one period than from every iteration — synthetic training is not periodic from iteration zero",
 		job.Model.Name, it.Name)
 	return nil
 }

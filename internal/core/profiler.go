@@ -94,17 +94,11 @@ func WithBlameAttribution(on bool) Option {
 	return func(p *Profiler) { p.blame = on }
 }
 
-// WithWarmPrefixFork toggles warm-prefix forking (default on). Synthetic
-// training is lockstep-periodic from iteration zero — every iteration
-// replays the same event schedule — so the warmup prefix is a replica of
-// the measured window and the profiler can skip simulating it, running
-// the measured iterations directly and scaling the one warmup-inclusive
-// statistic (CommBusy) exactly. Real-data scenarios always simulate their
-// warmup: pipeline cache state makes their prefix genuinely different.
-// The audit determinism family validates the forked path byte-identical
-// to the full run.
-func WithWarmPrefixFork(on bool) Option {
-	return func(p *Profiler) { p.warmFork = on }
+// WithEveryIteration makes every training run simulate all its steps
+// instead of one period (train.Config.EveryIteration). Default off; the
+// audit sets it to check the one-period path against the full run.
+func WithEveryIteration(on bool) Option {
+	return func(p *Profiler) { p.everyIteration = on }
 }
 
 // Profiler measures DDL stalls on simulated cloud instances. It is safe
@@ -117,7 +111,7 @@ type Profiler struct {
 	seed           int64
 	costEpochs     int
 	parallelism    int
-	warmFork       bool
+	everyIteration bool
 	blame          bool
 	collectiveOpts []collective.Option
 
@@ -269,7 +263,6 @@ func New(opts ...Option) *Profiler {
 		slicePolicy: cloud.SliceDegraded,
 		seed:        1,
 		costEpochs:  DefaultCostEpochs,
-		warmFork:    true,
 		cache:       make(map[scenarioKey]*cacheEntry),
 		tenants:     make(map[string]*tenantCounters),
 	}
@@ -422,16 +415,6 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 // a state byte-identical with a fresh build), so per-cell simulation does
 // not pay per-cell construction.
 func (p *Profiler) simulate(job workload.Job, sc scenario) (*train.Result, error) {
-	// Warm-prefix forking (see WithWarmPrefixFork): synthetic lockstep
-	// periodicity means the warmup prefix adds no information, so skip
-	// simulating it and reconstruct the one warmup-inclusive statistic
-	// below.
-	warmup := profileWarmup
-	fork := p.warmFork && sc.mode == modeSynthetic
-	if fork {
-		warmup = 0
-	}
-
 	c := acquireSimContext()
 	defer releaseSimContext(c)
 	top, err := c.world(p.slicePolicy, p.seed, sc.instance, sc.count)
@@ -456,8 +439,9 @@ func (p *Profiler) simulate(job workload.Job, sc scenario) (*train.Result, error
 		Topology:          top,
 		GPUs:              gpus,
 		Iterations:        p.iterations,
-		Warmup:            warmup,
+		Warmup:            profileWarmup,
 		Synthetic:         sc.mode == modeSynthetic,
+		EveryIteration:    p.everyIteration,
 		CollectiveOptions: p.collectiveOpts,
 		// Transfers that stage through host memory (PCIe peer traffic,
 		// network paths) block the compute stream; only whole NVLink
@@ -482,19 +466,7 @@ func (p *Profiler) simulate(job workload.Job, sc scenario) (*train.Result, error
 			cfg.CacheMode = pipeline.CacheWarm
 		}
 	}
-	res, err := train.Run(eng, net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if fork {
-		// Every other Result field is measured inside the post-warmup
-		// window and is identical by lockstep periodicity; CommBusy alone
-		// counts warmup collectives too. The forked run's CommBusy is
-		// exactly iterations × per-iteration busy time, so this scaling is
-		// exact integer arithmetic, not an approximation.
-		res.CommBusy = res.CommBusy * time.Duration(profileWarmup+p.iterations) / time.Duration(p.iterations)
-	}
-	return res, nil
+	return train.Run(eng, net, cfg)
 }
 
 // ICStall is the interconnect-stall measurement of §IV-B1.

@@ -63,23 +63,23 @@ func TestResetEngineByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmPrefixForkByteIdentity pins the forking contract at the API
-// level (the audit family re-checks it end to end): profiles computed
-// with and without warm-prefix forking are deeply equal, CommBusy
+// TestOnePeriodProfileByteIdentity pins the one-period contract at the
+// API level (the audit family re-checks it end to end): profiles computed
+// from one period and from every iteration are deeply equal, CommBusy
 // included.
-func TestWarmPrefixForkByteIdentity(t *testing.T) {
+func TestOnePeriodProfileByteIdentity(t *testing.T) {
 	jb := job(t, resnet18(t), 32)
 	it := instance(t, "p3.16xlarge")
-	forked, err := fastProfiler(WithSeed(7)).Profile(jb, it)
+	period, err := fastProfiler(WithSeed(7)).Profile(jb, it)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := fastProfiler(WithSeed(7), WithWarmPrefixFork(false)).Profile(jb, it)
+	full, err := fastProfiler(WithSeed(7), WithEveryIteration(true)).Profile(jb, it)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(forked, full) {
-		t.Errorf("forked profile diverges from full run:\n got %+v\nwant %+v", forked, full)
+	if !reflect.DeepEqual(period, full) {
+		t.Errorf("one-period profile diverges from full run:\n got %+v\nwant %+v", period, full)
 	}
 }
 

@@ -37,7 +37,8 @@ type Config struct {
 	// multi-GPU machine here.
 	GPUs []*topo.Device
 
-	// Iterations is the number of optimizer steps each worker executes.
+	// Iterations is the number of measured optimizer steps. The Result
+	// reads as if Warmup+Iterations steps ran, even from one period (Run).
 	Iterations int
 
 	// Synthetic pre-populates training data in GPU memory, eliminating
@@ -73,8 +74,12 @@ type Config struct {
 
 	// Warmup is the number of leading iterations excluded from timing
 	// (pipeline fill, first-touch effects). The run executes
-	// Warmup+Iterations optimizer steps.
+	// Warmup+Iterations optimizer steps, or one scaled to that many (Run).
 	Warmup int
+
+	// EveryIteration simulates every step even where one period would do
+	// (see Run). The audit sets it to check that both paths agree.
+	EveryIteration bool
 
 	// CompressionRatio scales the gradient bytes each bucket carries,
 	// modeling lossy gradient compression (top-k / quantization) schemes
@@ -138,7 +143,16 @@ type Result struct {
 }
 
 // Run executes the configured training on the engine that the topology's
-// network lives on, driving the simulation to completion.
+// network lives on, driving the simulation to completion. The Result is
+// as if Warmup+Iterations steps ran.
+//
+// One period: a synthetic run with no trace and no straggler repeats
+// exactly from iteration zero, since each collective releases every rank
+// at once with nothing left in flight. Unless EveryIteration is set, Run
+// simulates one step of such a run and scales it in integer nanoseconds:
+// the measured durations by Iterations, and CommBusy, which counts
+// warmup steps too, by Warmup+Iterations. Link counters on the network
+// then cover only the simulated step.
 func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("train: nil topology")
@@ -179,8 +193,14 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	case cfg.StragglerScale < 1:
 		return nil, fmt.Errorf("train: straggler scale %v < 1", cfg.StragglerScale)
 	}
-	if cfg.StragglerScale > 1 && (cfg.StragglerRank < 0 || cfg.StragglerRank >= len(gpus)) {
+	straggler := cfg.StragglerScale > 1
+	if straggler && (cfg.StragglerRank < 0 || cfg.StragglerRank >= len(gpus)) {
 		return nil, fmt.Errorf("train: straggler rank %d outside [0,%d)", cfg.StragglerRank, len(gpus))
+	}
+	iters, warmup := cfg.Iterations, cfg.Warmup
+	onePeriod := cfg.Synthetic && cfg.Trace == nil && !straggler && !cfg.EveryIteration
+	if onePeriod {
+		cfg.Iterations, cfg.Warmup = 1, 0
 	}
 	buckets := cfg.Buckets
 	if buckets == nil {
@@ -252,9 +272,9 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Iterations:       cfg.Iterations,
+		Iterations:       iters,
 		WorldSize:        len(gpus),
-		ComputePerWorker: plan.computeTotal * time.Duration(cfg.Iterations),
+		ComputePerWorker: plan.computeTotal * time.Duration(iters),
 		CommBusy:         group.BusyTime(),
 	}
 	for _, w := range workers {
@@ -268,9 +288,15 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 			res.CommWaitMax = w.commWait
 		}
 	}
-	res.PerIteration = res.Elapsed / time.Duration(cfg.Iterations)
+	if onePeriod {
+		res.Elapsed *= time.Duration(iters)
+		res.DataWaitMax *= time.Duration(iters)
+		res.CommWaitMax *= time.Duration(iters)
+		res.CommBusy *= time.Duration(warmup + iters)
+	}
+	res.PerIteration = res.Elapsed / time.Duration(iters)
 	if res.Elapsed > 0 {
-		res.SamplesPerSecond = float64(cfg.Iterations*cfg.Job.BatchPerGPU*len(gpus)) / res.Elapsed.Seconds()
+		res.SamplesPerSecond = float64(iters*cfg.Job.BatchPerGPU*len(gpus)) / res.Elapsed.Seconds()
 	}
 	// The group was created here and nothing outside this function saw it;
 	// its statistics are already copied into res, so its storage can go
