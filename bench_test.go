@@ -6,23 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"stash/internal/core"
 	"stash/internal/experiments"
 	"stash/internal/report"
 )
 
 // benchCfg returns the configuration for bench iteration i with its own
-// fresh profiler pool, so every sample simulates every scenario. Seeds
-// alone do not: the process-wide shared profiler is keyed by
-// {iterations, seed}, and under -benchtime=1x -count=N every sample has
-// i == 0, so a shared pool would let samples 2..N replay the cache
-// sample 1 filled.
+// fresh profiler pool (NewConfig never shares one), so every sample
+// simulates every scenario, including under -benchtime=1x -count=N where
+// every sample has i == 0.
 func benchCfg(i, parallelism int) experiments.Config {
-	cfg := experiments.DefaultConfig()
-	cfg.Seed = int64(i + 1)
-	cfg.Parallelism = parallelism
-	cfg.Pool = core.New(core.WithIterations(cfg.Iterations), core.WithSeed(cfg.Seed), core.WithParallelism(parallelism))
-	return cfg
+	return experiments.NewConfig(experiments.DefaultConfig().Iterations, int64(i+1), parallelism)
 }
 
 // runExperiment executes a registered experiment b.N times and reports

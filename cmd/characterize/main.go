@@ -8,8 +8,9 @@
 //
 // Without -run it executes every experiment in paper order. Experiments
 // run concurrently on a worker pool (bounded by -parallel, default
-// GOMAXPROCS) sharing one memoized profiler; output is printed in paper
-// order and is byte-identical to a -parallel 1 run.
+// GOMAXPROCS) sharing the run's own memoized profiler
+// (experiments.NewConfig), whose counters -v prints; output is printed
+// in paper order and is byte-identical to a -parallel 1 run.
 //
 // -audit runs the cross-layer invariant auditor over the selected
 // experiments (determinism family) at the run's iterations, seed and
@@ -94,7 +95,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := experiments.Config{Iterations: *iters, Seed: *seed, Parallelism: *parallel}
+	cfg := experiments.NewConfig(*iters, *seed, *parallel)
 	start := time.Now() //lint:allow wallclock CLI wall-time progress line, never enters a stall table
 	for _, r := range experiments.RunMany(cfg, selected) {
 		if r.Err != nil {
@@ -112,7 +113,7 @@ func run(args []string) error {
 	if *verbose {
 		fmt.Printf("# scheduler: %v (wall %v)\n",
 			//lint:allow wallclock verbose-only scheduler wall time, not part of any table
-			experiments.SchedulerStats(cfg), time.Since(start).Round(time.Millisecond))
+			cfg.Pool.Stats(), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

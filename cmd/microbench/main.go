@@ -30,7 +30,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tables, err := experiments.Fig16(experiments.Config{Iterations: *iters, Seed: *seed})
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: must be at least 1", *iters)
+	}
+	tables, err := experiments.Fig16(experiments.NewConfig(*iters, *seed, 0))
 	if err != nil {
 		return err
 	}

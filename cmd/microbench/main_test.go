@@ -16,3 +16,14 @@ func TestBadFlag(t *testing.T) {
 		t.Error("bad flag should fail")
 	}
 }
+
+// TestItersBelowOneFails: -iters is validated, never clamped to the
+// default window.
+func TestItersBelowOneFails(t *testing.T) {
+	for _, v := range []string{"0", "-3"} {
+		err := run([]string{"-iters", v})
+		if want := "-iters " + v + ": must be at least 1"; err == nil || err.Error() != want {
+			t.Errorf("-iters %s: err = %v, want %q", v, err, want)
+		}
+	}
+}

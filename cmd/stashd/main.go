@@ -32,10 +32,12 @@
 //	GET    /healthz?deep=1          bounded invariant audit + live pool checks
 //	GET    /metrics                 Prometheus text counters
 //
-// All requests share one single-flight memoized profiler, so repeated
-// and concurrent requests for overlapping scenarios simulate each
-// distinct scenario exactly once. Jobs are scoped to the tenant named
-// by the X-Stash-Tenant header, admitted under a per-tenant quota, and
+// The server owns two single-flight memoized profilers, one for
+// profile, recommend and blame requests and one for experiment runs, so
+// repeated and concurrent requests for overlapping scenarios simulate
+// each distinct scenario exactly once. No other server in the process
+// shares them. Jobs are scoped to the tenant named by the
+// X-Stash-Tenant header, admitted under a per-tenant quota, and
 // dispatched in submission order (one FIFO) on a worker pool separate
 // from the v1 concurrency gate.
 // On SIGTERM/SIGINT the server rejects new jobs, cancels queued ones,

@@ -169,14 +169,10 @@ func New(opts ...Option) *Server {
 		core.WithSeed(s.seed),
 		core.WithParallelism(s.parallelism),
 	)
-	s.expCfg = experiments.Config{
-		Iterations:  s.expIterations,
-		Seed:        s.seed,
-		Parallelism: s.parallelism,
-	}
+	s.expCfg = experiments.NewConfig(s.expIterations, s.seed, s.parallelism)
 	s.sem = make(chan struct{}, s.maxConcurrent)
 	s.jobsStore = newJobStore(s.jobWorkers, s.jobTTL, s.jobStoreMax, s.tenantQuota)
-	s.metrics = newMetrics(s.profiler, s.expCfg, s.jobsStore)
+	s.metrics = newMetrics(s.profiler, s.expCfg.Pool, s.jobsStore)
 	s.jobsStore.start(s.executeJob)
 
 	s.mux = http.NewServeMux()
@@ -364,7 +360,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	// The bounded slice audits a private profiler; the live pools get
 	// the mid-flight conservation check (other requests may be running).
-	for _, st := range []core.Stats{s.profiler.Stats(), experiments.SchedulerStats(s.expCfg)} {
+	for _, st := range []core.Stats{s.profiler.Stats(), s.expCfg.Pool.Stats()} {
 		live := audit.CheckStatsLive(st)
 		res.Checks += live.Checks
 		res.Violations = append(res.Violations, live.Violations...)
@@ -373,7 +369,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// counters of each pool (mirrored by core.WithTenant) and the job
 	// lifecycle counters of the v2 store. A fresh server has no tenants
 	// and adds no checks here.
-	for _, pool := range []map[string]core.Stats{s.profiler.TenantStats(), experiments.SchedulerTenantStats(s.expCfg)} {
+	for _, pool := range []map[string]core.Stats{s.profiler.TenantStats(), s.expCfg.Pool.TenantStats()} {
 		for _, name := range sortedKeys(pool) {
 			live := audit.CheckStatsLive(pool[name])
 			res.Checks += live.Checks

@@ -88,14 +88,12 @@ func TestHealthzDeepTimeout(t *testing.T) {
 }
 
 // TestMetricsExperimentsPoolMonotonicUnderScrape is the metrics-scrape
-// regression test: a dashboard scraping many stashd servers (each with
-// its own experiment configuration, all sharing the process-wide
-// profiler LRU) must not disturb one server's experiments-pool
-// counters. Pre-fix, every scrape allocated a profiler for the scraped
-// configuration, so enough foreign scrapes evicted the active profiler
-// and the next scrape of the active server reported freshly zeroed
-// counters — a counter reset with no restart. Run under -race this also
-// guards the scrape path against data races with a live sweep.
+// regression test: each stashd server owns its experiments pool, so a
+// dashboard scraping many servers in one process must neither reset one
+// server's experiments-pool counters nor see another server's sweeps —
+// not even those of a twin server at the same seed. Run under -race
+// this also guards the scrape path against data races with a live
+// sweep.
 func TestMetricsExperimentsPoolMonotonicUnderScrape(t *testing.T) {
 	const series = `stashd_scenarios_simulated_total{pool="experiments"}`
 	// The swept server gets a generous deadline: the fig4 sweep is
@@ -104,9 +102,10 @@ func TestMetricsExperimentsPoolMonotonicUnderScrape(t *testing.T) {
 	// the regression check before it observes anything.
 	_, main := newTestServer(t, WithSeed(7100), WithRequestTimeout(5*time.Minute))
 
-	// More foreign servers than the shared-profiler LRU holds (the cap
-	// is an experiments-internal constant; a dozen distinct seeds is
-	// comfortably past it).
+	// A twin at main's seed must keep its own, untouched pool.
+	_, twin := newTestServer(t, WithSeed(7100))
+
+	// A dozen foreign servers at distinct seeds, scraped concurrently.
 	var foreign []*httptest.Server
 	for i := int64(0); i < 12; i++ {
 		_, ts := newTestServer(t, WithSeed(7200+i))
@@ -121,6 +120,10 @@ func TestMetricsExperimentsPoolMonotonicUnderScrape(t *testing.T) {
 	before := metricValue(t, mb, series)
 	if before == 0 {
 		t.Fatal("experiment sweep recorded no simulations in the experiments pool")
+	}
+	_, tb := getBody(t, twin.URL+"/metrics")
+	if got := metricValue(t, tb, series); got != 0 {
+		t.Errorf("twin server at main's seed reports %s %d, want 0 (pools shared across servers)", series, got)
 	}
 
 	// Scrape everything concurrently while a second sweep runs on main.
@@ -149,7 +152,7 @@ func TestMetricsExperimentsPoolMonotonicUnderScrape(t *testing.T) {
 
 	_, mb = getBody(t, main.URL+"/metrics")
 	if after := metricValue(t, mb, series); after < before {
-		t.Errorf("%s regressed %d -> %d after foreign scrapes (scrape mutated the shared-profiler LRU)",
+		t.Errorf("%s regressed %d -> %d after foreign scrapes",
 			series, before, after)
 	}
 }

@@ -640,7 +640,7 @@ func TestFullRegistrySweepAcceptance(t *testing.T) {
 // holdFirstJob makes s's job runner keep the first job it dispatches in
 // flight until that job's context is cancelled (DELETE or drain), so a
 // test can rely on a running job however fast the simulator is and
-// whatever the process-wide profiler caches already hold. Later jobs run
+// whatever the server's scenario caches already hold. Later jobs run
 // as usual. The returned channel closes once the first job is held.
 func holdFirstJob(s *Server) <-chan struct{} {
 	held := make(chan struct{})

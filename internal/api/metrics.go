@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"stash/internal/core"
-	"stash/internal/experiments"
 )
 
 // reqKey labels one request counter: endpoint name and response code.
@@ -21,10 +20,10 @@ type reqKey struct {
 // metrics aggregates the server's counters for /metrics: request
 // counts and latency per endpoint, the in-flight gauge, and the
 // scenario-scheduler counters of both profiler pools (the server's own
-// profile/recommend profiler and the shared experiments profiler).
+// profile/recommend profiler and its experiments pool).
 type metrics struct {
 	profiler *core.Profiler
-	expCfg   experiments.Config
+	expPool  *core.Profiler
 	jobs     *jobStore
 
 	inflight atomic.Int64
@@ -48,10 +47,10 @@ type metrics struct {
 	latCount map[string]int64
 }
 
-func newMetrics(p *core.Profiler, expCfg experiments.Config, jobs *jobStore) *metrics {
+func newMetrics(p, expPool *core.Profiler, jobs *jobStore) *metrics {
 	return &metrics{
 		profiler: p,
-		expCfg:   expCfg,
+		expPool:  expPool,
 		jobs:     jobs,
 		requests: make(map[reqKey]int64),
 		latSum:   make(map[string]float64),
@@ -108,13 +107,13 @@ func (m *metrics) render() string {
 
 	// Scenario-scheduler counters (core.Profiler.Stats) for both pools:
 	// "profile" backs /v1/profile + /v1/recommend, "experiments" is the
-	// suite's shared single-flight profiler.
+	// server's own experiments pool (its expCfg.Pool).
 	pools := []struct {
 		name  string
 		stats core.Stats
 	}{
 		{"profile", m.profiler.Stats()},
-		{"experiments", experiments.SchedulerStats(m.expCfg)},
+		{"experiments", m.expPool.Stats()},
 	}
 	b.WriteString("# HELP stashd_scenario_requests_total Scenario requests admitted to the scheduler.\n")
 	b.WriteString("# TYPE stashd_scenario_requests_total counter\n")
@@ -165,7 +164,7 @@ func (m *metrics) render() string {
 		stats map[string]core.Stats
 	}{
 		{"profile", m.profiler.TenantStats()},
-		{"experiments", experiments.SchedulerTenantStats(m.expCfg)},
+		{"experiments", m.expPool.TenantStats()},
 	}
 	b.WriteString("# HELP stashd_tenant_scenario_requests_total Scenario requests admitted, by tenant.\n")
 	b.WriteString("# TYPE stashd_tenant_scenario_requests_total counter\n")

@@ -26,17 +26,17 @@ func registryIDs() []string {
 // auditDeterminism checks the byte-stability guarantee the repository
 // documents (docs/API.md "Determinism"): at a fixed seed, every
 // registry artifact renders byte-identically serial vs parallel and
-// run vs rerun. It closes with a profiler cache-key completeness check:
-// a result computed on a cold cache must equal one computed after the
-// cache was warmed with foreign scenarios — if a key field were
-// missing, the warmed profiler would serve the wrong entry.
+// run vs rerun. The serial, parallel and rerun passes each own a pool
+// shared across the audited experiments, so every comparison is between
+// independent simulations, never replays of one scenario cache. It
+// closes with a profiler cache-key completeness check: a result
+// computed on a cold cache must equal one computed after the cache was
+// warmed with foreign scenarios — if a key field were missing, the
+// warmed profiler would serve the wrong entry.
 func auditDeterminism(ctx context.Context, opts Options, res *Result) error {
-	serialCfg := experiments.Config{
-		Iterations: opts.Iterations, Seed: opts.Seed, Parallelism: 1,
-	}.WithContext(ctx)
-	parallelCfg := experiments.Config{
-		Iterations: opts.Iterations, Seed: opts.Seed, Parallelism: 8,
-	}.WithContext(ctx)
+	serialCfg := experiments.NewConfig(opts.Iterations, opts.Seed, 1).WithContext(ctx)
+	parallelCfg := experiments.NewConfig(opts.Iterations, opts.Seed, 8).WithContext(ctx)
+	rerunCfg := experiments.NewConfig(opts.Iterations, opts.Seed, 1).WithContext(ctx)
 
 	for _, id := range opts.Experiments {
 		if err := ctx.Err(); err != nil {
@@ -67,7 +67,7 @@ func auditDeterminism(ctx context.Context, opts Options, res *Result) error {
 		}
 		res.check(FamilyDeterminism, "serial-vs-parallel", serial == parallel,
 			"%s renders differently at parallelism 1 vs 8 (%d vs %d bytes)", id, len(serial), len(parallel))
-		rerun, err := renderExperiment(e, serialCfg)
+		rerun, err := renderExperiment(e, rerunCfg)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

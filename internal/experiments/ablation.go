@@ -195,11 +195,7 @@ func SliceLottery(cfg Config) ([]*report.Table, error) {
 	const draws = 12
 	pcts := make([]float64, draws)
 	err = cfg.forEach(draws, func(d int) error {
-		p := core.New(
-			core.WithIterations(cfg.normalize().Iterations),
-			core.WithSlicePolicy(cloud.SliceLottery),
-			core.WithSeed(cfg.normalize().Seed+int64(d)),
-		)
+		p := cfg.profiler(core.WithSlicePolicy(cloud.SliceLottery), core.WithSeed(cfg.normalize().Seed+int64(d)))
 		s, err := p.InterconnectStall(job, it)
 		if err != nil {
 			return err

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"stash/internal/cloud"
 	"stash/internal/core"
@@ -18,7 +17,9 @@ import (
 	"stash/internal/workload"
 )
 
-// Config tunes experiment execution.
+// Config tunes experiment execution. Build one with NewConfig, which
+// gives it its own scenario cache; a Config without a Pool builds a
+// fresh profiler wherever an experiment asks for one.
 type Config struct {
 	// Iterations is the profiling window per scenario (larger = smoother
 	// steady state, slower to simulate). 0 uses the default.
@@ -31,28 +32,30 @@ type Config struct {
 	// experiments) run concurrently: 0 or negative = GOMAXPROCS (the
 	// core.WithParallelism convention), 1 = serial. Output
 	// is byte-identical at every setting — cells land in index-ordered
-	// slots and rows are assembled in paper order. Parallelism is not
-	// part of the shared-profiler identity (profilerKey), so serial and
-	// parallel runs of the same configuration share one scenario cache.
+	// slots and rows are assembled in paper order.
 	Parallelism int
 
-	// Pool, when non-nil, is the profiler every sweep of this
-	// configuration uses instead of the process-wide shared LRU, so the
-	// caller owns its scenario cache and counters outright. A cold-cache
-	// measurement sets a fresh pool per run, so no run replays scenarios
-	// an earlier run in the same process simulated. The caller must
-	// construct the pool with the same Iterations, Seed and Parallelism
-	// as this Config, or sweep results will not match the configuration
-	// they claim to describe. Experiments that need extra profiler
-	// options still build fresh unshared profilers.
+	// Pool is the profiler every sweep of this configuration shares, so
+	// experiments reuse each other's deterministic scenario results and
+	// the caller reads the scheduler counters from Pool.Stats(). Set by
+	// NewConfig. Experiments that need extra profiler options still
+	// build fresh unshared profilers.
 	Pool *core.Profiler
 
 	// ctx, when set via WithContext, cancels the configuration's sweeps:
 	// forEach stops dispatching new cells once ctx is done and the
-	// experiment returns ctx.Err(). It deliberately stays out of
-	// profilerKey — cancellation never changes what a scenario computes,
-	// only whether it starts.
+	// experiment returns ctx.Err(). Cancellation never changes what a
+	// scenario computes, only whether it starts.
 	ctx context.Context
+}
+
+// NewConfig returns a normalized configuration together with its own
+// scenario cache, a profiler built from the same iterations, seed and
+// parallelism. Two calls never share a pool.
+func NewConfig(iterations int, seed int64, parallelism int) Config {
+	c := Config{Iterations: iterations, Seed: seed, Parallelism: parallelism}.normalize()
+	c.Pool = c.profiler()
+	return c
 }
 
 // WithContext returns a copy of the configuration whose sweeps observe
@@ -94,118 +97,19 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// profilerKey identifies the profiler a configuration shares. It
-// excludes Parallelism: the scenario results are the same at any worker
-// count, so serial and parallel sweeps share one cache.
-type profilerKey struct {
-	iterations int
-	seed       int64
-}
-
-// maxSharedProfilers bounds the shared-profiler LRU. Each profiler owns
-// a full scenario cache, so an unbounded map leaks one cache per
-// distinct bench seed; sweeps only ever interleave a handful of
-// configurations at a time.
-const maxSharedProfilers = 8
-
-// sharedProfilers memoizes plain profilers per configuration so that
-// experiments reuse each other's deterministic scenario results (the
-// profiler itself caches runs). Least-recently-used entries are evicted
-// beyond maxSharedProfilers.
-var sharedProfilers = struct {
-	sync.Mutex
-	m     map[profilerKey]*core.Profiler
-	order []profilerKey // LRU order, oldest first
-}{m: make(map[profilerKey]*core.Profiler)}
-
-// profiler builds (or reuses) a Stash profiler for this configuration.
-// Passing extra options always builds a fresh, unshared profiler.
+// profiler returns the configuration's Pool when it has one and no
+// extra options are passed; otherwise it builds a fresh profiler, with
+// opts applied after (and so overriding) the configuration's own.
 func (c Config) profiler(opts ...core.Option) *core.Profiler {
+	if c.Pool != nil && len(opts) == 0 {
+		return c.Pool
+	}
 	c = c.normalize()
-	base := []core.Option{
+	return core.New(append([]core.Option{
 		core.WithIterations(c.Iterations),
 		core.WithSeed(c.Seed),
 		core.WithParallelism(c.Parallelism),
-	}
-	if len(opts) > 0 {
-		return core.New(append(base, opts...)...)
-	}
-	if c.Pool != nil {
-		return c.Pool
-	}
-	key := profilerKey{iterations: c.Iterations, seed: c.Seed}
-	sharedProfilers.Lock()
-	defer sharedProfilers.Unlock()
-	if p, ok := sharedProfilers.m[key]; ok {
-		touchProfiler(key)
-		return p
-	}
-	if len(sharedProfilers.order) >= maxSharedProfilers {
-		oldest := sharedProfilers.order[0]
-		sharedProfilers.order = sharedProfilers.order[1:]
-		delete(sharedProfilers.m, oldest)
-	}
-	p := core.New(base...)
-	sharedProfilers.m[key] = p
-	sharedProfilers.order = append(sharedProfilers.order, key)
-	return p
-}
-
-// touchProfiler moves key to the most-recently-used end. Callers hold
-// the sharedProfilers lock.
-func touchProfiler(key profilerKey) {
-	for i, k := range sharedProfilers.order {
-		if k == key {
-			sharedProfilers.order = append(append(sharedProfilers.order[:i:i], sharedProfilers.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// peekProfiler is the read-only counterpart of profiler: it returns the
-// configuration's shared profiler if one already exists, without
-// inserting a new entry, evicting an old one, or refreshing LRU order.
-// Observability paths (SchedulerStats, the stashd /metrics scrape) must
-// use this: a scrape that allocated a profiler would report freshly
-// zeroed counters and could evict a profiler whose scenario cache a
-// running sweep is reusing.
-func (c Config) peekProfiler() (*core.Profiler, bool) {
-	if c.Pool != nil {
-		return c.Pool, true
-	}
-	c = c.normalize()
-	key := profilerKey{iterations: c.Iterations, seed: c.Seed}
-	sharedProfilers.Lock()
-	defer sharedProfilers.Unlock()
-	p, ok := sharedProfilers.m[key]
-	return p, ok
-}
-
-// SchedulerStats reports the shared profiler's scenario-scheduler
-// counters for this configuration (requests, simulations, cache hits,
-// single-flight waits, cancellations). It is a pure read: if no sweep
-// has built the configuration's profiler yet, it reports zero counters
-// instead of allocating one, and it never perturbs the shared-profiler
-// LRU — repeated scrapes leave the counters monotonically
-// non-decreasing.
-func SchedulerStats(cfg Config) core.Stats {
-	p, ok := cfg.peekProfiler()
-	if !ok {
-		return core.Stats{}
-	}
-	return p.Stats()
-}
-
-// SchedulerTenantStats reports the shared profiler's per-tenant
-// scenario counters for this configuration (core.Profiler.TenantStats).
-// Like SchedulerStats it is a pure read: no profiler is allocated and
-// the LRU is untouched; nil when no sweep has built the profiler yet.
-func SchedulerTenantStats(cfg Config) map[string]core.Stats {
-	p, ok := cfg.peekProfiler()
-	if !ok {
-		return nil
-	}
-	return p.TenantStats()
+	}, opts...)...)
 }
 
 // Experiment is a runnable reproduction of one paper artifact.

@@ -5,12 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"stash/internal/cloud"
+	"stash/internal/core"
 	"stash/internal/report"
 )
 
+// fastConfig is built once so the package's experiment tests share one
+// scenario cache.
+var fastConfig = NewConfig(4, 1, 0)
+
 // fastCfg keeps experiment tests quick; stall ratios are deterministic
 // steady-state values, so a short window is exact.
-func fastCfg() Config { return Config{Iterations: 4, Seed: 1} }
+func fastCfg() Config { return fastConfig }
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
@@ -321,14 +327,25 @@ func TestConfigNormalize(t *testing.T) {
 	}
 }
 
-func TestSharedProfilerReuse(t *testing.T) {
-	a := Config{Iterations: 4, Seed: 1}.profiler()
-	b := Config{Iterations: 4, Seed: 1}.profiler()
-	if a != b {
-		t.Error("same config should share a profiler")
+// TestNewConfigOwnsItsPool: every NewConfig builds its own pool, even
+// for equal arguments, and profiler() hands that pool to option-free
+// callers only.
+func TestNewConfigOwnsItsPool(t *testing.T) {
+	a, b := NewConfig(4, 1, 0), NewConfig(4, 1, 0)
+	if a.Pool == nil || a.Pool == b.Pool {
+		t.Error("two NewConfig calls with equal arguments share a pool")
 	}
-	c := Config{Iterations: 5, Seed: 1}.profiler()
-	if a == c {
-		t.Error("different configs must not share")
+	if a.profiler() != a.Pool {
+		t.Error("profiler() without options must return the config's pool")
+	}
+	if a.profiler(core.WithSlicePolicy(cloud.SliceClean)) == a.Pool {
+		t.Error("profiler(opts...) must build a fresh profiler")
+	}
+	bare := Config{Iterations: 4, Seed: 1}
+	if bare.profiler() == bare.profiler() {
+		t.Error("a Config without a pool must not share profilers between calls")
+	}
+	if c := NewConfig(0, 0, -3); c.Iterations != 12 || c.Seed != 1 || c.Parallelism != 0 {
+		t.Errorf("NewConfig(0, 0, -3) = {%d %d %d}, want normalized {12 1 0}", c.Iterations, c.Seed, c.Parallelism)
 	}
 }

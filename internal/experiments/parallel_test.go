@@ -31,11 +31,14 @@ func renderAll(t *testing.T, cfg Config, id string) string {
 
 // TestParallelOutputByteIdentical is the scheduler's core contract:
 // rendered tables are byte-identical between the serial path and a wide
-// worker pool, for a representative figure and for the claim sweep.
+// worker pool, for a representative figure and for the claim sweep. Each
+// side owns its pool, so the comparison is between independent
+// simulations, not replays of one scenario cache.
 func TestParallelOutputByteIdentical(t *testing.T) {
+	serialCfg, parallelCfg := NewConfig(4, 1, 1), NewConfig(4, 1, 8)
 	for _, id := range []string{"fig11", "claims", "fig13", "network-variance"} {
-		serial := renderAll(t, Config{Iterations: 4, Seed: 1, Parallelism: 1}, id)
-		parallel := renderAll(t, Config{Iterations: 4, Seed: 1, Parallelism: 8}, id)
+		serial := renderAll(t, serialCfg, id)
+		parallel := renderAll(t, parallelCfg, id)
 		if serial != parallel {
 			t.Errorf("%s: parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				id, serial, parallel)
@@ -44,9 +47,9 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 }
 
 // TestRunManyOrderAndSharing checks the registry runner: results come
-// back in input order and reuse the configuration's shared profiler.
+// back in input order and reuse the configuration's pool.
 func TestRunManyOrderAndSharing(t *testing.T) {
-	cfg := Config{Iterations: 4, Seed: 1, Parallelism: 4}
+	cfg := NewConfig(4, 1, 4)
 	exps := []Experiment{}
 	for _, id := range []string{"table1", "fig7", "table2", "multi-epoch"} {
 		e, err := ByID(id)
@@ -70,8 +73,8 @@ func TestRunManyOrderAndSharing(t *testing.T) {
 			t.Errorf("%s: no tables", r.Experiment.ID)
 		}
 	}
-	if st := SchedulerStats(cfg); st.Simulated == 0 {
-		t.Error("shared profiler saw no simulations — experiments not sharing it")
+	if st := cfg.Pool.Stats(); st.Simulated == 0 {
+		t.Error("pool saw no simulations — experiments not sharing it")
 	}
 }
 
@@ -95,53 +98,6 @@ func TestRunManyReportsPerExperimentErrors(t *testing.T) {
 	}
 	if results[1].Err != nil || len(results[1].Tables) == 0 {
 		t.Errorf("sibling experiment aborted: err=%v tables=%d", results[1].Err, len(results[1].Tables))
-	}
-}
-
-// TestSharedProfilerLRUBound: the shared map must not grow without
-// bound — distinct seeds beyond the cap evict the oldest entry, and a
-// re-requested evicted configuration gets a fresh profiler.
-func TestSharedProfilerLRUBound(t *testing.T) {
-	base := Config{Iterations: 7, Seed: 1000}
-	first := base.profiler()
-	for i := 1; i <= maxSharedProfilers; i++ {
-		c := base
-		c.Seed = base.Seed + int64(i)
-		c.profiler()
-	}
-	sharedProfilers.Lock()
-	size, order := len(sharedProfilers.m), len(sharedProfilers.order)
-	sharedProfilers.Unlock()
-	if size > maxSharedProfilers || order != size {
-		t.Fatalf("shared map size %d (order %d), cap %d", size, order, maxSharedProfilers)
-	}
-	if again := base.profiler(); again == first {
-		t.Error("evicted profiler still shared — LRU not evicting")
-	}
-}
-
-// TestSharedProfilerLRUTouch: re-using a configuration refreshes its
-// LRU position, so the hot profiler survives churn from other seeds.
-func TestSharedProfilerLRUTouch(t *testing.T) {
-	base := Config{Iterations: 9, Seed: 2000}
-	hot := base.profiler()
-	for i := 1; i < maxSharedProfilers; i++ {
-		c := base
-		c.Seed = base.Seed + int64(i)
-		c.profiler()
-		if base.profiler() != hot {
-			t.Fatalf("hot profiler evicted after %d other configs despite reuse", i)
-		}
-	}
-}
-
-// TestParallelismExcludedFromSharing: serial and parallel sweeps of the
-// same configuration must share one scenario cache.
-func TestParallelismExcludedFromSharing(t *testing.T) {
-	a := Config{Iterations: 6, Seed: 3000, Parallelism: 1}.profiler()
-	b := Config{Iterations: 6, Seed: 3000, Parallelism: 8}.profiler()
-	if a != b {
-		t.Error("Parallelism must not split the shared profiler cache")
 	}
 }
 

@@ -5,89 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"stash/internal/cloud"
-	"stash/internal/dnn"
-	"stash/internal/workload"
 )
-
-// exerciseProfiler runs one cheap measurement on the configuration's
-// shared profiler so its scheduler counters are non-zero.
-func exerciseProfiler(t *testing.T, cfg Config) {
-	t.Helper()
-	model, err := dnn.Resolve("shufflenet_v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := cloud.ByName("p2.xlarge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := workload.NewJob(model, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cfg.profiler().InterconnectStall(j, it); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSchedulerStatsZeroOnMiss: scraping a configuration no sweep has
-// touched reports zero counters and must NOT allocate a profiler — a
-// scrape that inserted one would report freshly zeroed counters forever
-// and churn the shared LRU.
-func TestSchedulerStatsZeroOnMiss(t *testing.T) {
-	cfg := Config{Iterations: 5, Seed: 6000}
-	sharedProfilers.Lock()
-	before := len(sharedProfilers.m)
-	sharedProfilers.Unlock()
-	if st := SchedulerStats(cfg); st.Requests != 0 || st.Simulated != 0 {
-		t.Errorf("unused configuration reports non-zero stats: %v", st)
-	}
-	sharedProfilers.Lock()
-	defer sharedProfilers.Unlock()
-	if len(sharedProfilers.m) != before {
-		t.Errorf("scrape of an unused configuration changed the shared map: %d -> %d entries",
-			before, len(sharedProfilers.m))
-	}
-	if _, ok := sharedProfilers.m[profilerKey{iterations: 5, seed: 6000}]; ok {
-		t.Error("scrape inserted a profiler for the scraped configuration")
-	}
-}
-
-// TestSchedulerStatsScrapeDoesNotEvict is the /metrics-scrape regression
-// test: repeated scrapes for foreign configurations (a dashboard asking
-// about seeds nobody is running) must leave a live sweep's counters
-// monotonically non-decreasing. Pre-fix, SchedulerStats allocated a
-// profiler per scraped configuration, churning the size-bounded LRU
-// until the active profiler was evicted — the next scrape of the active
-// configuration then reported freshly zeroed counters.
-func TestSchedulerStatsScrapeDoesNotEvict(t *testing.T) {
-	active := Config{Iterations: 5, Seed: 4000}
-	exerciseProfiler(t, active)
-	st1 := SchedulerStats(active)
-	if st1.Simulated == 0 {
-		t.Fatalf("exercised profiler reports no simulations: %v", st1)
-	}
-
-	// A scrape round asks about more foreign configurations than the
-	// shared-profiler cap holds.
-	for i := 0; i < 2*maxSharedProfilers; i++ {
-		SchedulerStats(Config{Iterations: 5, Seed: 5000 + int64(i)})
-	}
-
-	st2 := SchedulerStats(active)
-	if st2.Simulated < st1.Simulated || st2.Requests < st1.Requests {
-		t.Errorf("scrapes reset the active pool's counters: %v -> %v", st1, st2)
-	}
-	sharedProfilers.Lock()
-	defer sharedProfilers.Unlock()
-	for k := range sharedProfilers.m {
-		if k.seed >= 5000 && k.seed < 5000+2*int64(maxSharedProfilers) {
-			t.Errorf("scrape inserted profiler for foreign configuration %+v", k)
-		}
-	}
-}
 
 // TestNegativeParallelismRunsConcurrently: Parallelism < 0 must mean
 // GOMAXPROCS (core.ForEach's convention), not serial. Two cells
