@@ -158,11 +158,9 @@ func BenchmarkClaims(b *testing.B) {
 // fixed worker-pool size. Comparing BenchmarkSuiteSerial against
 // BenchmarkSuiteParallel measures the wall-clock win of the scenario
 // scheduler on the whole evaluation; bench.sh distils their ratio into
-// the BENCH_*.json parallel_speedup field. The scheduler dispatches
-// contiguous per-worker batches (core.ForEachCtx), so each worker's
-// simulate calls hit the same per-P pooled simContext — engine, network
-// and provisioner scratch recycled across cells instead of reallocated.
-// Every sample gets a fresh profiler pool (benchCfg).
+// the BENCH_*.json parallel_speedup field. Every scenario simulates on a
+// world built for it, and every sample gets a fresh profiler pool
+// (benchCfg).
 func benchSuite(b *testing.B, parallelism int) {
 	b.Helper()
 	reg := experiments.Registry()

@@ -31,6 +31,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: %s takes flags only", fs.Arg(0), fs.Name())
+	}
 
 	var targets []cloud.InstanceType
 	if *all {

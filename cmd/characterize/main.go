@@ -50,6 +50,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: %s takes flags only", fs.Arg(0), fs.Name())
+	}
 	if *iters < 1 {
 		return fmt.Errorf("-iters %d: must be at least 1", *iters)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,5 +52,23 @@ func TestZeroIters(t *testing.T) {
 	err := run([]string{"-run", "table2", "-iters", "0"})
 	if err == nil || !strings.Contains(err.Error(), "-iters 0") {
 		t.Errorf("run -iters 0 = %v, want an error naming -iters 0", err)
+	}
+}
+
+// TestStrayArgumentsRejected: a positional argument fails naming
+// itself, instead of being ignored together with every flag after it.
+func TestStrayArgumentsRejected(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-list", "fig7"}, "fig7"},
+		{[]string{"-run", "fig7", "fig11", "-csv"}, "fig11"},
+	}
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), "unexpected argument "+strconv.Quote(c.want)) {
+			t.Errorf("run(%v) = %v, want it to name %q", c.args, err, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -79,5 +80,23 @@ func TestRunRecommend(t *testing.T) {
 func TestRunRecommendInfeasible(t *testing.T) {
 	if err := run([]string{"-recommend", "-iters", "3", "-budget", "0.001"}); err == nil {
 		t.Error("impossible budget should surface an error")
+	}
+}
+
+// TestStrayArgumentsRejected: a positional argument fails naming
+// itself, instead of being ignored together with every flag after it.
+func TestStrayArgumentsRejected(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"p3.2xlarge"}, "p3.2xlarge"},
+		{[]string{"-model", "resnet18", "p3.2xlarge", "-batch", "64"}, "p3.2xlarge"},
+	}
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), "unexpected argument "+strconv.Quote(c.want)) {
+			t.Errorf("run(%v) = %v, want it to name %q", c.args, err, c.want)
+		}
 	}
 }

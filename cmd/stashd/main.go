@@ -145,8 +145,12 @@ func (c *config) check() error {
 // requests before returning.
 func run(ctx context.Context, args []string, out io.Writer) error {
 	var c config
-	if err := newFlagSet(&c).Parse(args); err != nil {
+	fs := newFlagSet(&c)
+	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: %s takes flags only", fs.Arg(0), fs.Name())
 	}
 	if err := c.check(); err != nil {
 		return err

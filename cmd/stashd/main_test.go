@@ -161,3 +161,24 @@ func TestRunListenError(t *testing.T) {
 		t.Fatal("bad address should fail")
 	}
 }
+
+// TestStrayArgumentsRejected: a positional argument fails naming
+// itself, instead of being ignored together with every flag after it.
+func TestStrayArgumentsRejected(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-addr", "127.0.0.1:0", "serve"}, "serve"},
+		{[]string{"-addr", "127.0.0.1:0", "-iters", "4", "serve", "-seed", "2"}, "serve"},
+	}
+	// Cancelled up front: a server that wrongly starts drains at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range cases {
+		err := run(ctx, c.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "unexpected argument "+strconv.Quote(c.want)) {
+			t.Errorf("run(%v) = %v, want it to name %q", c.args, err, c.want)
+		}
+	}
+}

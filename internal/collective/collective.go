@@ -110,38 +110,23 @@ type op struct {
 	arrivals []time.Duration
 }
 
-// groupArena holds released groups on each engine's scratch arena, so a
-// recycled engine re-running a scenario reuses its group storage (op free
-// list, rank slices, exec scratch) instead of re-growing it.
-var groupArena = sim.NewArenaKey()
-
-type groupCache struct{ free []*Group }
-
 // NewGroup creates a synchronization group over the given GPUs (in rank
 // order) of a topology. All GPU pairs that the algorithm needs must be
-// routable. If a previously Released group is available on the engine's
-// arena, its storage is reused.
+// routable.
 func NewGroup(eng *sim.Engine, net *simnet.Network, t *topo.Topology, gpus []*topo.Device, opts ...Option) (*Group, error) {
 	if len(gpus) == 0 {
 		return nil, fmt.Errorf("collective: empty group")
 	}
-	var g *Group
-	if cache, _ := eng.Arena(groupArena).(*groupCache); cache != nil && len(cache.free) > 0 {
-		k := len(cache.free) - 1
-		g = cache.free[k]
-		cache.free[k] = nil
-		cache.free = cache.free[:k]
-		g.reuse(eng, net, t, gpus)
-	} else {
-		g = &Group{
-			nextSeq: make([]int, len(gpus)),
-			ops:     make(map[int]*op),
-		}
-		g.eng, g.net, g.topology, g.gpus = eng, net, t, gpus
+	g := &Group{
+		eng:          eng,
+		net:          net,
+		topology:     t,
+		gpus:         gpus,
+		algorithm:    Ring,
+		callOverhead: DefaultCallOverhead,
+		nextSeq:      make([]int, len(gpus)),
+		ops:          make(map[int]*op),
 	}
-	g.algorithm = Ring
-	g.callOverhead = DefaultCallOverhead
-	g.tr = nil
 	for _, o := range opts {
 		o(g)
 	}
@@ -170,45 +155,6 @@ func NewGroup(eng *sim.Engine, net *simnet.Network, t *topo.Topology, gpus []*to
 		}
 	}
 	return g, nil
-}
-
-// reuse re-initializes a released group's identity fields while keeping
-// its recycled storage (rank slice capacity, op map, op free list, exec
-// scratch). Option-set fields are re-defaulted by NewGroup.
-func (g *Group) reuse(eng *sim.Engine, net *simnet.Network, t *topo.Topology, gpus []*topo.Device) {
-	g.eng, g.net, g.topology, g.gpus = eng, net, t, gpus
-	if cap(g.nextSeq) >= len(gpus) {
-		g.nextSeq = g.nextSeq[:len(gpus)]
-		for i := range g.nextSeq {
-			g.nextSeq[i] = 0
-		}
-	} else {
-		g.nextSeq = make([]int, len(gpus))
-	}
-	clear(g.ops)
-	g.ready = g.ready[:0]
-	g.executing = false
-	// Route caches depend on the (possibly new) topology and rank set.
-	g.ringPaths, g.psPush, g.psPull = nil, nil, nil
-	g.opsCompleted = 0
-	g.bytesReduced = 0
-	g.busyTime = 0
-}
-
-// Release returns the group's storage to its engine's scratch arena so a
-// later NewGroup on the same engine reuses it. Call only when the group
-// is idle (no collective in flight) and every reference obtained from it
-// — op done signals included — has been dropped; statistics copied out
-// beforehand stay valid. The arena survives Engine.Reset, which is the
-// point: a pooled engine re-running training carries its warmed-up group
-// storage with it.
-func (g *Group) Release() {
-	cache, _ := g.eng.Arena(groupArena).(*groupCache)
-	if cache == nil {
-		cache = &groupCache{}
-		g.eng.SetArena(groupArena, cache)
-	}
-	cache.free = append(cache.free, g)
 }
 
 // WorldSize returns the number of ranks.
@@ -360,23 +306,11 @@ const (
 	xPSPullAwait        // await pulls; op complete
 )
 
-// init prepares the executor for (re)use, preserving recycled capacity:
-// the bound continuation is minted once per exec lifetime and the flow
-// scratch only grows.
+// init binds the executor to its group.
 func (x *exec) init(g *Group) {
 	x.g = g
-	x.ring = nil
-	if x.cont == nil {
-		x.cont = x.run
-	}
-	if cap(x.flows) >= len(g.gpus) {
-		x.flows = x.flows[:len(g.gpus)]
-		for i := range x.flows {
-			x.flows[i] = nil
-		}
-	} else {
-		x.flows = make([]*simnet.Flow, len(g.gpus))
-	}
+	x.cont = x.run
+	x.flows = make([]*simnet.Flow, len(g.gpus))
 }
 
 // begin starts executing op o: like the process it replaces, the op's

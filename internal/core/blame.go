@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"stash/internal/cloud"
+	"stash/internal/sim"
+	"stash/internal/simnet"
 	"stash/internal/topo"
 	"stash/internal/trace"
 	"stash/internal/train"
@@ -138,13 +140,12 @@ func (p *Profiler) BlameContext(ctx context.Context, job workload.Job, it cloud.
 		return nil, err
 	}
 
-	c := acquireSimContext()
-	defer releaseSimContext(c)
-	top, err := c.world(p.slicePolicy, p.seed, it, count)
+	eng := sim.NewEngine()
+	net := simnet.New(eng)
+	top, err := cloud.NewProvisioner(p.slicePolicy, p.seed).Provision(net, it, count)
 	if err != nil {
 		return nil, err
 	}
-	eng, net := c.eng, c.net
 
 	var gpus []*topo.Device
 	if gpusPer > 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -137,5 +139,39 @@ func TestForEachLowestIndexError(t *testing.T) {
 		if err := errAt(map[int]error{9: e9, 3: e3}); err != e3 {
 			t.Fatalf("trial %d: got %v, want lowest-index error %v", trial, err, e3)
 		}
+	}
+}
+
+// TestProfilerCancellationStress profiles a mix of instances from many
+// goroutines while their contexts are cancelled mid flight. Run under
+// -race in CI, it proves concurrent simulations share no mutable state
+// and that cancelled single-flight waiters (the accounting fixed in the
+// conservation audit) keep the counters conserving.
+func TestProfilerCancellationStress(t *testing.T) {
+	p := fastProfiler()
+	jb := job(t, resnet18(t), 32)
+	names := []string{"p2.xlarge", "p3.2xlarge", "p3.8xlarge", "p3.16xlarge"}
+	const goroutines = 16
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				_, err := p.ProfileContext(ctx, jb, instance(t, names[(g+i)%len(names)]))
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("goroutine %d: %v", g, err)
+				}
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			cancel() // races the profile calls: some die on admission, some mid-wait
+		}()
+	}
+	wg.Wait()
+	if bal := p.Stats().Balance(); bal != 0 {
+		t.Errorf("scheduler counters leak under cancellation: balance = %d, want 0", bal)
 	}
 }

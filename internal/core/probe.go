@@ -6,6 +6,7 @@ import (
 
 	"stash/internal/cloud"
 	"stash/internal/hw"
+	"stash/internal/sim"
 	"stash/internal/simnet"
 	"stash/internal/workload"
 )
@@ -37,13 +38,12 @@ func (b BandwidthProbe) MinPerGPU() float64 {
 // PCIeBandwidthProbe measures per-GPU PCIe bandwidth on an instance with
 // all GPUs transferring in parallel.
 func (p *Profiler) PCIeBandwidthProbe(it cloud.InstanceType) (BandwidthProbe, error) {
-	c := acquireSimContext()
-	defer releaseSimContext(c)
-	top, err := c.world(p.slicePolicy, p.seed, it, 1)
+	eng := sim.NewEngine()
+	net := simnet.New(eng)
+	top, err := cloud.NewProvisioner(p.slicePolicy, p.seed).Provision(net, it, 1)
 	if err != nil {
 		return BandwidthProbe{}, err
 	}
-	eng, net := c.eng, c.net
 	m := top.Machines[0]
 	const probeBytes = 1 * hw.GB
 	flows := make([]*simnet.Flow, len(m.GPUs))

@@ -30,6 +30,8 @@ import (
 	"stash/internal/cloud"
 	"stash/internal/collective"
 	"stash/internal/pipeline"
+	"stash/internal/sim"
+	"stash/internal/simnet"
 	"stash/internal/topo"
 	"stash/internal/train"
 	"stash/internal/workload"
@@ -410,18 +412,16 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 	return e.res, e.err
 }
 
-// simulate runs one scenario on a pooled simContext: the engine, network,
-// and provisioned topology come from the calling worker's arena (reset to
-// a state byte-identical with a fresh build), so per-cell simulation does
-// not pay per-cell construction.
+// simulate runs one scenario on a world built for it — engine, network
+// and provisioned topology — so every profiling step is its own clean
+// training run.
 func (p *Profiler) simulate(job workload.Job, sc scenario) (*train.Result, error) {
-	c := acquireSimContext()
-	defer releaseSimContext(c)
-	top, err := c.world(p.slicePolicy, p.seed, sc.instance, sc.count)
+	eng := sim.NewEngine()
+	net := simnet.New(eng)
+	top, err := cloud.NewProvisioner(p.slicePolicy, p.seed).Provision(net, sc.instance, sc.count)
 	if err != nil {
 		return nil, err
 	}
-	eng, net := c.eng, c.net
 
 	var gpus []*topo.Device
 	if sc.gpusPer > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -372,5 +373,25 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("profiling not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestOnePeriodProfileByteIdentity pins the one-period contract at the
+// API level (the audit family re-checks it end to end): profiles computed
+// from one period and from every iteration are deeply equal, CommBusy
+// included.
+func TestOnePeriodProfileByteIdentity(t *testing.T) {
+	jb := job(t, resnet18(t), 32)
+	it := instance(t, "p3.16xlarge")
+	period, err := fastProfiler(WithSeed(7)).Profile(jb, it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := fastProfiler(WithSeed(7), WithEveryIteration(true)).Profile(jb, it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(period, full) {
+		t.Errorf("one-period profile diverges from full run:\n got %+v\nwant %+v", period, full)
 	}
 }

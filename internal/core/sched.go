@@ -30,15 +30,13 @@ func ForEach(workers, n int, fn func(i int) error) error {
 // server request's deadline through the experiment and recommendation
 // sweeps.
 //
-// Dispatch is worker-affine static chunking, not a shared feed channel:
-// worker w owns the contiguous index range [w*chunk, (w+1)*chunk). Each
-// goroutine therefore walks adjacent cells — which in the experiment
-// sweeps share scenarios, so single-flight cache hits land on the worker
-// that populated them — and reuses the same pooled simContext for its
-// whole batch (sync.Pool is per-P, and an unpreempted goroutine keeps
-// getting its own context back). Output assembly is unchanged: results
-// land at index i regardless of which worker ran it, keeping rendered
-// tables byte-identical at any parallelism.
+// Dispatch is static chunking, not a shared feed channel: worker w owns
+// the contiguous index range [w*chunk, (w+1)*chunk). Each goroutine
+// therefore walks adjacent cells, which in the experiment sweeps share
+// scenarios, so single-flight cache hits land on the worker that
+// populated them. Output assembly is unchanged: results land at index i
+// regardless of which worker ran it, keeping rendered tables
+// byte-identical at any parallelism.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

@@ -1,13 +1,11 @@
-// Package lint is stashlint's analyzer suite: eight static analyzers
+// Package lint is stashlint's analyzer suite: seven static analyzers
 // that prove, at compile time, the invariants this repository otherwise
 // only checks dynamically (internal/audit, go test -race). The headline
 // guarantee — byte-identical stall tables serial-vs-parallel and
 // run-vs-rerun — survives only if no wall-clock read, unsorted map
 // iteration, or lock-across-blocking-call ever reaches a release;
 // these analyzers reject that class of bug before it can fire on some
-// schedule. The hotpath analyzer additionally guards a performance
-// invariant: internal/core's per-cell path runs on pooled engines
-// instead of constructing one per cell.
+// schedule.
 //
 // Three of the analyzers are interprocedural: RunAll builds a Program —
 // a module-wide call graph over go/types with per-function summaries
@@ -44,7 +42,7 @@ import (
 // Version identifies the analyzer suite in CI gate logs. Bump it when
 // an analyzer's semantics change so a log line pins exactly what was
 // enforced for a given commit.
-const Version = "1.2.0"
+const Version = "1.3.0"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -63,7 +61,7 @@ type Analyzer struct {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, MapOrder, LockHeld, LockOrder, CtxFlow, PoolSafe, FloatCmp, Hotpath}
+	return []*Analyzer{Wallclock, MapOrder, LockHeld, LockOrder, CtxFlow, PoolSafe, FloatCmp}
 }
 
 // ByName returns the analyzer with the given name, or nil.

@@ -50,7 +50,6 @@ func TestFixtures(t *testing.T) {
 		{PoolSafe, "poolsafe"},
 		{PoolSafe, "allowscope"},
 		{FloatCmp, "floatcmp"},
-		{Hotpath, "hotpathcore"},
 	}
 	l := fixtureLoader(t)
 	for _, c := range cases {
@@ -99,7 +98,7 @@ func TestAllowRequiresReason(t *testing.T) {
 // TestSuiteRegistry pins the analyzer set: CI prints this list, and the
 // allow annotations in the tree reference these names.
 func TestSuiteRegistry(t *testing.T) {
-	want := []string{"wallclock", "maporder", "lockheld", "lockorder", "ctxflow", "poolsafe", "floatcmp", "hotpath"}
+	want := []string{"wallclock", "maporder", "lockheld", "lockorder", "ctxflow", "poolsafe", "floatcmp"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
@@ -210,11 +209,11 @@ func TestAllowScopeInterprocedural(t *testing.T) {
 		t.Fatalf("got %d diagnostics, want 2 (caller-side and callee-side): %v", len(diags), diags)
 	}
 	for _, d := range diags {
-		if !strings.Contains(d.Message, "Group.Release") {
+		if !strings.Contains(d.Message, "Network.Recycle") {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if !strings.Contains(diags[0].Message, "(via releaseQuiet)") && !strings.Contains(diags[1].Message, "(via releaseQuiet)") {
+	if !strings.Contains(diags[0].Message, "(via recycleQuiet)") && !strings.Contains(diags[1].Message, "(via recycleQuiet)") {
 		t.Errorf("missing the interprocedural caller-side finding: %v", diags)
 	}
 }

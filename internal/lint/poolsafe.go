@@ -7,19 +7,13 @@ import (
 	"sort"
 )
 
-// PoolSafe proves the pooled-lifecycle rules the PR 5–8 arena work
-// introduced: once a handle is given back to its pool, any further use
-// reads (or corrupts) state that may already belong to another owner —
-// a silent, schedule-dependent way to break the byte-identical stall
-// tables. Tracked invalidators, keyed off the real APIs:
-//
-//   - Network.Recycle(f) / Network.RecycleGroup(g): the flow or flow
-//     group and everything reached through it is stale;
-//   - Network.Reset(): every flow and flow group started on that
-//     network is stale;
-//   - Engine.Reset(): every Event handle and *Task spawned from that
-//     engine is stale (generation counters make them dangle);
-//   - Group.Release(): the group's storage returns to the engine arena.
+// PoolSafe proves the rules of the free lists that work inside one
+// run: once a handle is given back to its pool, any further use reads
+// (or corrupts) state that may already belong to another owner — a
+// silent, schedule-dependent way to break the byte-identical stall
+// tables. The tracked invalidators are Network.Recycle(f) and
+// Network.RecycleGroup(g): after either call the flow or flow group and
+// everything reached through it is stale.
 //
 // The check is a forward may-analysis in document order per function
 // (the same approximation lockheld uses): a handle invalidated on any
@@ -35,9 +29,9 @@ import (
 // parked set.
 var PoolSafe = &Analyzer{
 	Name: "poolsafe",
-	Doc: "forbid use of a pooled object after Network.Recycle/RecycleGroup/Reset, Engine.Reset or " +
-		"Group.Release, and Signal.Rearm while a waiter may be parked: a recycled handle " +
-		"aliases another owner's state, corrupting stall tables nondeterministically",
+	Doc: "forbid use of a pooled flow after Network.Recycle/RecycleGroup, and Signal.Rearm " +
+		"while a waiter may be parked: a recycled handle aliases another owner's state, " +
+		"corrupting stall tables nondeterministically",
 	Run: runPoolSafe,
 }
 
@@ -60,11 +54,10 @@ func runPoolSafe(pass *Pass) {
 	}
 }
 
-// psVar is the lattice value for one tracked pooled handle.
+// psVar is the lattice value for one invalidated pooled handle; a
+// handle with no entry is valid.
 type psVar struct {
-	class         string // "flow", "handle", "group"
-	src           string // creator expression key ("n", "c.eng"), "" if unknown
-	invalidatedBy string // "" while valid
+	invalidatedBy string
 	invalidLine   int
 }
 
@@ -117,7 +110,7 @@ func unionStates(cands ...*psState) *psState {
 				out.vars[obj] = &cp
 				continue
 			}
-			if v.invalidatedBy != "" && (cur.invalidatedBy == "" || v.invalidLine < cur.invalidLine) {
+			if v.invalidLine < cur.invalidLine {
 				cur.invalidatedBy, cur.invalidLine = v.invalidatedBy, v.invalidLine
 			}
 		}
@@ -157,8 +150,8 @@ func (sc *psScan) scanStmt(st *psState, s ast.Stmt) {
 		for _, r := range v.Rhs {
 			sc.scanExpr(st, r)
 		}
-		for i, l := range v.Lhs {
-			sc.assignLHS(st, l, assignRHS(v.Rhs, i))
+		for _, l := range v.Lhs {
+			sc.assignLHS(st, l)
 		}
 	case *ast.DeclStmt:
 		gd, ok := v.Decl.(*ast.GenDecl)
@@ -173,8 +166,8 @@ func (sc *psScan) scanStmt(st *psState, s ast.Stmt) {
 			for _, val := range vs.Values {
 				sc.scanExpr(st, val)
 			}
-			for i, name := range vs.Names {
-				sc.defineVar(st, sc.pass.Info.Defs[name], assignRHS(vs.Values, i))
+			for _, name := range vs.Names {
+				delete(st.vars, sc.pass.Info.Defs[name])
 			}
 		}
 	case *ast.IfStmt:
@@ -197,8 +190,8 @@ func (sc *psScan) scanStmt(st *psState, s ast.Stmt) {
 	case *ast.RangeStmt:
 		sc.scanExpr(st, v.X)
 		body := st.clone()
-		sc.assignLHS(body, v.Key, nil)
-		sc.assignLHS(body, v.Value, nil)
+		sc.assignLHS(body, v.Key)
+		sc.assignLHS(body, v.Value)
 		sc.scanStmt(body, v.Body)
 		st.replaceWith(unionStates(body, st.clone()))
 	case *ast.SwitchStmt:
@@ -257,16 +250,6 @@ func (sc *psScan) scanStmt(st *psState, s ast.Stmt) {
 	case *ast.IncDecStmt:
 		sc.scanExpr(st, v.X)
 	}
-}
-
-func assignRHS(rhs []ast.Expr, i int) ast.Expr {
-	if len(rhs) == 1 {
-		return rhs[0]
-	}
-	if i < len(rhs) {
-		return rhs[i]
-	}
-	return nil
 }
 
 func switchHasDefault(body *ast.BlockStmt) bool {
@@ -332,9 +315,9 @@ func caseFallsThrough(cc *ast.CaseClause) bool {
 }
 
 // assignLHS handles one assignment target: an identifier target is
-// re-validated (and re-tracked when its type is a pooled class), any
-// other target is scanned for uses of stale handles in its base.
-func (sc *psScan) assignLHS(st *psState, l ast.Expr, rhs ast.Expr) {
+// re-validated, any other target is scanned for uses of stale handles in
+// its base.
+func (sc *psScan) assignLHS(st *psState, l ast.Expr) {
 	if l == nil {
 		return
 	}
@@ -343,28 +326,10 @@ func (sc *psScan) assignLHS(st *psState, l ast.Expr, rhs ast.Expr) {
 		if obj == nil {
 			obj = sc.pass.Info.Uses[id]
 		}
-		sc.defineVar(st, obj, rhs)
+		delete(st.vars, obj)
 		return
 	}
 	sc.scanExpr(st, l)
-}
-
-func (sc *psScan) defineVar(st *psState, obj types.Object, rhs ast.Expr) {
-	if obj == nil {
-		return
-	}
-	delete(st.vars, obj)
-	cls := pooledClassOf(obj.Type())
-	if cls == "" {
-		return
-	}
-	src := ""
-	if rhs != nil {
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-			src = creatorSrc(sc.pass.Info, call)
-		}
-	}
-	st.vars[obj] = &psVar{class: cls, src: src}
 }
 
 // scanCallOperands evaluates a go/defer call's operands for stale uses
@@ -434,12 +399,12 @@ func (sc *psScan) checkUse(st *psState, id *ast.Ident) {
 		return
 	}
 	v, ok := st.vars[obj]
-	if !ok || v.invalidatedBy == "" {
+	if !ok {
 		return
 	}
 	sc.pass.Reportf(id.Pos(),
-		"%s used after %s (line %d): a recycled %s may already belong to another owner; re-acquire it from the pool instead",
-		id.Name, v.invalidatedBy, v.invalidLine, v.class)
+		"%s used after %s (line %d): a recycled flow may already belong to another owner; re-acquire it from the pool instead",
+		id.Name, v.invalidatedBy, v.invalidLine)
 }
 
 // applyCall applies the pool effects of one call after its operands
@@ -460,23 +425,9 @@ func (sc *psScan) applyCall(st *psState, call *ast.CallExpr) {
 	}
 	line := sc.pass.Fset.Position(call.Pos()).Line
 
-	if label, kind := poolInvalidator(fn); kind != invNone {
-		switch kind {
-		case invArg0:
-			if len(call.Args) > 0 {
-				sc.invalidate(st, call.Args[0], label, line)
-			}
-		case invRecv:
-			sc.invalidate(st, recvExpr, label, line)
-		}
-		return
-	}
-	if label, class := poolResetter(fn); label != "" {
-		src := exprKey(recvExpr)
-		for _, v := range st.vars {
-			if v.class == class && v.src != "" && v.src == src && v.invalidatedBy == "" {
-				v.invalidatedBy, v.invalidLine = label, line
-			}
+	if label := poolInvalidator(fn); label != "" {
+		if len(call.Args) > 0 {
+			sc.invalidate(st, call.Args[0], label, line)
 		}
 		return
 	}
@@ -513,19 +464,6 @@ func (sc *psScan) applyCall(st *psState, call *ast.CallExpr) {
 			sc.invalidate(st, arg, cf.invalidates[i]+" (via "+fn.Name()+")", line)
 		}
 	}
-	for _, i := range sortedIntKeysString(cf.resets) {
-		arg := argExprAt(call, sig, i)
-		if arg == nil {
-			continue
-		}
-		label := cf.resets[i]
-		class, src := resetClass(label), exprKey(arg)
-		for _, v := range st.vars {
-			if v.class == class && v.src != "" && v.src == src && v.invalidatedBy == "" {
-				v.invalidatedBy, v.invalidLine = label+" (via "+fn.Name()+")", line
-			}
-		}
-	}
 	for _, i := range sortedIntKeysBool(cf.rearms) {
 		if arg := argExprAt(call, sig, i); arg != nil {
 			k := exprKey(arg)
@@ -554,7 +492,7 @@ func (sc *psScan) applyCall(st *psState, call *ast.CallExpr) {
 
 // invalidate marks the handle behind e stale. Only identifier-rooted
 // handles are tracked; invalidating a field or element is out of this
-// approximation's reach and is covered by the runtime arena checks.
+// approximation's reach.
 func (sc *psScan) invalidate(st *psState, e ast.Expr, label string, line int) {
 	if e == nil {
 		return
@@ -564,20 +502,11 @@ func (sc *psScan) invalidate(st *psState, e ast.Expr, label string, line int) {
 		return
 	}
 	obj := sc.pass.Info.Uses[id]
-	if obj == nil {
+	if obj == nil || !isPooledFlow(obj.Type()) {
 		return
 	}
-	v := st.vars[obj]
-	if v == nil {
-		cls := pooledClassOf(obj.Type())
-		if cls == "" {
-			return
-		}
-		v = &psVar{class: cls}
-		st.vars[obj] = v
-	}
-	if v.invalidatedBy == "" {
-		v.invalidatedBy, v.invalidLine = label, line
+	if _, stale := st.vars[obj]; !stale {
+		st.vars[obj] = &psVar{invalidatedBy: label, invalidLine: line}
 	}
 }
 

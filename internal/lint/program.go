@@ -43,7 +43,6 @@ type funcFacts struct {
 	// 0 is the receiver when the function is a method, then the
 	// declared parameters in order.
 	invalidates map[int]string // index → invalidating API ("Network.Recycle", …)
-	resets      map[int]string // index → whole-pool reset API ("Network.Reset", …)
 	registers   map[int]bool   // signal param gains a parked waiter (OnFire)
 	clears      map[int]bool   // signal param is fired
 	rearms      map[int]bool   // signal param is re-armed
@@ -172,7 +171,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 	params := paramIndexes(ff.pkg, ff.decl)
 	next := &funcFacts{
 		invalidates: make(map[int]string),
-		resets:      make(map[int]string),
 		registers:   make(map[int]bool),
 		clears:      make(map[int]bool),
 		rearms:      make(map[int]bool),
@@ -208,29 +206,12 @@ func (p *Program) recompute(ff *funcFacts) bool {
 				}
 			}
 
-			if label, kind := poolInvalidator(fn); kind != invNone {
-				var target ast.Expr
-				switch kind {
-				case invArg0:
-					if len(v.Args) > 0 {
-						target = v.Args[0]
-					}
-				case invRecv:
-					target = recv
-				}
-				if target != nil {
-					if i, ok := paramOf(target); ok {
+			if label := poolInvalidator(fn); label != "" {
+				if len(v.Args) > 0 {
+					if i, ok := paramOf(v.Args[0]); ok {
 						if _, dup := next.invalidates[i]; !dup {
 							next.invalidates[i] = label
 						}
-					}
-				}
-				return true
-			}
-			if label, _ := poolResetter(fn); label != "" {
-				if i, ok := paramOf(recv); ok {
-					if _, dup := next.resets[i]; !dup {
-						next.resets[i] = label
 					}
 				}
 				return true
@@ -282,15 +263,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 					}
 				}
 			}
-			for i, label := range cf.resets {
-				if arg := argExprAt(v, sig, i); arg != nil {
-					if j, ok := paramOf(arg); ok {
-						if _, dup := next.resets[j]; !dup {
-							next.resets[j] = label
-						}
-					}
-				}
-			}
 			propagate(cf.registers, next.registers)
 			propagate(cf.clears, next.clears)
 			propagate(cf.rearms, next.rearms)
@@ -326,7 +298,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 	}
 	changed := ff.hasChangedFrom(next)
 	ff.invalidates, ff.registers, ff.clears, ff.rearms = next.invalidates, next.registers, next.clears, next.rearms
-	ff.resets = next.resets
 	ff.locks = next.locks
 	ff.ctxTainted, ff.ctxChain = next.ctxTainted, next.ctxChain
 	return changed
@@ -336,7 +307,7 @@ func (ff *funcFacts) hasChangedFrom(next *funcFacts) bool {
 	if ff.ctxTainted != next.ctxTainted || !equalStrings(ff.ctxChain, next.ctxChain) {
 		return true
 	}
-	if !equalIntString(ff.invalidates, next.invalidates) || !equalIntString(ff.resets, next.resets) {
+	if !equalIntString(ff.invalidates, next.invalidates) {
 		return true
 	}
 	if !equalIntBool(ff.registers, next.registers) || !equalIntBool(ff.clears, next.clears) ||
@@ -411,49 +382,15 @@ func pkgPathOf(fn *types.Func) string {
 
 // ---- pooled-lifecycle API identification -------------------------------
 
-type invKind int
-
-const (
-	invNone invKind = iota
-	invArg0         // the first call argument is handed back to the pool
-	invRecv         // the receiver itself is handed back
-)
-
-// poolInvalidator recognizes the repository's pooled-lifecycle APIs:
-// the calls after which a handle must not be used again.
-func poolInvalidator(fn *types.Func) (label string, kind invKind) {
+// poolInvalidator recognizes the repository's pooled-lifecycle APIs,
+// each of which hands its first argument back to a free list: after the
+// call that handle must not be used again.
+func poolInvalidator(fn *types.Func) string {
 	switch {
 	case isMethodOn(fn, "internal/simnet", "Network", "Recycle"):
-		return "Network.Recycle", invArg0
+		return "Network.Recycle"
 	case isMethodOn(fn, "internal/simnet", "Network", "RecycleGroup"):
-		return "Network.RecycleGroup", invArg0
-	case isMethodOn(fn, "internal/collective", "Group", "Release"):
-		return "Group.Release", invRecv
-	}
-	return "", invNone
-}
-
-// poolResetter recognizes the whole-pool invalidators: Reset on an
-// engine or network invalidates every handle derived from that object
-// (but not the object itself, which is built for reuse).
-func poolResetter(fn *types.Func) (label, class string) {
-	switch {
-	case isMethodOn(fn, "internal/simnet", "Network", "Reset"):
-		return "Network.Reset", "flow"
-	case isMethodOn(fn, "internal/sim", "Engine", "Reset"):
-		return "Engine.Reset", "handle"
-	}
-	return "", ""
-}
-
-// resetClass maps a poolResetter label back to the pooled class it
-// invalidates, for summaries that carry only the label.
-func resetClass(label string) string {
-	switch label {
-	case "Network.Reset":
-		return "flow"
-	case "Engine.Reset":
-		return "handle"
+		return "Network.RecycleGroup"
 	}
 	return ""
 }
@@ -505,60 +442,22 @@ func isMethodOn(fn *types.Func, pkgSuffix, typeName, name string) bool {
 	return ok && named.Obj().Name() == typeName
 }
 
-// pooledClassOf classifies a type as one of the recycled families:
-// "flow" (*simnet.Flow and *simnet.FlowGroup, both stale after
-// Network.Reset), "handle" (sim.Event / *sim.Task, both stale after
-// Engine.Reset) or "group" (*collective.Group).
-func pooledClassOf(t types.Type) string {
+// isPooledFlow reports whether t is a recycled simnet handle: *Flow or
+// *FlowGroup, both stale after Network.Recycle/RecycleGroup.
+func isPooledFlow(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
-		return ""
+		return false
 	}
-	path := named.Obj().Pkg().Path()
 	name := named.Obj().Name()
-	switch {
-	case (name == "Flow" || name == "FlowGroup") && pathEndsIn(path, "internal/simnet"):
-		return "flow"
-	case (name == "Event" || name == "Task") && pathEndsIn(path, "internal/sim"):
-		return "handle"
-	case name == "Group" && pathEndsIn(path, "internal/collective"):
-		return "group"
-	}
-	return ""
+	return (name == "Flow" || name == "FlowGroup") && pathEndsIn(named.Obj().Pkg().Path(), "internal/simnet")
 }
 
 func pathEndsIn(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// creatorSrc returns the canonical source expression for a pooled
-// handle created by call — the engine or network it came from — or ""
-// when the call is not a recognized creator. Reset-style invalidation
-// matches on this string, lockheld-style.
-func creatorSrc(info *types.Info, call *ast.CallExpr) string {
-	fn := funcFor(info, call)
-	if fn == nil {
-		return ""
-	}
-	isCreator := false
-	switch fn.Name() {
-	case "StartFlow", "StartFlowLatency", "StartGroup":
-		isCreator = isMethodOn(fn, "internal/simnet", "Network", fn.Name())
-	case "Schedule", "ScheduleArg", "ScheduleAt", "Spawn":
-		isCreator = isMethodOn(fn, "internal/sim", "Engine", fn.Name())
-	case "After":
-		isCreator = isMethodOn(fn, "internal/sim", "Task", "After")
-	}
-	if !isCreator {
-		return ""
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return exprKey(sel.X)
-	}
-	return ""
 }
 
 // exprKey renders an expression as a canonical string key, seeing

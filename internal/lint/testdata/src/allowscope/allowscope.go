@@ -5,28 +5,28 @@
 // caller-side directive never silences the callee's own finding.
 package allowscope
 
-import "stash/internal/collective"
+import "stash/internal/simnet"
 
-// The directive here covers releaseQuiet's own lines only. Its summary
-// (receiver invalidated) still flows to callers.
-func releaseQuiet(g *collective.Group) {
+// The directive here covers recycleQuiet's own lines only. Its summary
+// (flow argument invalidated) still flows to callers.
+func recycleQuiet(n *simnet.Network, f *simnet.Flow) {
 	//lint:allow poolsafe scope test: the pool owner invalidates deliberately
-	g.Release()
+	n.Recycle(f)
 }
 
-func badCallerStillFlagged(g *collective.Group) int {
-	releaseQuiet(g)
-	return g.WorldSize() // want `g used after Group\.Release \(via releaseQuiet\)`
+func badCallerStillFlagged(n *simnet.Network, f *simnet.Flow) float64 {
+	recycleQuiet(n, f)
+	return f.Rate() // want `f used after Network\.Recycle \(via recycleQuiet\)`
 }
 
 // The callee's own finding is reported at the callee's line; an allow
 // at the caller cannot reach it.
-func releaseAndUse(g *collective.Group) int {
-	g.Release()
-	return g.WorldSize() // want `g used after Group\.Release`
+func recycleAndUse(n *simnet.Network, f *simnet.Flow) float64 {
+	n.Recycle(f)
+	return f.Rate() // want `f used after Network\.Recycle`
 }
 
-func callerAllowDoesNotLeak(g *collective.Group) int {
+func callerAllowDoesNotLeak(n *simnet.Network, f *simnet.Flow) float64 {
 	//lint:allow poolsafe scope test: suppresses nothing in the callee
-	return releaseAndUse(g)
+	return recycleAndUse(n, f)
 }

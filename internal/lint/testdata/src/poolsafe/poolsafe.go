@@ -1,19 +1,15 @@
 // Package poolsafe exercises the poolsafe analyzer against the real
-// pooled-lifecycle APIs: use-after-recycle on flows, engine handles and
-// collective groups, Signal.Rearm with a parked waiter, and the
-// interprocedural variants where the invalidation happens inside a
-// helper frames below the use.
+// pooled-lifecycle APIs: use-after-recycle on flows and flow groups,
+// Signal.Rearm with a parked waiter, and the interprocedural variants
+// where the invalidation happens inside a helper frames below the use.
 package poolsafe
 
 import (
-	"time"
-
-	"stash/internal/collective"
 	"stash/internal/sim"
 	"stash/internal/simnet"
 )
 
-// ---- flows: Network.Recycle / Network.Reset ---------------------------
+// ---- flows: Network.Recycle -------------------------------------------
 
 func badUseAfterRecycle(n *simnet.Network, r []*simnet.Link) float64 {
 	f := n.StartFlow(1024, r)
@@ -54,19 +50,6 @@ func goodGuardedRecycle(n *simnet.Network, r []*simnet.Link, done bool) float64 
 	return f.Rate()
 }
 
-func badUseAfterNetReset(n *simnet.Network, r []*simnet.Link) bool {
-	f := n.StartFlow(1024, r)
-	n.Reset()
-	return f.Completed() // want `f used after Network\.Reset`
-}
-
-// Reset invalidates only handles derived from the reset network.
-func goodOtherNetReset(a, b *simnet.Network, r []*simnet.Link) bool {
-	f := a.StartFlow(1024, r)
-	b.Reset()
-	return f.Completed()
-}
-
 // The free-list owner's own loop is clean: each flow is recycled and
 // never touched again in that iteration.
 func goodRecycleSweep(n *simnet.Network, flows []*simnet.Flow) {
@@ -104,7 +87,7 @@ func goodFallthroughOrder(n *simnet.Network, r []*simnet.Link, k int) float64 {
 	return v
 }
 
-// ---- flow groups: Network.RecycleGroup / Network.Reset ----------------
+// ---- flow groups: Network.RecycleGroup --------------------------------
 
 func badUseAfterRecycleGroup(n *simnet.Network, r [][]*simnet.Link) bool {
 	g := n.StartGroup(r, 1024, 2)
@@ -117,46 +100,6 @@ func goodRecycleGroupLast(n *simnet.Network, r [][]*simnet.Link) bool {
 	done := g.Completed()
 	n.RecycleGroup(g)
 	return done
-}
-
-func badGroupAfterNetReset(n *simnet.Network, r [][]*simnet.Link) bool {
-	g := n.StartGroup(r, 1024, 2)
-	n.Reset()
-	return g.Completed() // want `g used after Network\.Reset`
-}
-
-// ---- engine handles: Engine.Reset -------------------------------------
-
-func badEventAfterEngineReset(e *sim.Engine) bool {
-	ev := e.Schedule(time.Second, func() {})
-	e.Reset()
-	return ev.Pending() // want `ev used after Engine\.Reset`
-}
-
-func badTaskAfterEngineReset(e *sim.Engine) string {
-	t := e.Spawn("worker", nil)
-	e.Reset()
-	return t.Name() // want `t used after Engine\.Reset`
-}
-
-func goodHandleBeforeReset(e *sim.Engine) bool {
-	ev := e.Schedule(time.Second, func() {})
-	ok := ev.Pending()
-	e.Reset()
-	return ok
-}
-
-// ---- groups: Group.Release --------------------------------------------
-
-func badGroupAfterRelease(g *collective.Group) int {
-	g.Release()
-	return g.WorldSize() // want `g used after Group\.Release`
-}
-
-func goodReleaseLast(g *collective.Group) int {
-	size := g.WorldSize()
-	g.Release()
-	return size
 }
 
 // ---- interprocedural: the invalidation is frames below ----------------
@@ -179,54 +122,6 @@ func badRecycleTwoFramesDown(n *simnet.Network, r []*simnet.Link) float64 {
 	f := n.StartFlow(1024, r)
 	recycleDeep(n, f)
 	return f.Rate() // want `f used after Network\.Recycle \(via recycleDeep\)`
-}
-
-func releaseVia(g *collective.Group) {
-	g.Release()
-}
-
-func badReleaseViaHelper(g *collective.Group) int {
-	releaseVia(g)
-	return g.OpsCompleted() // want `g used after Group\.Release \(via releaseVia\)`
-}
-
-// Whole-pool resets are summarized too: a helper that resets the
-// network or engine poisons every handle derived from that object.
-func resetNet(n *simnet.Network) {
-	n.Reset()
-}
-
-func resetNetDeep(n *simnet.Network) {
-	resetNet(n)
-}
-
-func badResetViaHelper(n *simnet.Network, r []*simnet.Link) bool {
-	f := n.StartFlow(1024, r)
-	resetNet(n)
-	return f.Completed() // want `f used after Network\.Reset \(via resetNet\)`
-}
-
-func badResetTwoFramesDown(n *simnet.Network, r []*simnet.Link) bool {
-	f := n.StartFlow(1024, r)
-	resetNetDeep(n)
-	return f.Completed() // want `f used after Network\.Reset \(via resetNetDeep\)`
-}
-
-// A helper resetting a different network leaves the handle alone.
-func goodOtherNetResetViaHelper(a, b *simnet.Network, r []*simnet.Link) bool {
-	f := a.StartFlow(1024, r)
-	resetNet(b)
-	return f.Completed()
-}
-
-func resetEngine(e *sim.Engine) {
-	e.Reset()
-}
-
-func badEngineResetViaHelper(e *sim.Engine) bool {
-	ev := e.Schedule(time.Second, func() {})
-	resetEngine(e)
-	return ev.Pending() // want `ev used after Engine\.Reset \(via resetEngine\)`
 }
 
 // ---- signals: Rearm with a parked waiter ------------------------------

@@ -101,11 +101,6 @@ type Engine struct {
 	pending int          // scheduled, not-yet-cancelled events
 	live    int          // tasks that have not ended
 	running bool
-
-	// arena is per-engine scratch storage that survives Reset: packages
-	// register an ArenaKey once and stash recycled per-run state under
-	// it (see arena.go).
-	arena []any
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -115,39 +110,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Reset returns the engine to its initial state — clock at zero, no
-// pending events, no live tasks — while keeping its pooled
-// storage: the node free list, the heap and ring backing arrays, and the
-// scratch arena (see arena.go) all survive, so a recycled engine runs its
-// next simulation with the allocation profile of a warmed-up one. Every
-// still-pending event is cancelled and its node recycled; generation
-// counters make any handles retained from the previous run permanently
-// stale, exactly as if their events had fired.
-//
-// Reset panics if called while Run or RunUntil is in progress.
-func (e *Engine) Reset() {
-	if e.running {
-		panic("sim: Reset called while engine is running")
-	}
-	for i, n := range e.heap {
-		e.recycle(n)
-		e.heap[i] = nil
-	}
-	e.heap = e.heap[:0]
-	for i := e.fifoHead; i < len(e.fifo); i++ {
-		// Tombstoned (cancelled-in-place) entries were never returned to
-		// the free list; recycle handles them identically to live ones.
-		e.recycle(e.fifo[i])
-		e.fifo[i] = nil
-	}
-	e.fifo = e.fifo[:0]
-	e.fifoHead = 0
-	e.now = 0
-	e.seq = 0
-	e.pending = 0
-	e.live = 0
-}
 
 // alloc takes a node from the free list, minting one only when empty.
 func (e *Engine) alloc() *eventNode {

@@ -9,7 +9,7 @@ import "time"
 // parks a goroutine, so stepping one costs an event dispatch and, with a
 // long-lived step closure, no allocations. Because every wait is an
 // event, a task still waiting when Run stops holds no goroutine either:
-// Engine.Reset reclaims it along with the event queue.
+// it is garbage once its engine is.
 type Task struct {
 	eng    *Engine
 	name   string

@@ -325,34 +325,6 @@ func (n *Network) RecycleGroup(g *FlowGroup) {
 	n.freeGroups = append(n.freeGroups, g)
 }
 
-// Reset returns the network to its just-constructed state while keeping
-// what is expensive to rebuild: the links (with statistics and
-// progressive-filling scratch zeroed) and the flow and group free lists
-// (StartGroup clears a recycled group's replay memo).
-// Active and latency-phase flows and groups are dropped, not recycled —
-// their completion state is undefined once their events are gone. Reset
-// must be paired with a Reset of the owning engine (the network's pending
-// settle/activate/completion events have to die with it); the pair makes
-// a pooled (engine, network, topology) world byte-identical to a fresh
-// build.
-func (n *Network) Reset() {
-	for i := range n.flows {
-		n.flows[i] = nil
-	}
-	n.flows = n.flows[:0]
-	n.completions = 0
-	n.filled, n.kept, n.replayed = 0, 0, 0
-	n.lastSettle = 0
-	n.dirty = false
-	n.completion = sim.Event{}
-	for _, l := range n.links {
-		l.residual = 0
-		l.unfrozen = 0
-		l.bytesCarried = 0
-		l.flowsCarried = 0
-	}
-}
-
 func (n *Network) activate(f *Flow) {
 	for _, l := range f.route {
 		l.flowsCarried++
@@ -718,8 +690,3 @@ func (n *Network) onCompletion() {
 // ActiveFlows reports the number of flows currently competing for
 // bandwidth (excludes flows still in their latency phase).
 func (n *Network) ActiveFlows() int { return len(n.flows) }
-
-// NumLinks reports the number of links registered on the network. Links
-// are never removed, so pooled-network owners use this to decide when
-// accumulated links make a rebuild cheaper than another Reset.
-func (n *Network) NumLinks() int { return len(n.links) }

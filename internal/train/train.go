@@ -225,25 +225,10 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	if group.WorldSize() == 1 {
 		hook = 0 // DDP hooks are not installed on single-GPU training
 	}
-	// Worker structs (with their bound continuation closures) live on the
-	// engine's scratch arena: a pooled engine re-running training reuses
-	// them instead of re-allocating one struct plus two closures per rank
-	// per run.
-	scratch, _ := eng.Arena(runArena).(*runScratch)
-	if scratch == nil {
-		scratch = &runScratch{}
-		eng.SetArena(runArena, scratch)
-	}
-	for len(scratch.workers) < len(gpus) {
-		w := &worker{rank: len(scratch.workers)}
-		w.cont = w.step
-		w.onBatch = w.batchDelivered
-		scratch.workers = append(scratch.workers, w)
-	}
-	workers := scratch.workers[:len(gpus)]
+	workers := make([]*worker, len(gpus))
 	for rank, gpu := range gpus {
-		w := workers[rank]
-		w.reset(gpu, &cfg, plan, group, eng, hook, cfg.Warmup+cfg.Iterations)
+		w := newWorker(rank, gpu, &cfg, plan, group, eng, hook, cfg.Warmup+cfg.Iterations)
+		workers[rank] = w
 		if !cfg.Synthetic {
 			hp := cfg.Pipelines[gpu.Node]
 			if hp == nil {
@@ -298,18 +283,7 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	if res.Elapsed > 0 {
 		res.SamplesPerSecond = float64(iters*cfg.Job.BatchPerGPU*len(gpus)) / res.Elapsed.Seconds()
 	}
-	// The group was created here and nothing outside this function saw it;
-	// its statistics are already copied into res, so its storage can go
-	// back to the engine's arena for the next run.
-	group.Release()
 	return res, nil
-}
-
-// runArena holds the per-engine training scratch (see Run).
-var runArena = sim.NewArenaKey()
-
-type runScratch struct {
-	workers []*worker
 }
 
 // iterationPlan precomputes the compute timeline of one iteration:
@@ -442,30 +416,27 @@ type worker struct {
 	commWait  time.Duration
 }
 
-// reset prepares a (possibly recycled) worker for a new run. The bound
-// cont/onBatch closures and the pending slice's capacity are the storage
-// being preserved; every per-run field is re-initialized here, so a
-// recycled worker is indistinguishable from a fresh one.
-func (w *worker) reset(gpu *topo.Device, cfg *Config, plan *iterationPlan, group *collective.Group, eng *sim.Engine, hook time.Duration, total int) {
-	w.gpu = gpu
-	w.cfg = cfg
-	w.plan = plan
-	w.group = group
-	w.loader = nil
-	w.task = nil
-	w.eng = eng
-	w.hook = hook
-	w.total = total
-	w.state = wIterStart
-	w.it, w.bi, w.pi = 0, 0, 0
-	w.pending = w.pending[:0]
-	w.slow = 1
-	if cfg.StragglerScale > 1 && w.rank == cfg.StragglerRank {
+// newWorker returns rank's worker at the top of its first iteration,
+// with its continuations bound.
+func newWorker(rank int, gpu *topo.Device, cfg *Config, plan *iterationPlan, group *collective.Group, eng *sim.Engine, hook time.Duration, total int) *worker {
+	w := &worker{
+		rank:  rank,
+		gpu:   gpu,
+		cfg:   cfg,
+		plan:  plan,
+		group: group,
+		eng:   eng,
+		hook:  hook,
+		total: total,
+		state: wIterStart,
+		slow:  1,
+	}
+	if cfg.StragglerScale > 1 && rank == cfg.StragglerRank {
 		w.slow = cfg.StragglerScale
 	}
-	w.t0, w.c0, w.h0, w.o0, w.b0 = 0, 0, 0, 0, 0
-	w.finish, w.warmupEnd = 0, 0
-	w.dataWait, w.commWait = 0, 0
+	w.cont = w.step
+	w.onBatch = w.batchDelivered
+	return w
 }
 
 // dur scales a compute duration by the worker's straggler factor.
