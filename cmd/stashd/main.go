@@ -137,6 +137,13 @@ func (c *config) check() error {
 	if c.reqTimeout <= 0 {
 		return &ConfigError{Flag: "request-timeout", Value: c.reqTimeout.String(), Reason: "must be positive"}
 	}
+	if c.drainTimeout < 0 {
+		return &ConfigError{Flag: "drain-timeout", Value: c.drainTimeout.String(), Reason: "must not be negative"}
+	}
+	// A job that expires when it finishes answers 404 on its first read.
+	if c.jobTTL <= 0 {
+		return &ConfigError{Flag: "job-ttl", Value: c.jobTTL.String(), Reason: "must be positive"}
+	}
 	return nil
 }
 

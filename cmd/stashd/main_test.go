@@ -95,6 +95,9 @@ func TestRunFlagError(t *testing.T) {
 		{"zero job-workers", []string{"-job-workers", "0"}, "job-workers"},
 		{"zero max-jobs", []string{"-max-jobs", "0"}, "max-jobs"},
 		{"zero tenant-quota", []string{"-tenant-quota", "0"}, "tenant-quota"},
+		{"zero job-ttl", []string{"-job-ttl", "0"}, "job-ttl"},
+		{"negative job-ttl", []string{"-job-ttl", "-1s"}, "job-ttl"},
+		{"negative drain-timeout", []string{"-drain-timeout", "-1s"}, "drain-timeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append([]string{"-addr", "127.0.0.1:notaport"}, tc.args...)

@@ -87,11 +87,11 @@ type Group struct {
 
 	x exec // the group's single continuation executor (ops run one at a time)
 
-	// Route caches: the topology is static, so neighbor and server paths
-	// are resolved once instead of per collective.
-	ringPaths [][]*simnet.Link // rank i -> rank i+1
-	psPush    [][]*simnet.Link // rank i -> server
-	psPull    [][]*simnet.Link // server -> rank i
+	// The topology is static, so the ring's flow group (rank i -> rank
+	// i+1) and the server paths are built once instead of per collective.
+	ring   *simnet.FlowGroup
+	psPush [][]*simnet.Link // rank i -> server
+	psPull [][]*simnet.Link // server -> rank i
 
 	// Statistics.
 	opsCompleted int
@@ -230,21 +230,24 @@ func (g *Group) maybeStart() {
 	g.x.begin(o)
 }
 
-// ringRoutes resolves (once) the rank->successor route of every rank.
-func (g *Group) ringRoutes() [][]*simnet.Link {
-	if g.ringPaths == nil {
+// ringGroup builds (once) the flow group over every rank's route to its
+// successor. Only this Group starts it, once per ring op, and ops run one
+// at a time, so each Start finds the previous transfer finished.
+func (g *Group) ringGroup() *simnet.FlowGroup {
+	if g.ring == nil {
 		world := len(g.gpus)
-		g.ringPaths = make([][]*simnet.Link, world)
+		routes := make([][]*simnet.Link, world)
 		for i := range g.gpus {
 			r, err := g.topology.Route(g.gpus[i], g.gpus[(i+1)%world])
 			if err != nil {
 				// Routes were validated at construction.
 				panic(fmt.Sprintf("collective: %v", err))
 			}
-			g.ringPaths[i] = r
+			routes[i] = r
 		}
+		g.ring = g.net.NewGroup(routes)
 	}
-	return g.ringPaths
+	return g.ring
 }
 
 // psRoutes resolves (once) every rank's route to and from the parameter
@@ -275,9 +278,8 @@ func (g *Group) psRoutes(toServer bool) [][]*simnet.Link {
 
 // exec runs the group's collectives as a continuation-style state machine
 // on the engine's event loop: no goroutine handoffs, and its flow scratch
-// and step closure are reused across ops so steady-state execution does
-// not allocate. Ops execute one at a time (g.executing), so a single exec
-// per group suffices.
+// and step closure are reused across ops. Ops execute one at a time
+// (g.executing), so a single exec per group suffices.
 //
 // The event footprint per op is a spawn event at issue, one timer for
 // the call overhead, then one await per phase: the ring's flow group, or
@@ -290,9 +292,8 @@ type exec struct {
 	start time.Duration
 	state int
 
-	ring  *simnet.FlowGroup // ring: the in-flight all-reduce
-	idx   int               // ps: await progress within flows
-	flows []*simnet.Flow    // ps: scratch, one slot per rank
+	idx   int            // ps: await progress within flows
+	flows []*simnet.Flow // ps: scratch, one slot per rank
 }
 
 // exec states.
@@ -352,21 +353,17 @@ func (x *exec) run() {
 				// pipelined path (NCCL slices the chunk so their latency
 				// hides behind the previous step's tail).
 				world := len(g.gpus)
-				x.ring = g.net.StartGroup(g.ringRoutes(), x.o.bytes/float64(world), 2*(world-1))
+				g.ringGroup().Start(x.o.bytes/float64(world), 2*(world-1))
 				x.state = xRingAwait
 			case ParameterServer:
 				x.state = xPSPush
 			}
 
 		case xRingAwait:
-			if done := x.ring.Done(); !done.Fired() {
+			if done := g.ring.Done(); !done.Fired() {
 				done.OnFire(x.cont)
 				return
 			}
-			// The exec owns the group and is its only waiter, which
-			// has just woken.
-			g.net.RecycleGroup(x.ring)
-			x.ring = nil
 			x.finish()
 			return
 
@@ -384,14 +381,12 @@ func (x *exec) run() {
 			if !x.awaitFlows() {
 				return
 			}
-			x.recycleFlows()
 			x.state = xPSPull
 
 		case xPSPullAwait:
 			if !x.awaitFlows() {
 				return
 			}
-			x.recycleFlows()
 			x.finish()
 			return
 		}
@@ -412,17 +407,6 @@ func (x *exec) awaitFlows() bool {
 		x.idx++
 	}
 	return true
-}
-
-// recycleFlows returns the just-awaited batch to the network's free list.
-// Safe because the exec exclusively owns its phase flows and awaitFlows
-// only returns true once every flow has fired (so no waiter, including
-// x.cont itself, is still parked on any of them).
-func (x *exec) recycleFlows() {
-	for i, f := range x.flows {
-		x.g.net.Recycle(f)
-		x.flows[i] = nil
-	}
 }
 
 func (x *exec) finish() {

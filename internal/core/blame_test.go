@@ -68,23 +68,3 @@ func TestBlameDeterministicAcrossRuns(t *testing.T) {
 		t.Errorf("serial vs parallel profiler differ:\n%s\nvs\n%s", a, c)
 	}
 }
-
-func TestProfileWithBlameAttribution(t *testing.T) {
-	job, it := blameFixture(t)
-	rep, err := New(WithIterations(4), WithBlameAttribution(true)).Profile(job, it)
-	if err != nil {
-		t.Fatalf("Profile: %v", err)
-	}
-	if rep.Blame == nil {
-		t.Fatal("Report.Blame not populated under WithBlameAttribution")
-	}
-	if rep.Blame.StragglerScale > 1 {
-		t.Errorf("profile blame injected a straggler: %+v", rep.Blame)
-	}
-	if !strings.Contains(rep.String(), "blame:") {
-		t.Error("Report rendering lacks the blame table")
-	}
-	if base, err := New(WithIterations(4)).Profile(job, it); err != nil || base.Blame != nil {
-		t.Errorf("default profile has Blame %+v, err %v", base.Blame, err)
-	}
-}

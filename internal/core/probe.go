@@ -101,11 +101,7 @@ func (r *Report) String() string {
 	if r.NW != nil {
 		s += fmt.Sprintf("  %v\n", *r.NW)
 	}
-	s += fmt.Sprintf("  %v\n", r.Epoch)
-	if r.Blame != nil {
-		s += r.Blame.String()
-	}
-	return s
+	return s + fmt.Sprintf("  %v\n", r.Epoch)
 }
 
 func round(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }

@@ -76,24 +76,10 @@ func WithCollectiveOptions(opts ...collective.Option) Option {
 	return func(p *Profiler) { p.collectiveOpts = opts }
 }
 
-// WithCostEpochs sets how many epochs the cost model amortizes the cold
-// first epoch over (default DefaultCostEpochs).
-func WithCostEpochs(n int) Option {
-	return func(p *Profiler) { p.costEpochs = n }
-}
-
 // WithParallelism bounds how many candidate configurations Recommend
 // measures concurrently (0 or negative = GOMAXPROCS, 1 = serial).
 func WithParallelism(n int) Option {
 	return func(p *Profiler) { p.parallelism = n }
-}
-
-// WithBlameAttribution makes ProfileContext run the frontier blame pass
-// as an extra stage (a traced re-run of the all-GPU synthetic scenario)
-// and attach the ranked per-worker table to Report.Blame. Default off:
-// the stall characterization itself never needs a trace.
-func WithBlameAttribution(on bool) Option {
-	return func(p *Profiler) { p.blame = on }
 }
 
 // WithEveryIteration makes every training run simulate all its steps
@@ -111,10 +97,8 @@ type Profiler struct {
 	iterations     int
 	slicePolicy    cloud.SlicePolicy
 	seed           int64
-	costEpochs     int
 	parallelism    int
 	everyIteration bool
-	blame          bool
 	collectiveOpts []collective.Option
 
 	// cache memoizes scenario results: simulations are deterministic, and
@@ -264,7 +248,6 @@ func New(opts ...Option) *Profiler {
 		iterations:  DefaultIterations,
 		slicePolicy: cloud.SliceDegraded,
 		seed:        1,
-		costEpochs:  DefaultCostEpochs,
 		cache:       make(map[scenarioKey]*cacheEntry),
 		tenants:     make(map[string]*tenantCounters),
 	}
@@ -273,9 +256,6 @@ func New(opts ...Option) *Profiler {
 	}
 	if p.iterations < 1 {
 		p.iterations = DefaultIterations
-	}
-	if p.costEpochs < 1 {
-		p.costEpochs = 1
 	}
 	return p
 }
@@ -690,7 +670,7 @@ func (p *Profiler) EpochContext(ctx context.Context, job workload.Job, it cloud.
 	if err != nil {
 		return EpochEstimate{}, err
 	}
-	perIter := warm.PerIteration + (cold.PerIteration-warm.PerIteration)/time.Duration(p.costEpochs)
+	perIter := warm.PerIteration + (cold.PerIteration-warm.PerIteration)/DefaultCostEpochs
 	iters := job.IterationsPerEpoch(warm.WorldSize)
 	est := EpochEstimate{
 		Instance:      it.Name,
@@ -720,10 +700,6 @@ type Report struct {
 	// even GPU count (step 5 splits it across two machines).
 	NW    *NWStall
 	Epoch EpochEstimate
-
-	// Blame is the frontier blame attribution of the all-GPU scenario,
-	// populated only under WithBlameAttribution.
-	Blame *BlameReport
 }
 
 // Profile runs the complete Stash pipeline (steps 1-5) for a job on an
@@ -747,9 +723,6 @@ func (p *Profiler) ProfileContext(ctx context.Context, job workload.Job, it clou
 	if progress != nil {
 		stages := 3
 		if hasNW {
-			stages++
-		}
-		if p.blame {
 			stages++
 		}
 		progress(0, stages)
@@ -781,11 +754,5 @@ func (p *Profiler) ProfileContext(ctx context.Context, job workload.Job, it clou
 		return nil, err
 	}
 	stageDone()
-	if p.blame {
-		if r.Blame, err = p.BlameContext(ctx, job, it, BlameOptions{StragglerRank: -1}); err != nil {
-			return nil, err
-		}
-		stageDone()
-	}
 	return r, nil
 }

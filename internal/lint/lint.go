@@ -1,4 +1,4 @@
-// Package lint is stashlint's analyzer suite: seven static analyzers
+// Package lint is stashlint's analyzer suite: six static analyzers
 // that prove, at compile time, the invariants this repository otherwise
 // only checks dynamically (internal/audit, go test -race). The headline
 // guarantee — byte-identical stall tables serial-vs-parallel and
@@ -7,14 +7,13 @@
 // these analyzers reject that class of bug before it can fire on some
 // schedule.
 //
-// Three of the analyzers are interprocedural: RunAll builds a Program —
+// Two of the analyzers are interprocedural: RunAll builds a Program —
 // a module-wide call graph over go/types with per-function summaries
-// (which parameters a call invalidates, which locks it transitively
-// acquires, whether it reaches a context-free API with a *Context
-// sibling) computed to a monotone fixed point — and poolsafe,
-// lockorder and ctxflow consult those summaries at every call site, so
-// a pooled-lifecycle violation or a lock-order inversion hidden three
-// frames down is still a compile-time finding.
+// (which locks a function transitively acquires, whether it reaches a
+// context-free API with a *Context sibling) computed to a monotone
+// fixed point — and lockorder and ctxflow consult those summaries at
+// every call site, so a lock-order inversion or a detached context
+// hidden three frames down is still a compile-time finding.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, testdata fixtures with // want
@@ -42,7 +41,7 @@ import (
 // Version identifies the analyzer suite in CI gate logs. Bump it when
 // an analyzer's semantics change so a log line pins exactly what was
 // enforced for a given commit.
-const Version = "1.3.0"
+const Version = "1.4.0"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -61,7 +60,7 @@ type Analyzer struct {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, MapOrder, LockHeld, LockOrder, CtxFlow, PoolSafe, FloatCmp}
+	return []*Analyzer{Wallclock, MapOrder, LockHeld, LockOrder, CtxFlow, FloatCmp}
 }
 
 // ByName returns the analyzer with the given name, or nil.
@@ -88,9 +87,9 @@ func (d Diagnostic) String() string {
 
 // A Pass carries one type-checked package through one analyzer run.
 // Prog is the interprocedural layer shared by every package of the
-// run; the cross-function analyzers (poolsafe, lockorder, ctxflow)
-// read call-graph summaries from it while still reporting per package,
-// so allow-directive scoping stays line-local.
+// run; the cross-function analyzers (lockorder, ctxflow) read
+// call-graph summaries from it while still reporting per package, so
+// allow-directive scoping stays line-local.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -127,10 +126,10 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunAll executes the analyzers over every package as one program: the
-// call-graph summaries span all of pkgs, so a lock cycle or a
-// use-after-recycle threaded through three packages is still seen,
-// while each finding is reported (and allow-suppressed) in the package
-// that contains it. The packages must come from one Loader.
+// call-graph summaries span all of pkgs, so a lock cycle or a detached
+// context threaded through three packages is still seen, while each
+// finding is reported (and allow-suppressed) in the package that
+// contains it. The packages must come from one Loader.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := BuildProgram(pkgs)
 	var out []Diagnostic

@@ -47,8 +47,7 @@ func TestFixtures(t *testing.T) {
 		{LockHeld, "lockheld"},
 		{LockOrder, "lockorder"},
 		{CtxFlow, "ctxflow"},
-		{PoolSafe, "poolsafe"},
-		{PoolSafe, "allowscope"},
+		{LockOrder, "allowscope"},
 		{FloatCmp, "floatcmp"},
 	}
 	l := fixtureLoader(t)
@@ -98,7 +97,7 @@ func TestAllowRequiresReason(t *testing.T) {
 // TestSuiteRegistry pins the analyzer set: CI prints this list, and the
 // allow annotations in the tree reference these names.
 func TestSuiteRegistry(t *testing.T) {
-	want := []string{"wallclock", "maporder", "lockheld", "lockorder", "ctxflow", "poolsafe", "floatcmp"}
+	want := []string{"wallclock", "maporder", "lockheld", "lockorder", "ctxflow", "floatcmp"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
@@ -204,16 +203,19 @@ func TestProgramConvergesOnRecursion(t *testing.T) {
 func TestAllowScopeInterprocedural(t *testing.T) {
 	l := fixtureLoader(t)
 	pkg := loadFixture(t, l, "allowscope")
-	diags := Run(pkg, []*Analyzer{PoolSafe})
+	if !fixtureHasAllow(pkg, "lockorder") {
+		t.Fatal("fixture lost its //lint:allow directives")
+	}
+	diags := Run(pkg, []*Analyzer{LockOrder})
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (caller-side and callee-side): %v", len(diags), diags)
 	}
 	for _, d := range diags {
-		if !strings.Contains(d.Message, "Network.Recycle") {
+		if !strings.Contains(d.Message, "lock order cycle") {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if !strings.Contains(diags[0].Message, "(via recycleQuiet)") && !strings.Contains(diags[1].Message, "(via recycleQuiet)") {
+	if !strings.Contains(diags[0].Message, "(via call to lockBQuiet)") && !strings.Contains(diags[1].Message, "(via call to lockBQuiet)") {
 		t.Errorf("missing the interprocedural caller-side finding: %v", diags)
 	}
 }
@@ -224,10 +226,13 @@ func TestAllowScopeInterprocedural(t *testing.T) {
 // degrades to RunPackage.
 func TestRunPackageObserved(t *testing.T) {
 	l := fixtureLoader(t)
-	pkg := loadFixture(t, l, "poolsafe")
+	pkg := loadFixture(t, l, "lockorder")
 	analyzers := All()
 	prog := BuildProgram([]*Package{pkg})
 	plain := RunPackage(prog, pkg, analyzers)
+	if len(plain) == 0 {
+		t.Fatal("the fixture has no findings, so comparing runs proves nothing")
+	}
 
 	var seen []int
 	observed := RunPackageObserved(prog, pkg, analyzers, func(i int, run func()) {
@@ -261,7 +266,7 @@ func TestRunPackageObserved(t *testing.T) {
 func TestStaleAllows(t *testing.T) {
 	l := fixtureLoader(t)
 	pkg := loadFixture(t, l, "staleallow")
-	stale := StaleAllows([]*Package{pkg}, []*Analyzer{Wallclock, PoolSafe})
+	stale := StaleAllows([]*Package{pkg}, []*Analyzer{Wallclock, LockOrder})
 	if len(stale) != 1 {
 		t.Fatalf("got %d stale directives, want 1: %v", len(stale), stale)
 	}
@@ -281,7 +286,7 @@ func TestStaleAllows(t *testing.T) {
 func TestStaleAllowsIgnoresOtherAnalyzers(t *testing.T) {
 	l := fixtureLoader(t)
 	pkg := loadFixture(t, l, "staleallow")
-	if stale := StaleAllows([]*Package{pkg}, []*Analyzer{PoolSafe}); len(stale) != 0 {
+	if stale := StaleAllows([]*Package{pkg}, []*Analyzer{LockOrder}); len(stale) != 0 {
 		t.Errorf("stale findings for analyzers that did not run: %v", stale)
 	}
 }

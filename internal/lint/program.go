@@ -10,10 +10,8 @@ import (
 
 // A Program is the interprocedural layer shared by one analysis run: a
 // module-wide call graph over go/types with a per-function summary of
-// the facts the cross-function analyzers need — which parameters and
-// receivers a call invalidates (hands back to a pool), which signal
-// parameters it registers waiters on, fires, or re-arms, the transitive
-// set of locks it may acquire, and whether it reaches a context-free
+// the facts the cross-function analyzers need — the transitive set of
+// locks a function may acquire, and whether it reaches a context-free
 // API whose *Context sibling exists. Summaries are computed to a
 // monotone fixed point, so facts flow through arbitrarily deep call
 // chains (and through recursion) without re-walking callee bodies at
@@ -38,14 +36,6 @@ type funcFacts struct {
 	pkg  *Package
 
 	hasCtx bool // any parameter is a context.Context
-
-	// Pooled-lifecycle facts, keyed by summary parameter index:
-	// 0 is the receiver when the function is a method, then the
-	// declared parameters in order.
-	invalidates map[int]string // index → invalidating API ("Network.Recycle", …)
-	registers   map[int]bool   // signal param gains a parked waiter (OnFire)
-	clears      map[int]bool   // signal param is fired
-	rearms      map[int]bool   // signal param is re-armed
 
 	// Lock facts: every canonical lock key this function may acquire,
 	// directly or through any callee (go statements, deferred calls and
@@ -117,75 +107,12 @@ func (p *Program) factsFor(fn *types.Func) *funcFacts {
 	return p.facts[fn]
 }
 
-// paramIndexes maps the declared receiver and parameter objects of decl
-// to their summary index (receiver 0, then parameters).
-func paramIndexes(pkg *Package, decl *ast.FuncDecl) map[types.Object]int {
-	idx := make(map[types.Object]int)
-	n := 0
-	if decl.Recv != nil && len(decl.Recv.List) == 1 {
-		for _, name := range decl.Recv.List[0].Names {
-			if obj := pkg.Info.Defs[name]; obj != nil {
-				idx[obj] = 0
-			}
-		}
-		n = 1
-	}
-	for _, field := range decl.Type.Params.List {
-		if len(field.Names) == 0 {
-			n++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := pkg.Info.Defs[name]; obj != nil {
-				idx[obj] = n
-			}
-			n++
-		}
-	}
-	return idx
-}
-
-// argExprAt returns the caller-side expression bound to summary index i
-// of a call to a function with signature sig, or nil when it cannot be
-// determined (method values, variadic spill).
-func argExprAt(call *ast.CallExpr, sig *types.Signature, i int) ast.Expr {
-	if sig.Recv() != nil {
-		if i == 0 {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				return sel.X
-			}
-			return nil
-		}
-		i--
-	}
-	if i >= 0 && i < len(call.Args) {
-		return call.Args[i]
-	}
-	return nil
-}
-
 // recompute rebuilds ff's summary from its body given the current
 // summaries of its callees and reports whether anything changed. Every
 // fact is monotone in its inputs, so iteration converges.
 func (p *Program) recompute(ff *funcFacts) bool {
-	params := paramIndexes(ff.pkg, ff.decl)
-	next := &funcFacts{
-		invalidates: make(map[int]string),
-		registers:   make(map[int]bool),
-		clears:      make(map[int]bool),
-		rearms:      make(map[int]bool),
-		locks:       make(map[string]bool),
-	}
+	next := &funcFacts{locks: make(map[string]bool)}
 	info := ff.pkg.Info
-
-	paramOf := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		i, ok := params[info.Uses[id]]
-		return i, ok
-	}
 
 	ast.Inspect(ff.decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -196,41 +123,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 		case *ast.CallExpr:
 			fn := funcFor(info, v)
 			if fn == nil {
-				return true
-			}
-			sig := fn.Type().(*types.Signature)
-			var recv ast.Expr
-			if sig.Recv() != nil {
-				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-					recv = sel.X
-				}
-			}
-
-			if label := poolInvalidator(fn); label != "" {
-				if len(v.Args) > 0 {
-					if i, ok := paramOf(v.Args[0]); ok {
-						if _, dup := next.invalidates[i]; !dup {
-							next.invalidates[i] = label
-						}
-					}
-				}
-				return true
-			}
-			switch signalOp(fn) {
-			case sigOnFire:
-				if i, ok := paramOf(recv); ok {
-					next.registers[i] = true
-				}
-				return true
-			case sigFire:
-				if i, ok := paramOf(recv); ok {
-					next.clears[i] = true
-				}
-				return true
-			case sigRearm:
-				if i, ok := paramOf(recv); ok {
-					next.rearms[i] = true
-				}
 				return true
 			}
 			if r, k := mutexCallInfo(info, v); k == "Lock" || k == "RLock" {
@@ -245,33 +137,12 @@ func (p *Program) recompute(ff *funcFacts) bool {
 			if cf == nil {
 				return true
 			}
-			propagate := func(src map[int]bool, dst map[int]bool) {
-				for i := range src {
-					if arg := argExprAt(v, sig, i); arg != nil {
-						if j, ok := paramOf(arg); ok {
-							dst[j] = true
-						}
-					}
-				}
-			}
-			for i, label := range cf.invalidates {
-				if arg := argExprAt(v, sig, i); arg != nil {
-					if j, ok := paramOf(arg); ok {
-						if _, dup := next.invalidates[j]; !dup {
-							next.invalidates[j] = label
-						}
-					}
-				}
-			}
-			propagate(cf.registers, next.registers)
-			propagate(cf.clears, next.clears)
-			propagate(cf.rearms, next.rearms)
 			for key := range cf.locks {
 				next.locks[key] = true
 			}
 
 			// Context taint: only non-ctx module-local frames propagate.
-			if !ff.hasCtx && !next.ctxTainted && sameModule(ff.pkg.Path, pkgPathOf(fn)) && !hasContextParam(sig) {
+			if !ff.hasCtx && !next.ctxTainted && sameModule(ff.pkg.Path, pkgPathOf(fn)) && !hasContextParam(fn.Type().(*types.Signature)) {
 				if sib := contextSiblingFrom(ff.pkg.Path, fn); sib != "" {
 					next.ctxTainted = true
 					next.ctxChain = []string{fn.Name() + " (sibling " + sib + " exists)"}
@@ -297,7 +168,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 		next.ctxChain = ff.ctxChain
 	}
 	changed := ff.hasChangedFrom(next)
-	ff.invalidates, ff.registers, ff.clears, ff.rearms = next.invalidates, next.registers, next.clears, next.rearms
 	ff.locks = next.locks
 	ff.ctxTainted, ff.ctxChain = next.ctxTainted, next.ctxChain
 	return changed
@@ -305,13 +175,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 
 func (ff *funcFacts) hasChangedFrom(next *funcFacts) bool {
 	if ff.ctxTainted != next.ctxTainted || !equalStrings(ff.ctxChain, next.ctxChain) {
-		return true
-	}
-	if !equalIntString(ff.invalidates, next.invalidates) {
-		return true
-	}
-	if !equalIntBool(ff.registers, next.registers) || !equalIntBool(ff.clears, next.clears) ||
-		!equalIntBool(ff.rearms, next.rearms) {
 		return true
 	}
 	if len(ff.locks) != len(next.locks) {
@@ -337,30 +200,6 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-func equalIntString(a, b map[int]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range b {
-		if a[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func equalIntBool(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range b {
-		if !a[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // sortedLockKeys returns the summary's acquire set in stable order for
 // deterministic edge emission.
 func sortedLockKeys(m map[string]bool) []string {
@@ -378,99 +217,6 @@ func pkgPathOf(fn *types.Func) string {
 		return ""
 	}
 	return fn.Pkg().Path()
-}
-
-// ---- pooled-lifecycle API identification -------------------------------
-
-// poolInvalidator recognizes the repository's pooled-lifecycle APIs,
-// each of which hands its first argument back to a free list: after the
-// call that handle must not be used again.
-func poolInvalidator(fn *types.Func) string {
-	switch {
-	case isMethodOn(fn, "internal/simnet", "Network", "Recycle"):
-		return "Network.Recycle"
-	case isMethodOn(fn, "internal/simnet", "Network", "RecycleGroup"):
-		return "Network.RecycleGroup"
-	}
-	return ""
-}
-
-type sigOp int
-
-const (
-	sigNone sigOp = iota
-	sigOnFire
-	sigFire
-	sigRearm
-)
-
-// signalOp classifies sim.Signal waiter-lifecycle calls.
-func signalOp(fn *types.Func) sigOp {
-	if isMethodOn(fn, "internal/sim", "Signal", "OnFire") {
-		return sigOnFire
-	}
-	if isMethodOn(fn, "internal/sim", "Signal", "Fire") {
-		return sigFire
-	}
-	if isMethodOn(fn, "internal/sim", "Signal", "Rearm") {
-		return sigRearm
-	}
-	return sigNone
-}
-
-// isMethodOn reports whether fn is method `name` on the named type
-// `typeName` declared in a package whose import path ends in pkgSuffix
-// (matched on path segments, so "internal/sim" does not match
-// "internal/simnet").
-func isMethodOn(fn *types.Func, pkgSuffix, typeName, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	if path != pkgSuffix && !strings.HasSuffix(path, "/"+pkgSuffix) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == typeName
-}
-
-// isPooledFlow reports whether t is a recycled simnet handle: *Flow or
-// *FlowGroup, both stale after Network.Recycle/RecycleGroup.
-func isPooledFlow(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	name := named.Obj().Name()
-	return (name == "Flow" || name == "FlowGroup") && pathEndsIn(named.Obj().Pkg().Path(), "internal/simnet")
-}
-
-func pathEndsIn(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// exprKey renders an expression as a canonical string key, seeing
-// through parentheses and a leading address-of.
-func exprKey(e ast.Expr) string {
-	if e == nil {
-		return ""
-	}
-	e = ast.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
-	}
-	return types.ExprString(e)
 }
 
 // ---- lock identity and the acquisition graph ---------------------------

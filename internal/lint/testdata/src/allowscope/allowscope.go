@@ -5,28 +5,37 @@
 // caller-side directive never silences the callee's own finding.
 package allowscope
 
-import "stash/internal/simnet"
+import "sync"
 
-// The directive here covers recycleQuiet's own lines only. Its summary
-// (flow argument invalidated) still flows to callers.
-func recycleQuiet(n *simnet.Network, f *simnet.Flow) {
-	//lint:allow poolsafe scope test: the pool owner invalidates deliberately
-	n.Recycle(f)
+type pair struct {
+	a sync.Mutex
+	b sync.Mutex
 }
 
-func badCallerStillFlagged(n *simnet.Network, f *simnet.Flow) float64 {
-	recycleQuiet(n, f)
-	return f.Rate() // want `f used after Network\.Recycle \(via recycleQuiet\)`
+// The directive here covers lockBQuiet's own lines only. Its summary
+// (acquires pair.b) still flows to callers.
+func lockBQuiet(p *pair) {
+	//lint:allow lockorder scope test: the callee takes b deliberately
+	p.b.Lock()
+	p.b.Unlock()
+}
+
+func badCallerStillFlagged(p *pair) {
+	p.a.Lock()
+	lockBQuiet(p) // want `lock order cycle: fixture/allowscope\.pair\.b acquired while fixture/allowscope\.pair\.a is held \(via call to lockBQuiet\)`
+	p.a.Unlock()
 }
 
 // The callee's own finding is reported at the callee's line; an allow
 // at the caller cannot reach it.
-func recycleAndUse(n *simnet.Network, f *simnet.Flow) float64 {
-	n.Recycle(f)
-	return f.Rate() // want `f used after Network\.Recycle`
+func lockBThenA(p *pair) {
+	p.b.Lock()
+	p.a.Lock() // want `lock order cycle: fixture/allowscope\.pair\.a acquired while fixture/allowscope\.pair\.b is held,`
+	p.a.Unlock()
+	p.b.Unlock()
 }
 
-func callerAllowDoesNotLeak(n *simnet.Network, f *simnet.Flow) float64 {
-	//lint:allow poolsafe scope test: suppresses nothing in the callee
-	return recycleAndUse(n, f)
+func callerAllowDoesNotLeak(p *pair) {
+	//lint:allow lockorder scope test: suppresses nothing in the callee
+	lockBThenA(p)
 }

@@ -43,20 +43,6 @@ func (s *Signal) Fire() {
 	}
 }
 
-// Rearm returns a fired signal to the unfired state so pooled owners
-// (recycled flows, reused collective ops) can use one signal across many
-// completions. The caller must guarantee no outstanding reference still
-// expects the previous firing: re-arming while a stale holder could call
-// OnFire would silently re-block it. Rearm panics if continuations are
-// currently registered — re-arming an unfired signal that tasks wait on
-// is always a bug.
-func (s *Signal) Rearm() {
-	if len(s.waiters) != 0 {
-		panic("sim: Rearm on a signal with parked waiters")
-	}
-	s.fired = false
-}
-
 // OnFire registers fn to run when the signal fires: it is scheduled at
 // the firing instant, in arrival order with the other waiters. If the
 // signal has already fired, fn runs synchronously.

@@ -235,25 +235,3 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Errorf("Run = %v, want ErrDeadlock", err)
 	}
 }
-
-func TestSignalRearm(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	s.Fire()
-	if !s.Fired() {
-		t.Fatal("signal not fired")
-	}
-	s.Rearm()
-	if s.Fired() {
-		t.Error("re-armed signal still fired")
-	}
-	ran := false
-	s.OnFire(func() { ran = true })
-	defer func() {
-		if recover() == nil {
-			t.Error("Rearm with parked waiters did not panic")
-		}
-	}()
-	s.Rearm()
-	_ = ran
-}

@@ -191,11 +191,9 @@ func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
 				startStepRing(n, rs, &res.rings[i])
 				return
 			}
-			g := n.StartGroup(rs.routes, rs.bytes, rs.rounds)
-			g.Done().OnFire(func() {
-				res.rings[i] = e.Now()
-				n.RecycleGroup(g)
-			})
+			g := n.NewGroup(rs.routes)
+			g.Start(rs.bytes, rs.rounds)
+			g.Done().OnFire(func() { res.rings[i] = e.Now() })
 		})
 	}
 	started := make([]*Flow, len(flows))
@@ -217,7 +215,7 @@ func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
 	return res
 }
 
-// TestGroupMatchesPerStepRing is the differential oracle for StartGroup:
+// TestGroupMatchesPerStepRing is the differential oracle for FlowGroup:
 // on random rings with heterogeneous routes beside random background
 // flows, a flow group finishes every ring and every other flow at
 // exactly the instants the per-flow ring does, with the same per-link
@@ -325,7 +323,8 @@ func TestGroupRoundsAndLinkStats(t *testing.T) {
 	for i := range routes {
 		routes[i] = []*Link{n.NewLink("l", 1*gb, time.Millisecond)}
 	}
-	g := n.StartGroup(routes, 0.25*gb, rounds)
+	g := n.NewGroup(routes)
+	g.Start(0.25*gb, rounds)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +363,12 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		for i := range routes {
 			routes[i] = []*Link{n.NewLink("l", 1*gb, time.Microsecond)}
 		}
+		g := n.NewGroup(routes)
 		for op := 0; op < ops; op++ {
-			g := n.StartGroup(routes, 1e6, rounds)
+			g.Start(1e6, rounds)
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
-			n.RecycleGroup(g)
 		}
 		if n.filled != ops || n.kept != ops*(rounds-1) || n.replayed != 0 {
 			t.Errorf("filled %d, kept %d, replayed %d; want %d, %d, 0",
@@ -388,7 +387,8 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 			up := n.NewLink("up", gb*float64(1+i), time.Duration(1+i)*time.Microsecond)
 			routes[i] = []*Link{up, bus}
 		}
-		g := n.StartGroup(routes, 1e6, rounds)
+		g := n.NewGroup(routes)
+		g.Start(1e6, rounds)
 		late := 0
 		for _, fn := range []*func(){&n.settleFn, &n.completionFn} {
 			inner := *fn
@@ -417,69 +417,125 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 	})
 }
 
-func TestRecycleGroupReusesStorage(t *testing.T) {
-	e := sim.NewEngine()
-	n := New(e)
-	route := [][]*Link{{n.NewLink("l", 1*gb, 0)}}
-	g1 := n.StartGroup(route, 1e6, 2)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+// TestRestartedGroupMatchesFresh: a group restarted for its next transfer
+// keeps its member storage and runs that transfer exactly as a fresh
+// group on the same routes does after the same first transfer: the same
+// finish instant, link counters and solver counters. The members start
+// together and finish apart, so every round replays the solves of the
+// one before, and a memo kept from the first transfer would replay the
+// second transfer's round 0 too.
+func TestRestartedGroupMatchesFresh(t *testing.T) {
+	type result struct {
+		end                    time.Duration
+		bytes                  []float64
+		flows                  []int
+		filled, kept, replayed uint64
 	}
-	n.RecycleGroup(g1)
-	g2 := n.StartGroup(route, 1e6, 3)
-	if g2 != g1 {
-		t.Error("StartGroup after RecycleGroup minted fresh storage")
+	run := func(restart bool) result {
+		e := sim.NewEngine()
+		n := New(e)
+		watchSolutions(t, n)
+		bus := n.NewLink("bus", 9.5*gb, 0)
+		routes := make([][]*Link, 4)
+		for i := range routes {
+			routes[i] = []*Link{n.NewLink("up", gb*float64(1+i), time.Microsecond), bus}
+		}
+		first := n.NewGroup(routes)
+		first.Start(1e6, 6)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		members := &first.members[0]
+		second := first
+		if !restart {
+			second = n.NewGroup(routes)
+		}
+		second.Start(3e5, 4)
+		if second.Completed() || second.Done().Fired() {
+			t.Error("a started group reports its last transfer's completion")
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !second.Completed() || !second.Done().Fired() {
+			t.Fatal("second transfer did not complete")
+		}
+		if restart && &second.members[0] != members {
+			t.Error("restarted group reallocated its members")
+		}
+		res := result{end: e.Now(), filled: n.filled, kept: n.kept, replayed: n.replayed}
+		for _, l := range n.links {
+			res.bytes = append(res.bytes, l.BytesCarried())
+			res.flows = append(res.flows, l.FlowsCarried())
+		}
+		return res
 	}
-	if g2.Completed() || g2.Done().Fired() {
-		t.Error("recycled group kept completed state")
+	got, want := run(true), run(false)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("restarted group: %+v\nfresh group:     %+v", got, want)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Completed() || route[0][0].FlowsCarried() != 5 {
-		t.Errorf("recycled group: completed %v, FlowsCarried %d, want true and 5",
-			g2.Completed(), route[0][0].FlowsCarried())
+	if want.replayed == 0 {
+		t.Error("the fresh group replayed no solves, so the memo went untested")
 	}
 }
 
-func TestRecycleIncompleteGroupPanics(t *testing.T) {
+// TestStartRunningGroupPanics: a group runs one transfer at a time.
+func TestStartRunningGroupPanics(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e)
-	g := n.StartGroup([][]*Link{{n.NewLink("l", 1*gb, 0)}}, 1e6, 1)
+	g := n.NewGroup([][]*Link{{n.NewLink("l", 1*gb, 0)}})
+	g.Start(1e6, 2)
+	if err := e.RunUntil(time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("RecycleGroup of an in-flight group did not panic")
+			t.Error("Start of a running group did not panic")
 		}
 	}()
-	n.RecycleGroup(g)
+	g.Start(1e6, 1)
 }
 
+// TestStartGroupRejectsBadInput: NewGroup rejects a group with no
+// members or an empty route, and Start rejects bad rounds and sizes.
 func TestStartGroupRejectsBadInput(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e)
 	l := n.NewLink("l", 1*gb, 0)
-	cases := []struct {
+	expectPanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	for _, c := range []struct {
 		name   string
 		routes [][]*Link
+	}{
+		{"no members", nil},
+		{"empty route", [][]*Link{{l}, {}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			expectPanic(t, "NewGroup", func() { n.NewGroup(c.routes) })
+		})
+	}
+	for _, c := range []struct {
+		name   string
 		bytes  float64
 		rounds int
 	}{
-		{"zero rounds", [][]*Link{{l}}, 1, 0},
-		{"zero bytes", [][]*Link{{l}}, 0, 1},
-		{"negative bytes", [][]*Link{{l}}, -1, 1},
-		{"bytes at the finish residual", [][]*Link{{l}}, epsilonBytes, 1},
-		{"NaN bytes", [][]*Link{{l}}, math.NaN(), 1},
-		{"no members", nil, 1, 1},
-		{"empty route", [][]*Link{{l}, {}}, 1, 1},
-	}
-	for _, c := range cases {
+		{"zero rounds", 1, 0},
+		{"zero bytes", 0, 1},
+		{"negative bytes", -1, 1},
+		{"bytes at the finish residual", epsilonBytes, 1},
+		{"NaN bytes", math.NaN(), 1},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("StartGroup did not panic")
-				}
-			}()
-			n.StartGroup(c.routes, c.bytes, c.rounds)
+			g := n.NewGroup([][]*Link{{l}})
+			expectPanic(t, "Start", func() { g.Start(c.bytes, c.rounds) })
 		})
 	}
 }

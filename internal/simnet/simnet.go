@@ -111,7 +111,10 @@ func (f *Flow) Throughput() float64 {
 // Every member carries the same bytes in each round over its own route.
 // A round ends when its last member finishes; the next round starts at
 // that instant with no startup latency, and Done fires after the last.
+// A group has one owner, which runs transfer after transfer over the
+// same routes (see NewGroup and Start).
 type FlowGroup struct {
+	net       *Network
 	members   []Flow
 	bytes     float64
 	rounds    int
@@ -131,10 +134,13 @@ type FlowGroup struct {
 	memoRates []float64
 }
 
-// Done returns a signal fired when the group's last round completes.
+// Done returns a signal fired when the current transfer's last round
+// completes. Start resets it in place, so a pointer kept across Start
+// watches the new transfer.
 func (g *FlowGroup) Done() *sim.Signal { return &g.done }
 
-// Completed reports whether every round has finished.
+// Completed reports whether every round of the current transfer has
+// finished. An idle group that was never started counts as completed.
 func (g *FlowGroup) Completed() bool { return g.round == g.rounds }
 
 // Network owns a set of links and the flows crossing them.
@@ -142,10 +148,8 @@ type Network struct {
 	eng         *sim.Engine
 	links       []*Link
 	flows       []*Flow
-	free        []*Flow      // recycled flows (see Recycle)
-	freeGroups  []*FlowGroup // recycled groups (see RecycleGroup)
-	finished    []*Flow      // onCompletion scratch
-	completions uint64       // completion events run, stamps FlowGroup.firstLeft
+	finished    []*Flow // onCompletion scratch
+	completions uint64  // completion events run, stamps FlowGroup.firstLeft
 	lastSettle  time.Duration
 	completion  sim.Event
 	dirty       bool
@@ -216,113 +220,65 @@ func (n *Network) StartFlowLatency(bytes float64, route []*Link, latency time.Du
 	if latency < 0 {
 		panic(fmt.Sprintf("simnet: negative flow latency %v", latency))
 	}
-	var f *Flow
-	if k := len(n.free); k > 0 {
-		// Reuse recycled storage; the done signal was re-armed at Recycle
-		// time. index is already -1 (finish/activate leave it there).
-		f = n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
-		f.route = route
-		f.remaining = bytes
-		f.bytes = bytes
-		f.rate = 0
-		f.frozen = false
-		f.completed = false
-		f.started = n.eng.Now()
-		f.finished = 0
-	} else {
-		f = &Flow{
-			route:     route,
-			remaining: bytes,
-			bytes:     bytes,
-			index:     -1,
-			started:   n.eng.Now(),
-			done:      sim.MakeSignal(n.eng),
-		}
+	f := &Flow{
+		route:     route,
+		remaining: bytes,
+		bytes:     bytes,
+		index:     -1,
+		started:   n.eng.Now(),
+		done:      sim.MakeSignal(n.eng),
 	}
 	n.eng.ScheduleArg(latency, n.activateFn, f)
 	return f
 }
 
-// Recycle returns a completed flow's storage to the network for reuse by
-// a later StartFlow, re-arming its done signal. Recycling is strictly
-// opt-in: only call it when you exclusively own the flow and every
-// observer of its completion has run — a retained *Flow or Done() pointer
-// becomes a handle to an unrelated future transfer the moment the storage
-// is reused. Callers that read Duration/Throughput after the run (probes,
-// link-stat tests) simply never recycle. Panics if the flow has not
-// completed or if waiters are still parked on its signal.
-func (n *Network) Recycle(f *Flow) {
-	if !f.completed || f.index != -1 {
-		panic("simnet: Recycle of an incomplete flow")
+// NewGroup returns an idle FlowGroup of one member per route. Its owner
+// runs every transfer over these routes with Start, so the members are
+// allocated once. Panics on no routes or an empty route.
+func (n *Network) NewGroup(routes [][]*Link) *FlowGroup {
+	if len(routes) == 0 {
+		panic("simnet: flow group with no members")
 	}
-	f.done.Rearm()
-	f.route = nil
-	n.free = append(n.free, f)
+	g := &FlowGroup{net: n, members: make([]Flow, len(routes))}
+	for i, r := range routes {
+		if len(r) == 0 {
+			panic("simnet: flow group member with empty route")
+		}
+		g.members[i] = Flow{route: r, index: -1, group: g}
+	}
+	return g
 }
 
-// StartGroup begins a FlowGroup of one member per route, each carrying
-// bytesPerMember in every one of rounds rounds. Round 0 pays each
-// member's route latency, as StartFlow does; later rounds start the
-// instant the previous one ends, as a streaming pipeline does. Panics on
-// rounds < 1, an empty route, or bytesPerMember not above the residual
-// at which a flow counts as finished.
-func (n *Network) StartGroup(routes [][]*Link, bytesPerMember float64, rounds int) *FlowGroup {
+// Start begins a transfer in which each member carries bytesPerMember in
+// every one of rounds rounds. Round 0 pays each member's route latency,
+// as StartFlow does; later rounds start the instant the previous one
+// ends, as a streaming pipeline does. Panics while the previous transfer
+// is still running, on rounds < 1, or on bytesPerMember not above the
+// residual at which a flow counts as finished.
+func (g *FlowGroup) Start(bytesPerMember float64, rounds int) {
+	if !g.Completed() {
+		panic("simnet: Start of a running flow group")
+	}
 	if rounds < 1 {
 		panic(fmt.Sprintf("simnet: flow group with %d rounds", rounds))
 	}
 	if !(bytesPerMember > epsilonBytes) {
 		panic(fmt.Sprintf("simnet: flow group member size %v <= %v", bytesPerMember, epsilonBytes))
 	}
-	if len(routes) == 0 {
-		panic("simnet: flow group with no members")
-	}
-	for _, r := range routes {
-		if len(r) == 0 {
-			panic("simnet: flow group member with empty route")
-		}
-	}
-	var g *FlowGroup
-	if k := len(n.freeGroups); k > 0 {
-		// The done signal was re-armed at RecycleGroup time.
-		g = n.freeGroups[k-1]
-		n.freeGroups[k-1] = nil
-		n.freeGroups = n.freeGroups[:k-1]
-	} else {
-		g = &FlowGroup{done: sim.MakeSignal(n.eng)}
-	}
-	if cap(g.members) >= len(routes) {
-		g.members = g.members[:len(routes)]
-	} else {
-		g.members = make([]Flow, len(routes))
-	}
-	g.bytes, g.rounds, g.round, g.pending = bytesPerMember, rounds, 0, len(routes)
-	// A recycled group's memo was solved over its old routes.
+	n := g.net
+	g.bytes, g.rounds, g.round, g.pending = bytesPerMember, rounds, 0, len(g.members)
+	// The previous transfer's signal has fired, so no waiter is parked on
+	// it and resetting it loses none.
+	g.done = sim.MakeSignal(n.eng)
+	// The memo starts empty for every transfer.
 	g.step = 0
 	g.memoEnd, g.memoFlows, g.memoRates = g.memoEnd[:0], g.memoFlows[:0], g.memoRates[:0]
 	now := n.eng.Now()
-	for i, r := range routes {
-		m := &g.members[i]
-		*m = Flow{route: r, remaining: bytesPerMember, bytes: bytesPerMember, index: -1, started: now, group: g}
-		n.eng.ScheduleArg(RouteLatency(r), n.activateFn, m)
-	}
-	return g
-}
-
-// RecycleGroup returns a completed group's storage for reuse by a later
-// StartGroup, re-arming its done signal. The ownership rules are
-// Recycle's. Panics if the group has not completed or if waiters are
-// still parked on its signal.
-func (n *Network) RecycleGroup(g *FlowGroup) {
-	if !g.Completed() {
-		panic("simnet: RecycleGroup of an incomplete group")
-	}
-	g.done.Rearm()
 	for i := range g.members {
-		g.members[i].route = nil
+		m := &g.members[i]
+		*m = Flow{route: m.route, remaining: bytesPerMember, bytes: bytesPerMember, index: -1, started: now, group: g}
+		n.eng.ScheduleArg(RouteLatency(m.route), n.activateFn, m)
 	}
-	n.freeGroups = append(n.freeGroups, g)
 }
 
 func (n *Network) activate(f *Flow) {

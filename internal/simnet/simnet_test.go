@@ -286,48 +286,3 @@ func TestQuickFairnessSymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestRecycleReusesFlowStorage proves the opt-in free list: a recycled
-// flow's storage backs the next StartFlow, with its done signal re-armed.
-func TestRecycleReusesFlowStorage(t *testing.T) {
-	e := sim.NewEngine()
-	n := New(e)
-	l := n.NewLink("l", 1*gb, 0)
-	f1 := n.StartFlow(1e6, []*Link{l})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !f1.Completed() {
-		t.Fatal("flow did not complete")
-	}
-	n.Recycle(f1)
-	f2 := n.StartFlow(2e6, []*Link{l})
-	if f2 != f1 {
-		t.Error("StartFlow after Recycle minted fresh storage")
-	}
-	if f2.Completed() || f2.Done().Fired() {
-		t.Error("recycled flow kept completed state")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !f2.Completed() || !f2.Done().Fired() {
-		t.Error("recycled flow did not complete its second transfer")
-	}
-	if got := f2.Throughput(); !almostEqual(got, 1*gb, 1e-6) {
-		t.Errorf("recycled flow throughput = %v, want %v", got, 1*gb)
-	}
-}
-
-func TestRecycleIncompleteFlowPanics(t *testing.T) {
-	e := sim.NewEngine()
-	n := New(e)
-	l := n.NewLink("l", 1*gb, 0)
-	f := n.StartFlow(1e6, []*Link{l})
-	defer func() {
-		if recover() == nil {
-			t.Error("Recycle of an in-flight flow did not panic")
-		}
-	}()
-	n.Recycle(f)
-}
