@@ -14,8 +14,10 @@
 // so exemptions cannot outlive the code they excused. -timing prints
 // per-analyzer wall time, summed across packages, after the findings.
 //
-// The analyzers share one interprocedural program (module-wide call
-// graph and function summaries); package analysis then fans out across
+// The five analyzers share one interprocedural program (a module-wide
+// call graph whose function summaries record whether a function may
+// take a lock and whether it reaches a context-free API with a
+// *Context sibling); package analysis then fans out across
 // GOMAXPROCS workers, with findings reported in deterministic package
 // order regardless of completion order.
 //

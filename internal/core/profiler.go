@@ -105,7 +105,7 @@ type Profiler struct {
 	// sweeps re-measure the same cells (every instance size shares the
 	// same step-1 single-GPU run, for example). Each entry is created
 	// before its simulation starts; latecomers wait on done instead of
-	// duplicating the work.
+	// duplicating the work. mu guards cache and the tenants map.
 	mu    sync.Mutex
 	cache map[scenarioKey]*cacheEntry
 
@@ -122,10 +122,8 @@ type Profiler struct {
 	// Per-tenant mirrors of the scheduler counters, keyed by the tenant
 	// attached to the request context (WithTenant). Every increment of a
 	// global counter is mirrored into the requesting tenant's entry, so
-	// the conservation law holds per tenant too. tmu guards only the map;
-	// the counters themselves are atomics with the same load ordering
-	// discipline as the globals.
-	tmu     sync.Mutex
+	// the conservation law holds per tenant too. The counters themselves
+	// are atomics with the same load ordering discipline as the globals.
 	tenants map[string]*tenantCounters
 }
 
@@ -209,8 +207,8 @@ func (p *Profiler) Stats() Stats {
 // loaded before Requests), so per-tenant Balance is >= 0 even
 // mid-flight and exactly 0 at quiescence.
 func (p *Profiler) TenantStats() map[string]Stats {
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	out := make(map[string]Stats, len(p.tenants))
 	for name, tc := range p.tenants {
 		s := Stats{
@@ -232,8 +230,8 @@ func (p *Profiler) tenantFor(ctx context.Context) *tenantCounters {
 	if name == "" {
 		return nil
 	}
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	tc := p.tenants[name]
 	if tc == nil {
 		tc = &tenantCounters{}

@@ -94,11 +94,9 @@ func checkCtxBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		// Interprocedural: a ctx-less module helper whose chain reaches
 		// a context-free API with a *Context sibling, frames down.
-		if pass.Prog != nil {
-			if ff := pass.Prog.factsFor(fn); ff != nil && ff.ctxTainted && !ff.hasCtx {
-				chain := strings.Join(append([]string{fn.Name()}, ff.ctxChain...), " → ")
-				pass.Reportf(call.Pos(), "%s reaches the context-free %s without a ctx-taking frame in between (chain: %s); thread the ctx this function already holds through that chain", fn.Name(), chainTail(ff.ctxChain), chain)
-			}
+		if ff := pass.Prog.factsFor(fn); ff != nil && ff.ctxTainted && !ff.hasCtx {
+			chain := strings.Join(append([]string{fn.Name()}, ff.ctxChain...), " → ")
+			pass.Reportf(call.Pos(), "%s reaches the context-free %s without a ctx-taking frame in between (chain: %s); thread the ctx this function already holds through that chain", fn.Name(), chainTail(ff.ctxChain), chain)
 		}
 		return true
 	})

@@ -1,19 +1,19 @@
-// Package lint is stashlint's analyzer suite: six static analyzers
+// Package lint is stashlint's analyzer suite: five static analyzers
 // that prove, at compile time, the invariants this repository otherwise
 // only checks dynamically (internal/audit, go test -race). The headline
 // guarantee — byte-identical stall tables serial-vs-parallel and
 // run-vs-rerun — survives only if no wall-clock read, unsorted map
-// iteration, or lock-across-blocking-call ever reaches a release;
-// these analyzers reject that class of bug before it can fire on some
-// schedule.
+// iteration, or wait or nested lock inside a critical section ever
+// reaches a release; these analyzers reject that class of bug before
+// it can fire on some schedule.
 //
 // Two of the analyzers are interprocedural: RunAll builds a Program —
 // a module-wide call graph over go/types with per-function summaries
-// (which locks a function transitively acquires, whether it reaches a
+// (whether a function may acquire a lock, whether it reaches a
 // context-free API with a *Context sibling) computed to a monotone
-// fixed point — and lockorder and ctxflow consult those summaries at
-// every call site, so a lock-order inversion or a detached context
-// hidden three frames down is still a compile-time finding.
+// fixed point — and lockheld and ctxflow consult those summaries at
+// every call site, so a lock taken under another lock or a detached
+// context hidden three frames down is still a compile-time finding.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, testdata fixtures with // want
@@ -41,7 +41,7 @@ import (
 // Version identifies the analyzer suite in CI gate logs. Bump it when
 // an analyzer's semantics change so a log line pins exactly what was
 // enforced for a given commit.
-const Version = "1.4.0"
+const Version = "1.5.0"
 
 // An Analyzer describes one static check.
 type Analyzer struct {
@@ -60,7 +60,7 @@ type Analyzer struct {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, MapOrder, LockHeld, LockOrder, CtxFlow, FloatCmp}
+	return []*Analyzer{Wallclock, MapOrder, LockHeld, CtxFlow, FloatCmp}
 }
 
 // ByName returns the analyzer with the given name, or nil.
@@ -87,7 +87,7 @@ func (d Diagnostic) String() string {
 
 // A Pass carries one type-checked package through one analyzer run.
 // Prog is the interprocedural layer shared by every package of the
-// run; the cross-function analyzers (lockorder, ctxflow) read
+// run; the cross-function analyzers (lockheld, ctxflow) read
 // call-graph summaries from it while still reporting per package, so
 // allow-directive scoping stays line-local.
 type Pass struct {
@@ -126,7 +126,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunAll executes the analyzers over every package as one program: the
-// call-graph summaries span all of pkgs, so a lock cycle or a detached
+// call-graph summaries span all of pkgs, so a nested lock or a detached
 // context threaded through three packages is still seen, while each
 // finding is reported (and allow-suppressed) in the package that
 // contains it. The packages must come from one Loader.

@@ -45,9 +45,9 @@ func TestFixtures(t *testing.T) {
 		{Wallclock, "wallclock"},
 		{MapOrder, "maporder"},
 		{LockHeld, "lockheld"},
-		{LockOrder, "lockorder"},
+		{LockHeld, "lockorder"},
 		{CtxFlow, "ctxflow"},
-		{LockOrder, "allowscope"},
+		{LockHeld, "allowscope"},
 		{FloatCmp, "floatcmp"},
 	}
 	l := fixtureLoader(t)
@@ -97,7 +97,7 @@ func TestAllowRequiresReason(t *testing.T) {
 // TestSuiteRegistry pins the analyzer set: CI prints this list, and the
 // allow annotations in the tree reference these names.
 func TestSuiteRegistry(t *testing.T) {
-	want := []string{"wallclock", "maporder", "lockheld", "lockorder", "ctxflow", "floatcmp"}
+	want := []string{"wallclock", "maporder", "lockheld", "ctxflow", "floatcmp"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
@@ -196,6 +196,35 @@ func TestProgramConvergesOnRecursion(t *testing.T) {
 	}
 }
 
+// TestLockSummaryConvergesOnRecursion: pingLock and pongLock in the
+// lockheld fixture call each other and only pingLock takes a lock.
+// BuildProgram must still terminate (only whether a lock name exists
+// takes part in the fixed point), both must summarize as acquiring, and
+// a caller holding a lock gets a finding naming one of them.
+func TestLockSummaryConvergesOnRecursion(t *testing.T) {
+	l := fixtureLoader(t)
+	pkg := loadFixture(t, l, "lockheld")
+	prog := BuildProgram([]*Package{pkg})
+	byName := make(map[string]*funcFacts)
+	for _, ff := range prog.order {
+		byName[ff.fn.Name()] = ff
+	}
+	for _, name := range []string{"pingLock", "pongLock"} {
+		if ff := byName[name]; ff == nil || ff.lock != "global" {
+			t.Errorf("%s should summarize as locking global, got %+v", name, ff)
+		}
+	}
+	var found bool
+	for _, d := range RunPackage(prog, pkg, []*Analyzer{LockHeld}) {
+		if strings.Contains(d.Message, "call to pongLock may lock global while g.mu is locked") {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("the caller holding g.mu got no finding naming the recursive helpers")
+	}
+}
+
 // TestAllowScopeInterprocedural pins the scoping contract directly (the
 // want annotations in testdata/src/allowscope cover it fixture-style):
 // a callee-side allow must not suppress the caller-side finding derived
@@ -203,19 +232,19 @@ func TestProgramConvergesOnRecursion(t *testing.T) {
 func TestAllowScopeInterprocedural(t *testing.T) {
 	l := fixtureLoader(t)
 	pkg := loadFixture(t, l, "allowscope")
-	if !fixtureHasAllow(pkg, "lockorder") {
+	if !fixtureHasAllow(pkg, "lockheld") {
 		t.Fatal("fixture lost its //lint:allow directives")
 	}
-	diags := Run(pkg, []*Analyzer{LockOrder})
+	diags := Run(pkg, []*Analyzer{LockHeld})
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (caller-side and callee-side): %v", len(diags), diags)
 	}
 	for _, d := range diags {
-		if !strings.Contains(d.Message, "lock order cycle") {
+		if !strings.Contains(d.Message, "a critical section takes no other lock") {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	if !strings.Contains(diags[0].Message, "(via call to lockBQuiet)") && !strings.Contains(diags[1].Message, "(via call to lockBQuiet)") {
+	if !strings.Contains(diags[0].Message, "call to lockBQuiet") && !strings.Contains(diags[1].Message, "call to lockBQuiet") {
 		t.Errorf("missing the interprocedural caller-side finding: %v", diags)
 	}
 }
@@ -226,7 +255,7 @@ func TestAllowScopeInterprocedural(t *testing.T) {
 // degrades to RunPackage.
 func TestRunPackageObserved(t *testing.T) {
 	l := fixtureLoader(t)
-	pkg := loadFixture(t, l, "lockorder")
+	pkg := loadFixture(t, l, "lockheld")
 	analyzers := All()
 	prog := BuildProgram([]*Package{pkg})
 	plain := RunPackage(prog, pkg, analyzers)
@@ -266,7 +295,7 @@ func TestRunPackageObserved(t *testing.T) {
 func TestStaleAllows(t *testing.T) {
 	l := fixtureLoader(t)
 	pkg := loadFixture(t, l, "staleallow")
-	stale := StaleAllows([]*Package{pkg}, []*Analyzer{Wallclock, LockOrder})
+	stale := StaleAllows([]*Package{pkg}, []*Analyzer{Wallclock, LockHeld})
 	if len(stale) != 1 {
 		t.Fatalf("got %d stale directives, want 1: %v", len(stale), stale)
 	}
@@ -286,7 +315,7 @@ func TestStaleAllows(t *testing.T) {
 func TestStaleAllowsIgnoresOtherAnalyzers(t *testing.T) {
 	l := fixtureLoader(t)
 	pkg := loadFixture(t, l, "staleallow")
-	if stale := StaleAllows([]*Package{pkg}, []*Analyzer{LockOrder}); len(stale) != 0 {
+	if stale := StaleAllows([]*Package{pkg}, []*Analyzer{LockHeld}); len(stale) != 0 {
 		t.Errorf("stale findings for analyzers that did not run: %v", stale)
 	}
 }

@@ -1,6 +1,9 @@
 // Package lockheld exercises the lockheld analyzer: blocking
-// operations under a held mutex are flagged; the publish-unlock-wait
-// idiom, goroutine bodies and sync.Cond.Wait are not.
+// operations and lock acquisitions under a held mutex are flagged —
+// directly or behind any call chain; the publish-unlock-wait idiom,
+// sequential critical sections, goroutine bodies and sync.Cond.Wait
+// are not. The lock-order classes (inversions, recursive acquisition,
+// recursive read locking) are in the lockorder fixture.
 package lockheld
 
 import (
@@ -78,6 +81,19 @@ func (g *gate) goodUnlockInBranch(hit bool) int {
 	return 0
 }
 
+// badAfterUnlockInBranch: the Unlock in the hit branch ends the region
+// for that branch only, so the miss path after it is still held.
+func (g *gate) badAfterUnlockInBranch(hit bool) int {
+	g.mu.Lock()
+	if hit {
+		g.mu.Unlock()
+		return 0
+	}
+	g.ch <- 1 // want `channel send while g\.mu is locked`
+	g.mu.Unlock()
+	return 1
+}
+
 func (g *gate) goodGoroutineBody() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -132,4 +148,30 @@ func (g *gate) goodContinuationDeferred() {
 	schedule(func() {
 		g.ch <- 1
 	})
+}
+
+// ---- the lock summary closes over recursion ---------------------------
+
+var global sync.Mutex
+
+// The lock summary closes over recursion: pingLock and pongLock call
+// each other and only pingLock locks, yet both may acquire a lock.
+func pingLock(n int) {
+	if n > 0 {
+		pongLock(n - 1)
+	}
+	global.Lock()
+	global.Unlock()
+}
+
+func pongLock(n int) {
+	if n > 0 {
+		pingLock(n - 1)
+	}
+}
+
+func (g *gate) badRecursiveHelper() {
+	g.mu.Lock()
+	pongLock(2) // want `call to pongLock may lock global while g\.mu is locked`
+	g.mu.Unlock()
 }

@@ -1,14 +1,14 @@
-// Package lockorder exercises the lockorder analyzer: the module-wide
-// lock-acquisition graph must stay acyclic. Seeded here: a direct AB/BA
-// inversion inside one type, a cross-function cycle where each half of
-// the inversion hides behind a call, a recursive (self) acquisition,
-// and consistently-ordered nesting that must stay clean.
+// Package lockorder holds the lock-order bug classes — AB/BA inversions
+// (direct and behind calls), recursive acquisition and recursive read
+// locking — as cases of the lockheld analyzer's one rule: a critical
+// section takes no other lock. Each class needs a nested acquisition,
+// so each is flagged where the inner lock is taken; consistently
+// ordered nesting is flagged too, and sequential regions stay clean.
 package lockorder
 
 import "sync"
 
-// ---- direct inversion within one type ---------------------------------
-
+// Both halves of an AB/BA inversion are flagged on their own.
 type server struct {
 	mu sync.Mutex
 	qu sync.Mutex
@@ -16,20 +16,20 @@ type server struct {
 
 func (s *server) abOrder() {
 	s.mu.Lock()
-	s.qu.Lock() // want `lock order cycle`
+	s.qu.Lock() // want `s\.qu\.Lock while s\.mu is locked; a critical section takes no other lock`
 	s.qu.Unlock()
 	s.mu.Unlock()
 }
 
 func (s *server) baOrder() {
 	s.qu.Lock()
-	s.mu.Lock() // want `lock order cycle`
+	s.mu.Lock() // want `s\.mu\.Lock while s\.qu is locked`
 	s.mu.Unlock()
 	s.qu.Unlock()
 }
 
-// ---- consistent ordering stays clean ----------------------------------
-
+// Consistently ordered nesting is rejected too: a critical section
+// takes no other lock.
 type tree struct {
 	parent sync.Mutex
 	child  sync.Mutex
@@ -37,7 +37,7 @@ type tree struct {
 
 func (t *tree) down() {
 	t.parent.Lock()
-	t.child.Lock()
+	t.child.Lock() // want `t\.child\.Lock while t\.parent is locked`
 	t.child.Unlock()
 	t.parent.Unlock()
 }
@@ -45,12 +45,12 @@ func (t *tree) down() {
 func (t *tree) downDeferred() {
 	t.parent.Lock()
 	defer t.parent.Unlock()
-	t.child.Lock()
+	t.child.Lock() // want `t\.child\.Lock while t\.parent is locked`
 	defer t.child.Unlock()
 }
 
-// ---- the inversion hides behind calls ---------------------------------
-
+// The inversion hides behind calls: each caller is flagged through the
+// callee's summary.
 type reg struct{ mu sync.Mutex }
 type cache struct{ mu sync.Mutex }
 
@@ -67,22 +67,21 @@ func touchCache(c *cache) {
 func (c *cache) fill(r *reg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	touchReg(r) // want `lock order cycle`
+	touchReg(r) // want `call to touchReg may lock r\.mu while c\.mu is locked`
 }
 
 func (r *reg) sweep(c *cache) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	touchCache(c) // want `lock order cycle`
+	touchCache(c) // want `call to touchCache may lock c\.mu while r\.mu is locked`
 }
 
-// ---- recursive acquisition --------------------------------------------
-
+// Recursive acquisition: sync mutexes are not reentrant.
 var global sync.Mutex
 
 func doubleLock() {
 	global.Lock()
-	global.Lock() // want `global acquired while already held`
+	global.Lock() // want `global\.Lock while global is locked`
 	global.Unlock()
 	global.Unlock()
 }
@@ -94,11 +93,9 @@ func lockGlobal() {
 
 func recurseViaHelper() {
 	global.Lock()
-	lockGlobal() // want `global acquired while already held \(via call to lockGlobal\)`
+	lockGlobal() // want `call to lockGlobal may lock global while global is locked`
 	global.Unlock()
 }
-
-// ---- recursive read locking -------------------------------------------
 
 // sync.RWMutex forbids recursive read locking: a writer's Lock queued
 // between the two RLocks blocks the second one and deadlocks.
@@ -106,7 +103,7 @@ var rw sync.RWMutex
 
 func doubleRLock() int {
 	rw.RLock()
-	rw.RLock() // want `rw read-locked while already read-held`
+	rw.RLock() // want `rw\.RLock while rw is locked`
 	rw.RUnlock()
 	rw.RUnlock()
 	return 0
@@ -119,30 +116,4 @@ func sequentialRLock() {
 	rw.RUnlock()
 	rw.RLock()
 	rw.RUnlock()
-}
-
-// ---- allow scoping: a callee-side allow must not leak to callers ------
-
-type pair struct {
-	a sync.Mutex
-	b sync.Mutex
-}
-
-func lockBQuiet(p *pair) {
-	//lint:allow lockorder scope test: this directive must not suppress caller-side findings
-	p.b.Lock()
-	p.b.Unlock()
-}
-
-func callerOrderAB(p *pair) {
-	p.a.Lock()
-	lockBQuiet(p) // want `lock order cycle`
-	p.a.Unlock()
-}
-
-func callerOrderBA(p *pair) {
-	p.b.Lock()
-	p.a.Lock() // want `lock order cycle`
-	p.a.Unlock()
-	p.b.Unlock()
 }

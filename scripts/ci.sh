@@ -79,10 +79,13 @@ go run ./cmd/stash -selfcheck
 # snapshots when at least two exist.
 #
 # The micro benches (internal/sim, internal/simnet, internal/collective,
-# internal/trace — the blame-attribution pass) are ENFORCED: their
-# steady-state min-of-N is stable across runs on one machine
-# (nanosecond-scale operations, many iterations per sample), so a >25%
-# regression is a real change, not noise, and fails the gate.
+# internal/trace — the blame-attribution pass) are ENFORCED: a >25%
+# regression in their steady-state min-of-N fails the gate. That
+# min-of-N is not noise-free: alternating runs of one unchanged
+# BenchmarkRingAllReduce/pcie16 binary on a loaded 2-vCPU host measured
+# 12.3–19.0 µs/op, a spread wider than the threshold, so a failure here
+# can come from host load and is worth one rerun before it is read as a
+# code regression.
 #
 # The suite benches (package stash: SuiteSerial/SuiteParallel and the
 # experiment benches) stay ADVISORY: a suite sample is one -benchtime=1x
