@@ -23,7 +23,7 @@
 //	GET    /v1/experiments          the paper-artifact registry
 //	GET    /v1/experiments/{id}     run one artifact, tables as JSON
 //	POST   /v2/jobs                 submit an asynchronous job (202 + id)
-//	GET    /v2/jobs                 list the tenant's jobs (?state= filter)
+//	GET    /v2/jobs                 list the retained jobs (?state= filter)
 //	GET    /v2/jobs/{id}            job status snapshot with progress
 //	GET    /v2/jobs/{id}/result     replay a terminal job's exact result
 //	GET    /v2/jobs/{id}/events     SSE progress stream to the terminal event
@@ -36,10 +36,11 @@
 // profile, recommend and blame requests and one for experiment runs, so
 // repeated and concurrent requests for overlapping scenarios simulate
 // each distinct scenario exactly once. No other server in the process
-// shares them. Jobs are scoped to the tenant named by the
-// X-Stash-Tenant header, admitted under a per-tenant quota, and
-// dispatched in submission order (one FIFO) on a worker pool separate
-// from the v1 concurrency gate.
+// shares them. The server has one client scope (a request carrying an
+// X-Stash-Tenant header is a 400): jobs are admitted under a
+// server-wide live-job quota (-tenant-quota) and dispatched in
+// submission order (one FIFO) on a worker pool separate from the v1
+// concurrency gate.
 // On SIGTERM/SIGINT the server rejects new jobs, cancels queued ones,
 // gives running jobs and in-flight requests up to -drain-timeout to
 // settle, then exits.
@@ -113,7 +114,7 @@ func newFlagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.jobWorkers, "job-workers", api.DefaultJobWorkers, "v2 job executor pool size")
 	fs.DurationVar(&c.jobTTL, "job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
 	fs.IntVar(&c.maxJobs, "max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
-	fs.IntVar(&c.tenantQuota, "tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs per tenant")
+	fs.IntVar(&c.tenantQuota, "tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs on the server")
 	return fs
 }
 

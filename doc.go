@@ -65,7 +65,7 @@
 //   - cmd/characterize: regenerate any or all paper artifacts;
 //   - cmd/stashd: the same capabilities as a long-running HTTP service
 //     with a versioned JSON API — synchronous /v1 calls plus async
-//     /v2 jobs with SSE progress, per-tenant quotas and one FIFO queue
+//     /v2 jobs with SSE progress, a live-job quota and one FIFO queue
 //     (internal/api; contract in docs/API.md, operator guide in
 //     docs/OPERATIONS.md);
 //   - cmd/microbench, cmd/bwtest: Fig 16 and Fig 7 probes;

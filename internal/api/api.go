@@ -37,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -114,8 +113,8 @@ func WithJobStoreMax(n int) Option {
 	return func(s *Server) { s.jobStoreMax = n }
 }
 
-// WithTenantQuota caps one tenant's active (queued + running) jobs
-// (default DefaultTenantQuota).
+// WithTenantQuota caps the server's live (queued + running) v2 jobs
+// (default DefaultTenantQuota); admissions beyond it answer 429.
 func WithTenantQuota(n int) Option {
 	return func(s *Server) { s.tenantQuota = n }
 }
@@ -203,9 +202,16 @@ func (s *Server) Drain(ctx context.Context) {
 
 // Handler returns the server's root handler: the /v1 API plus /healthz
 // and /metrics, with method mismatches answered 405 and unknown paths
-// 404 (both as JSON errors).
+// 404 (both as JSON errors). A request carrying the X-Stash-Tenant
+// header is a 400: the server has one client scope.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, ok := r.Header[tenantHeader]; ok {
+			s.metrics.observe("other", http.StatusBadRequest, 0)
+			writeError(w, http.StatusBadRequest, errInvalidRequest,
+				tenantHeader+" is not supported: the server has one client scope")
+			return
+		}
 		if _, pattern := s.mux.Handler(r); pattern == "" {
 			// ServeMux would render its own text/plain 404/405; keep the
 			// error contract JSON instead.
@@ -279,13 +285,6 @@ func (s *Server) route(endpoint string, heavy bool, h http.HandlerFunc) http.Han
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
-		// Attribute the request's scenario activity to its tenant so the
-		// per-tenant conservation counters cover v1 traffic too; an
-		// invalid header just leaves the request unattributed here (the
-		// v2 handlers reject it).
-		if tenant, aerr := tenantOf(r); aerr == nil {
-			ctx = core.WithTenant(ctx, tenant)
-		}
 		r = r.WithContext(ctx)
 
 		if heavy {
@@ -317,21 +316,17 @@ func (s *Server) route(endpoint string, heavy bool, h http.HandlerFunc) http.Han
 	}
 }
 
-// routeStream wraps a streaming handler (SSE) with metrics and tenant
-// attribution but no per-request timeout and no concurrency gate: the
-// stream lives until the job settles or the client disconnects, and it
-// must never occupy a slot a simulation could use.
+// routeStream wraps a streaming handler (SSE) with metrics but no
+// per-request timeout and no concurrency gate: the stream lives until
+// the job settles or the client disconnects, and it must never occupy a
+// slot a simulation could use.
 func (s *Server) routeStream(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now() //lint:allow wallclock request-latency metric for /metrics, never enters a stall table
 		sw := &statusWriter{ResponseWriter: w}
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
-		ctx := r.Context()
-		if tenant, aerr := tenantOf(r); aerr == nil {
-			ctx = core.WithTenant(ctx, tenant)
-		}
-		h(sw, r.WithContext(ctx))
+		h(sw, r)
 		//lint:allow wallclock request-latency metric for /metrics, never enters a stall table
 		s.metrics.observe(endpoint, sw.status(), time.Since(start))
 	}
@@ -365,23 +360,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		res.Checks += live.Checks
 		res.Violations = append(res.Violations, live.Violations...)
 	}
-	// Per-tenant conservation, one layer per family: the scenario
-	// counters of each pool (mirrored by core.WithTenant) and the job
-	// lifecycle counters of the v2 store. A fresh server has no tenants
-	// and adds no checks here.
-	for _, pool := range []map[string]core.Stats{s.profiler.TenantStats(), s.expCfg.Pool.TenantStats()} {
-		for _, name := range sortedKeys(pool) {
-			live := audit.CheckStatsLive(pool[name])
-			res.Checks += live.Checks
-			res.Violations = append(res.Violations, live.Violations...)
-		}
-	}
-	jc := s.jobsStore.counters()
-	for _, name := range sortedKeys(jc) {
-		jres := audit.CheckJobCounters(name, jc[name])
-		res.Checks += jres.Checks
-		res.Violations = append(res.Violations, jres.Violations...)
-	}
+	// The v2 store's job lifecycle counters conserve too.
+	jres := audit.CheckJobCounters(s.jobsStore.counters())
+	res.Checks += jres.Checks
+	res.Violations = append(res.Violations, jres.Violations...)
 	s.metrics.auditChecks.Add(int64(res.Checks))
 	s.metrics.auditViolations.Add(int64(len(res.Violations)))
 	if !res.Ok() {
@@ -400,17 +382,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, s.metrics.render())
-}
-
-// sortedKeys returns a string-keyed map's keys in sorted order — the
-// repo-wide idiom for deterministic iteration over maps.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // maxBodyBytes caps a request body; every request DTO is far smaller.

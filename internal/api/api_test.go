@@ -222,6 +222,12 @@ func TestRecommendInfeasible(t *testing.T) {
 	if code != http.StatusUnprocessableEntity || errCode(t, body) != errInfeasible {
 		t.Errorf("infeasible = %d %s", code, body)
 	}
+	// A tiny but representable deadline is a real constraint nothing
+	// meets, not a validation error.
+	code, body = postJSON(t, ts.URL+"/v1/recommend", `{"model":"resnet18","max_epoch_seconds":1e-6}`)
+	if code != http.StatusUnprocessableEntity || errCode(t, body) != errInfeasible {
+		t.Errorf("1us deadline = %d %s", code, body)
+	}
 }
 
 func TestRecommendValidation(t *testing.T) {
@@ -230,6 +236,10 @@ func TestRecommendValidation(t *testing.T) {
 		"missing model":       `{}`,
 		"negative constraint": `{"model":"resnet18","max_epoch_seconds":-5}`,
 		"unknown field":       `{"model":"resnet18","budget":3}`,
+		// A deadline under 1 ns would truncate to 0, which means "no
+		// deadline"; one past 2^63 ns overflows the conversion.
+		"sub-nanosecond deadline": `{"model":"resnet18","max_epoch_seconds":1e-10}`,
+		"overflowing deadline":    `{"model":"resnet18","max_epoch_seconds":1e12}`,
 	} {
 		code, b := postJSON(t, ts.URL+"/v1/recommend", body)
 		if code != http.StatusBadRequest || errCode(t, b) != errInvalidRequest {

@@ -42,8 +42,10 @@ func TestHealthzDeep(t *testing.T) {
 	if hr.Status != "ok" || hr.Audit == nil {
 		t.Fatalf("deep healthz body: %s", body)
 	}
-	if hr.Audit.Checks == 0 {
-		t.Error("deep probe evaluated no checks")
+	// A fresh server's count: the bounded audit slice, both pools' live
+	// conservation and the job store's two job-counter checks.
+	if hr.Audit.Checks != 56 {
+		t.Errorf("fresh deep probe evaluated %d checks, want 56", hr.Audit.Checks)
 	}
 	if !strings.Contains(string(body), `"violations":[]`) {
 		t.Errorf("passing probe must render violations as []: %s", body)

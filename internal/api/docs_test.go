@@ -307,8 +307,8 @@ func TestMetricsDocumented(t *testing.T) {
 	if code, _ := getBody(t, ts.URL+"/healthz?deep=1"); code != http.StatusOK {
 		t.Fatal("deep healthz failed")
 	}
-	id := submitJob(t, ts.URL, "acme", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
-	waitTerminal(t, ts.URL, "acme", id)
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	waitTerminal(t, ts.URL, id)
 
 	code, body := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK {

@@ -27,7 +27,7 @@ const (
 	errInternal         = "internal"
 
 	// v2 job API codes.
-	errQuotaExceeded = "quota_exceeded" // 429: tenant at its active-job quota
+	errQuotaExceeded = "quota_exceeded" // 429: server at its live-job quota
 	errStoreFull     = "store_full"     // 429: job store full of non-evictable (active) jobs
 	errDraining      = "draining"       // 503: server drain in progress, not accepting jobs
 	errJobNotReady   = "job_not_ready"  // 409: result requested before the job is terminal
@@ -323,7 +323,6 @@ type JobProgress struct {
 // byte-stable for the docs verifier.
 type JobStatus struct {
 	ID       string      `json:"id"`
-	Tenant   string      `json:"tenant"`
 	Type     string      `json:"type"`
 	State    string      `json:"state"`
 	Progress JobProgress `json:"progress"`
@@ -339,8 +338,8 @@ type JobStatus struct {
 	Error *ErrorBody `json:"error,omitempty"`
 }
 
-// JobListResponse is GET /v2/jobs's body: the requesting tenant's
-// jobs, oldest first.
+// JobListResponse is GET /v2/jobs's body: the retained jobs, oldest
+// first.
 type JobListResponse struct {
 	Jobs []JobStatus `json:"jobs"`
 }

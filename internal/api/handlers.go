@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -182,6 +183,15 @@ func (s *Server) computeRecommend(ctx context.Context, req RecommendRequest) (*R
 	if req.MaxEpochSeconds < 0 || req.MaxCostPerEpoch < 0 || req.MaxNodes < 0 {
 		return nil, newAPIError(http.StatusBadRequest, errInvalidRequest, "constraints must be non-negative")
 	}
+	// A positive deadline must survive the float -> int64 nanosecond
+	// conversion: under 1 ns it would truncate to 0 ("no deadline"), and
+	// at or past 2^63 ns the conversion is implementation-defined.
+	maxEpoch := req.MaxEpochSeconds * float64(time.Second)
+	if req.MaxEpochSeconds > 0 && (maxEpoch < 1 || maxEpoch >= math.MaxInt64) {
+		return nil, newAPIError(http.StatusBadRequest, errInvalidRequest,
+			fmt.Sprintf(`"max_epoch_seconds" must be 0 (no deadline) or in [1e-9, %.4g) seconds, got %v`,
+				math.MaxInt64/float64(time.Second), req.MaxEpochSeconds))
+	}
 	model, err := dnn.Resolve(req.Model)
 	if err != nil {
 		return nil, newAPIError(http.StatusBadRequest, errInvalidRequest, err.Error())
@@ -192,7 +202,7 @@ func (s *Server) computeRecommend(ctx context.Context, req RecommendRequest) (*R
 	}
 
 	rec, err := s.profiler.RecommendContext(ctx, job, core.Constraints{
-		MaxEpochTime:    time.Duration(req.MaxEpochSeconds * float64(time.Second)),
+		MaxEpochTime:    time.Duration(maxEpoch),
 		MaxCostPerEpoch: req.MaxCostPerEpoch,
 		Families:        req.Families,
 		MaxNodes:        req.MaxNodes,

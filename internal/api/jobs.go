@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"regexp"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,48 +48,16 @@ const (
 	// retained job is still active.
 	DefaultJobStoreMax = 256
 
-	// DefaultTenantQuota caps one tenant's active (queued + running)
-	// jobs.
+	// DefaultTenantQuota caps the server's live (queued + running)
+	// jobs; admissions beyond it answer 429 quota_exceeded.
 	DefaultTenantQuota = 16
 )
 
-// tenantHeader names the requesting tenant; absent means
-// defaultTenant. The v2 job API scopes every job to its tenant, and
-// the scenario scheduler mirrors per-tenant conservation counters
-// under the same name.
-const (
-	tenantHeader  = "X-Stash-Tenant"
-	defaultTenant = "default"
-)
-
-// tenantNamePattern is the label-safe alphabet tenant names are drawn
-// from, so they can appear verbatim in /metrics series.
-const tenantNamePattern = `[A-Za-z0-9][A-Za-z0-9_.-]{0,63}`
-
-var tenantNameRe = regexp.MustCompile(`^` + tenantNamePattern + `$`)
-
-// CheckTenantName reports whether name can identify a tenant in the
-// X-Stash-Tenant header.
-func CheckTenantName(name string) error {
-	if !tenantNameRe.MatchString(name) {
-		return fmt.Errorf("need %s", tenantNamePattern)
-	}
-	return nil
-}
-
-// tenantOf resolves the request's tenant from the X-Stash-Tenant
-// header; an absent header means defaultTenant.
-func tenantOf(r *http.Request) (string, *apiError) {
-	name := r.Header.Get(tenantHeader)
-	if name == "" {
-		return defaultTenant, nil
-	}
-	if err := CheckTenantName(name); err != nil {
-		return "", newAPIError(http.StatusBadRequest, errInvalidRequest,
-			fmt.Sprintf("invalid %s header: %v", tenantHeader, err))
-	}
-	return name, nil
-}
+// tenantHeader is a per-client scoping header the server does not
+// honour: stashd has one client scope, so Handler rejects any request
+// that carries it (400) rather than silently sharing jobs a client
+// expected to be isolated from.
+const tenantHeader = "X-Stash-Tenant"
 
 // jobPartial is one settled partial result: for experiments jobs, one
 // artifact's response, byte-identical to GET /v1/experiments/{id}.
@@ -105,10 +72,9 @@ type jobPartial struct {
 // is what makes every observable transition and every snapshot exact
 // (the conservation audit holds at any instant, not just quiescence).
 type job struct {
-	id     string
-	tenant string
-	class  string
-	req    JobCreateRequest
+	id    string
+	class string
+	req   JobCreateRequest
 
 	cellsDone  atomic.Int64
 	cellsTotal atomic.Int64
@@ -127,17 +93,7 @@ type job struct {
 	subs         []chan struct{} // SSE wakeups, coalesced cap-1 channels
 }
 
-// jobTally is one tenant's job accounting, guarded by jobStore.mu so
-// the lifecycle balance (audit.JobCounters) is exact at every
-// snapshot.
-type jobTally struct {
-	accepted, rejected      int64
-	done, failed, cancelled int64
-	queued, running         int64
-	cells                   int64
-}
-
-// jobStore is the v2 job subsystem: admission (per-tenant quotas, a
+// jobStore is the v2 job subsystem: admission (a live-job quota, a
 // bounded store with TTL + LRU eviction of terminal jobs), one FIFO
 // queue in submission order, a fixed worker pool, cancellation and
 // drain. One mutex guards all state transitions and snapshots.
@@ -157,7 +113,9 @@ type jobStore struct {
 	doneSeq  int64
 	jobs     map[string]*job
 	order    []*job // submission order (evicted jobs removed); the FIFO queue
-	tallies  map[string]*jobTally
+	// tally is the job accounting; updating it under mu with every
+	// transition keeps its lifecycle balance exact at every snapshot.
+	tally audit.JobCounters
 
 	// hold, when set, runs on a dispatched job's context before the job
 	// executes. Tests use it to keep a job in flight until it is
@@ -183,7 +141,6 @@ func newJobStore(workers int, ttl time.Duration, maxJobs, quota int) *jobStore {
 		wakeCh:  make(chan struct{}, workers),
 		stopCh:  make(chan struct{}),
 		jobs:    make(map[string]*job),
-		tallies: make(map[string]*jobTally),
 	}
 }
 
@@ -252,40 +209,29 @@ func (st *jobStore) notify(j *job) {
 	notifyAll(subs)
 }
 
-// tallyLocked resolves a tenant's accounting, creating it on first use.
-func (st *jobStore) tallyLocked(tenant string) *jobTally {
-	t := st.tallies[tenant]
-	if t == nil {
-		t = &jobTally{}
-		st.tallies[tenant] = t
-	}
-	return t
-}
-
 // submit admits one job: drain and quota checks, capacity eviction,
 // then enqueue at the tail of the FIFO. The returned JobStatus is
 // snapshotted inside the same critical section that enqueues, so a 202
 // body always reads "queued" with zeroed progress — byte-stable no
 // matter how fast a worker picks the job up.
-func (st *jobStore) submit(tenant string, req JobCreateRequest, class string) (JobStatus, *apiError) {
+func (st *jobStore) submit(req JobCreateRequest, class string) (JobStatus, *apiError) {
 	now := time.Now() //lint:allow wallclock job-store TTL/eviction deadlines, never enters a stall table
 	st.mu.Lock()
-	tally := st.tallyLocked(tenant)
 	if st.draining {
-		tally.rejected++
+		st.tally.Rejected++
 		st.mu.Unlock()
 		return JobStatus{}, newAPIError(http.StatusServiceUnavailable, errDraining,
 			"server is draining; not accepting new jobs")
 	}
 	st.evictExpiredLocked(now)
-	if active := tally.queued + tally.running; active >= int64(st.quota) {
-		tally.rejected++
+	if active := st.tally.Queued + st.tally.Running; active >= int64(st.quota) {
+		st.tally.Rejected++
 		st.mu.Unlock()
 		return JobStatus{}, newAPIError(http.StatusTooManyRequests, errQuotaExceeded,
-			fmt.Sprintf("tenant %q has %d active jobs (quota %d)", tenant, active, st.quota))
+			fmt.Sprintf("server has %d active jobs (quota %d)", active, st.quota))
 	}
 	if len(st.jobs) >= st.maxJobs && !st.evictOneLocked() {
-		tally.rejected++
+		st.tally.Rejected++
 		st.mu.Unlock()
 		return JobStatus{}, newAPIError(http.StatusTooManyRequests, errStoreFull,
 			fmt.Sprintf("job store holds %d active jobs (max %d)", len(st.jobs), st.maxJobs))
@@ -293,7 +239,6 @@ func (st *jobStore) submit(tenant string, req JobCreateRequest, class string) (J
 	st.nextSeq++
 	j := &job{
 		id:     fmt.Sprintf("job-%d", st.nextSeq),
-		tenant: tenant,
 		class:  class,
 		req:    req,
 		state:  jobStateQueued,
@@ -301,8 +246,8 @@ func (st *jobStore) submit(tenant string, req JobCreateRequest, class string) (J
 	}
 	st.jobs[j.id] = j
 	st.order = append(st.order, j)
-	tally.accepted++
-	tally.queued++
+	st.tally.Accepted++
+	st.tally.Queued++
 	snap := st.statusLocked(j)
 	st.mu.Unlock()
 	st.wakeWorkers()
@@ -312,9 +257,7 @@ func (st *jobStore) submit(tenant string, req JobCreateRequest, class string) (J
 // dispatchLocked takes the oldest queued job and transitions it
 // queued -> running. Dispatch order is submission order, so a given
 // submission history always dispatches the same way regardless of
-// goroutine scheduling; per-tenant isolation comes from the admission
-// quota, which bounds how many of one tenant's jobs sit ahead of
-// anyone else's.
+// goroutine scheduling.
 func (st *jobStore) dispatchLocked() *job {
 	var j *job
 	for _, q := range st.order {
@@ -328,9 +271,8 @@ func (st *jobStore) dispatchLocked() *job {
 	}
 	j.state = jobStateRunning
 	j.runCtx, j.cancel = context.WithCancel(context.Background())
-	tally := st.tallyLocked(j.tenant)
-	tally.queued--
-	tally.running++
+	st.tally.Queued--
+	st.tally.Running++
 	return j
 }
 
@@ -344,16 +286,15 @@ func (st *jobStore) finish(j *job, result []byte, status int, errBody *ErrorBody
 		st.mu.Unlock()
 		return
 	}
-	tally := st.tallyLocked(j.tenant)
-	tally.running--
+	st.tally.Running--
 	if errBody != nil {
 		j.state = jobStateFailed
 		e := *errBody
 		j.errBody = &e
-		tally.failed++
+		st.tally.Failed++
 	} else {
 		j.state = jobStateDone
-		tally.done++
+		st.tally.Done++
 	}
 	j.result, j.resultStatus = result, status
 	st.doneSeq++
@@ -373,14 +314,13 @@ func (st *jobStore) finish(j *job, result []byte, status int, errBody *ErrorBody
 // invoke after unlock (nil unless the job was running) and the
 // subscriber channels to notify.
 func (st *jobStore) cancelLocked(j *job, now time.Time) (context.CancelFunc, []chan struct{}) {
-	tally := st.tallyLocked(j.tenant)
 	var fn context.CancelFunc
 	switch j.state {
 	case jobStateQueued:
-		tally.queued--
+		st.tally.Queued--
 	case jobStateRunning:
 		fn = j.cancel
-		tally.running--
+		st.tally.Running--
 	default:
 		return nil, nil
 	}
@@ -388,7 +328,7 @@ func (st *jobStore) cancelLocked(j *job, now time.Time) (context.CancelFunc, []c
 	j.errBody = &ErrorBody{Code: errCancelled, Message: "job " + j.id + " was cancelled"}
 	j.result = encodeJSON(ErrorResponse{Error: *j.errBody})
 	j.resultStatus = http.StatusGone
-	tally.cancelled++
+	st.tally.Cancelled++
 	st.doneSeq++
 	j.doneSeq = st.doneSeq
 	j.expireAt = now.Add(st.ttl)
@@ -398,11 +338,11 @@ func (st *jobStore) cancelLocked(j *job, now time.Time) (context.CancelFunc, []c
 
 // cancel is DELETE /v2/jobs/{id}: cancel a job and return its status.
 // Cancelling a terminal job is a no-op that returns the current state.
-func (st *jobStore) cancel(tenant, id string) (JobStatus, *apiError) {
+func (st *jobStore) cancel(id string) (JobStatus, *apiError) {
 	now := time.Now() //lint:allow wallclock job-store TTL deadline, never enters a stall table
 	st.mu.Lock()
 	j := st.jobs[id]
-	if j == nil || j.tenant != tenant {
+	if j == nil {
 		st.mu.Unlock()
 		return JobStatus{}, newAPIError(http.StatusNotFound, errNotFound, "no job "+id)
 	}
@@ -417,7 +357,7 @@ func (st *jobStore) cancel(tenant, id string) (JobStatus, *apiError) {
 }
 
 // progress is the core.WithProgress hook of one job: cells feed the
-// job's atomics and the tenant's informational cell counter, then
+// job's atomics and the store's informational cell counter, then
 // subscribers get a coalesced wakeup.
 func (st *jobStore) progress(j *job, done, total int) {
 	if done != 0 {
@@ -428,7 +368,7 @@ func (st *jobStore) progress(j *job, done, total int) {
 	}
 	st.mu.Lock()
 	if done != 0 {
-		st.tallyLocked(j.tenant).cells += int64(done)
+		st.tally.Cells += int64(done)
 	}
 	subs := append([]chan struct{}(nil), j.subs...)
 	st.mu.Unlock()
@@ -491,7 +431,6 @@ func (st *jobStore) statusLocked(j *job) JobStatus {
 	total := j.cellsTotal.Load()
 	s := JobStatus{
 		ID:       j.id,
-		Tenant:   j.tenant,
 		Type:     j.class,
 		State:    j.state,
 		Progress: JobProgress{CellsDone: done, CellsTotal: total},
@@ -517,32 +456,24 @@ func (st *jobStore) status(j *job) JobStatus {
 	return st.statusLocked(j)
 }
 
-// get resolves a job by id, scoped to the tenant: another tenant's job
-// is indistinguishable from a missing one.
-func (st *jobStore) get(tenant, id string) *job {
+// get resolves a job by id; nil when it is unknown or evicted.
+func (st *jobStore) get(id string) *job {
 	now := time.Now() //lint:allow wallclock job-store TTL eviction on the read path, never enters a stall table
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.evictExpiredLocked(now)
-	j := st.jobs[id]
-	if j == nil || j.tenant != tenant {
-		return nil
-	}
-	return j
+	return st.jobs[id]
 }
 
-// list snapshots the tenant's jobs in submission order, optionally
+// list snapshots the retained jobs in submission order, optionally
 // filtered to one state.
-func (st *jobStore) list(tenant, state string) []JobStatus {
+func (st *jobStore) list(state string) []JobStatus {
 	now := time.Now() //lint:allow wallclock job-store TTL eviction on the read path, never enters a stall table
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.evictExpiredLocked(now)
 	out := []JobStatus{}
 	for _, j := range st.order {
-		if j.tenant != tenant {
-			continue
-		}
 		if state != "" && j.state != state {
 			continue
 		}
@@ -608,25 +539,12 @@ func (st *jobStore) unsubscribe(j *job, ch chan struct{}) {
 	st.mu.Unlock()
 }
 
-// counters snapshots every tenant's job accounting for /metrics and
-// the deep health probe's conservation audit.
-func (st *jobStore) counters() map[string]audit.JobCounters {
+// counters snapshots the job accounting for /metrics and the deep
+// health probe's conservation audit.
+func (st *jobStore) counters() audit.JobCounters {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make(map[string]audit.JobCounters, len(st.tallies))
-	for name, t := range st.tallies {
-		out[name] = audit.JobCounters{
-			Accepted:  t.accepted,
-			Rejected:  t.rejected,
-			Done:      t.done,
-			Failed:    t.failed,
-			Cancelled: t.cancelled,
-			Queued:    t.queued,
-			Running:   t.running,
-			Cells:     t.cells,
-		}
-	}
-	return out
+	return st.tally
 }
 
 // size reports how many jobs the store currently retains.
@@ -669,9 +587,12 @@ func (st *jobStore) drain(ctx context.Context) {
 			continue
 		case <-ctx.Done():
 		}
-		// Deadline expired: force-cancel the stragglers.
+		// Deadline expired: force-cancel the stragglers. The TTL starts
+		// at the cancel itself, not at drain start, so the drain wait
+		// never eats into a result's retention.
+		cancelAt := time.Now() //lint:allow wallclock job-store TTL deadline for drain-cancelled jobs, never enters a stall table
 		st.mu.Lock()
-		fn, subs := st.cancelLocked(j, now)
+		fn, subs := st.cancelLocked(j, cancelAt)
 		st.mu.Unlock()
 		if fn != nil {
 			fn()
@@ -680,8 +601,10 @@ func (st *jobStore) drain(ctx context.Context) {
 	}
 }
 
-// validateJobCreate checks a POST /v2/jobs body: a known type and
-// exactly its matching spec.
+// validateJobCreate checks a POST /v2/jobs body: a known type,
+// exactly its matching spec, and (for experiments jobs) only known
+// artifact ids, so a bad id is a 400 at submit rather than a job that
+// runs the ids before it and then fails.
 func validateJobCreate(req JobCreateRequest) (class string, aerr *apiError) {
 	specs := 0
 	if req.Profile != nil {
@@ -716,6 +639,11 @@ func validateJobCreate(req JobCreateRequest) (class string, aerr *apiError) {
 		if req.Experiments == nil || specs != 1 {
 			return bad(`"experiments" jobs carry exactly the "experiments" spec`)
 		}
+		for _, id := range req.Experiments.IDs {
+			if _, err := experiments.ByID(id); err != nil {
+				return bad(err.Error())
+			}
+		}
 	default:
 		return bad(`"type" must be "profile", "recommend", "blame" or "experiments"`)
 	}
@@ -723,14 +651,12 @@ func validateJobCreate(req JobCreateRequest) (class string, aerr *apiError) {
 }
 
 // executeJob runs one dispatched job to its terminal state. The job's
-// context carries the tenant (per-tenant scenario conservation) and
-// the progress hook (SSE cells); compute goes through the same
+// context carries the progress hook (SSE cells); compute goes through the same
 // functions as the synchronous v1 handlers, so the persisted result is
 // byte-identical to the v1 response for the same request.
 func (s *Server) executeJob(j *job) {
 	defer j.cancel()
-	ctx := core.WithTenant(j.runCtx, j.tenant)
-	ctx = core.WithProgress(ctx, func(done, total int) { s.jobsStore.progress(j, done, total) })
+	ctx := core.WithProgress(j.runCtx, func(done, total int) { s.jobsStore.progress(j, done, total) })
 
 	fail := func(aerr *apiError) {
 		s.jobsStore.finish(j, encodeJSON(aerr.envelope()), aerr.status,
@@ -784,13 +710,8 @@ func (s *Server) executeJob(j *job) {
 // handleJobCreate serves POST /v2/jobs: admit one asynchronous job and
 // return its queued status immediately (202).
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	tenant, aerr := tenantOf(r)
-	if aerr != nil {
-		writeJSON(w, aerr.status, aerr.envelope())
-		return
-	}
 	var req JobCreateRequest
-	if aerr = decode(w, r, &req); aerr != nil {
+	if aerr := decode(w, r, &req); aerr != nil {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
@@ -799,7 +720,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return
 	}
-	snap, aerr := s.jobsStore.submit(tenant, req, class)
+	snap, aerr := s.jobsStore.submit(req, class)
 	if aerr != nil {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return
@@ -807,14 +728,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, snap)
 }
 
-// handleJobList serves GET /v2/jobs: the tenant's jobs in submission
+// handleJobList serves GET /v2/jobs: the retained jobs in submission
 // order, optionally filtered with ?state=.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	tenant, aerr := tenantOf(r)
-	if aerr != nil {
-		writeJSON(w, aerr.status, aerr.envelope())
-		return
-	}
 	state := r.URL.Query().Get("state")
 	switch state {
 	case "", jobStateQueued, jobStateRunning, jobStateDone, jobStateFailed, jobStateCancelled:
@@ -823,19 +739,14 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 			`"state" must be one of queued, running, done, failed, cancelled`)
 		return
 	}
-	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobsStore.list(tenant, state)})
+	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobsStore.list(state)})
 }
 
 // handleJobGet serves GET /v2/jobs/{id}: the job's status snapshot,
 // including progress and settled partial labels.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	tenant, aerr := tenantOf(r)
-	if aerr != nil {
-		writeJSON(w, aerr.status, aerr.envelope())
-		return
-	}
 	id := r.PathValue("id")
-	j := s.jobsStore.get(tenant, id)
+	j := s.jobsStore.get(id)
 	if j == nil {
 		writeError(w, http.StatusNotFound, errNotFound, "no job "+id)
 		return
@@ -848,13 +759,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // have used (200 for done, the mapped error status for failed, 410 for
 // cancelled). A non-terminal job answers 409 job_not_ready.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	tenant, aerr := tenantOf(r)
-	if aerr != nil {
-		writeJSON(w, aerr.status, aerr.envelope())
-		return
-	}
 	id := r.PathValue("id")
-	j := s.jobsStore.get(tenant, id)
+	j := s.jobsStore.get(id)
 	if j == nil {
 		writeError(w, http.StatusNotFound, errNotFound, "no job "+id)
 		return
@@ -873,12 +779,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // handleJobCancel serves DELETE /v2/jobs/{id}: cancel the job (a
 // no-op on terminal jobs) and return its status.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	tenant, aerr := tenantOf(r)
-	if aerr != nil {
-		writeJSON(w, aerr.status, aerr.envelope())
-		return
-	}
-	snap, aerr := s.jobsStore.cancel(tenant, r.PathValue("id"))
+	snap, aerr := s.jobsStore.cancel(r.PathValue("id"))
 	if aerr != nil {
 		writeJSON(w, aerr.status, aerr.envelope())
 		return

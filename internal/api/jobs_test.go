@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// doJSON issues one request with an optional tenant header and returns
-// status and body.
-func doJSON(t *testing.T, method, url, tenant, body string) (int, []byte) {
+// doJSON issues one request and returns status and body; each header
+// is a "Name: value" pair.
+func doJSON(t *testing.T, method, url, body string, headers ...string) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -27,8 +27,9 @@ func doJSON(t *testing.T, method, url, tenant, body string) (int, []byte) {
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if tenant != "" {
-		req.Header.Set(tenantHeader, tenant)
+	for _, h := range headers {
+		name, value, _ := strings.Cut(h, ": ")
+		req.Header.Set(name, value)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -44,9 +45,9 @@ func doJSON(t *testing.T, method, url, tenant, body string) (int, []byte) {
 
 // submitJob posts one job and returns its id, asserting the 202
 // contract: the snapshot always reads queued with zeroed progress.
-func submitJob(t *testing.T, base, tenant, body string) string {
+func submitJob(t *testing.T, base, body string) string {
 	t.Helper()
-	code, b := doJSON(t, http.MethodPost, base+"/v2/jobs", tenant, body)
+	code, b := doJSON(t, http.MethodPost, base+"/v2/jobs", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, body %s", code, b)
 	}
@@ -61,11 +62,11 @@ func submitJob(t *testing.T, base, tenant, body string) string {
 }
 
 // waitTerminal polls the job until it reaches a terminal state.
-func waitTerminal(t *testing.T, base, tenant, id string) JobStatus {
+func waitTerminal(t *testing.T, base, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		code, b := doJSON(t, http.MethodGet, base+"/v2/jobs/"+id, tenant, "")
+		code, b := doJSON(t, http.MethodGet, base+"/v2/jobs/"+id, "")
 		if code != http.StatusOK {
 			t.Fatalf("status %s = %d, body %s", id, code, b)
 		}
@@ -94,8 +95,8 @@ func TestJobProfileByteIdentity(t *testing.T) {
 		t.Fatalf("v1 profile = %d", v1Code)
 	}
 
-	id := submitJob(t, ts.URL, "", `{"type":"profile","profile":`+spec+`}`)
-	js := waitTerminal(t, ts.URL, "", id)
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":`+spec+`}`)
+	js := waitTerminal(t, ts.URL, id)
 	if js.State != jobStateDone {
 		t.Fatalf("job state = %s, error %+v", js.State, js.Error)
 	}
@@ -105,7 +106,7 @@ func TestJobProfileByteIdentity(t *testing.T) {
 		t.Errorf("progress = %d/%d, want 4/4", js.Progress.CellsDone, js.Progress.CellsTotal)
 	}
 
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "", "")
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "")
 	if code != http.StatusOK {
 		t.Fatalf("result = %d, body %s", code, body)
 	}
@@ -113,7 +114,7 @@ func TestJobProfileByteIdentity(t *testing.T) {
 		t.Errorf("job result differs from v1 response:\njob: %s\nv1:  %s", body, v1Body)
 	}
 	// Replay is idempotent: fetching again returns the same bytes.
-	_, again := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "", "")
+	_, again := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "")
 	if string(again) != string(body) {
 		t.Error("result replay not byte-stable")
 	}
@@ -134,8 +135,8 @@ func TestJobExperimentsSweepByteIdentity(t *testing.T) {
 		v1[id] = strings.TrimSuffix(string(b), "\n")
 	}
 
-	jobID := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{"ids":["table2","fig5"]}}`)
-	js := waitTerminal(t, ts.URL, "", jobID)
+	jobID := submitJob(t, ts.URL, `{"type":"experiments","experiments":{"ids":["table2","fig5"]}}`)
+	js := waitTerminal(t, ts.URL, jobID)
 	if js.State != jobStateDone {
 		t.Fatalf("job state = %s, error %+v", js.State, js.Error)
 	}
@@ -143,7 +144,7 @@ func TestJobExperimentsSweepByteIdentity(t *testing.T) {
 		t.Errorf("partial labels = %v, want [table2 fig5]", js.Partials)
 	}
 
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jobID+"/result", "", "")
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jobID+"/result", "")
 	if code != http.StatusOK {
 		t.Fatalf("result = %d", code)
 	}
@@ -173,22 +174,22 @@ func TestJobFailureReplaysV1Error(t *testing.T) {
 		t.Fatalf("v1 oom = %d", v1Code)
 	}
 
-	id := submitJob(t, ts.URL, "", `{"type":"profile","profile":`+spec+`}`)
-	js := waitTerminal(t, ts.URL, "", id)
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":`+spec+`}`)
+	js := waitTerminal(t, ts.URL, id)
 	if js.State != jobStateFailed {
 		t.Fatalf("job state = %s, want failed", js.State)
 	}
 	if js.Error == nil || js.Error.Code != errOOM {
 		t.Fatalf("job error = %+v, want %s", js.Error, errOOM)
 	}
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "", "")
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "")
 	if code != http.StatusUnprocessableEntity || string(body) != string(v1Body) {
 		t.Errorf("failed replay = %d %s, want %d %s", code, body, v1Code, v1Body)
 	}
 }
 
 func TestJobValidation(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	cases := []struct {
 		name, body string
 	}{
@@ -198,85 +199,80 @@ func TestJobValidation(t *testing.T) {
 		{"two specs", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"},"recommend":{"model":"resnet18"}}`},
 		{"unknown field priority", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"},"priority":10}`},
 		{"malformed JSON", `{"type":`},
+		{"unknown experiment id", `{"type":"experiments","experiments":{"ids":["table1","nope"]}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", "", c.body)
+			code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", c.body)
 			if code != http.StatusBadRequest || errCode(t, b) != errInvalidRequest {
 				t.Errorf("got %d %s", code, b)
 			}
 		})
 	}
 	t.Run("invalid tenant header", func(t *testing.T) {
-		code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", "no spaces allowed",
-			`{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+		code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs",
+			`{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`, tenantHeader+": acme")
 		if code != http.StatusBadRequest || errCode(t, b) != errInvalidRequest {
 			t.Errorf("got %d %s", code, b)
 		}
 	})
 	t.Run("bad state filter", func(t *testing.T) {
-		code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs?state=paused", "", "")
+		code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs?state=paused", "")
 		if code != http.StatusBadRequest || errCode(t, b) != errInvalidRequest {
 			t.Errorf("got %d %s", code, b)
 		}
 	})
+	// Nothing above was admitted: every rejection happens before the
+	// store sees the job.
+	if n := s.jobsStore.size(); n != 0 {
+		t.Errorf("store holds %d jobs after rejected submissions", n)
+	}
 }
 
-// TestJobTenantScoping: a job is invisible to other tenants — status,
-// result, events and cancel all 404.
-func TestJobTenantScoping(t *testing.T) {
-	_, ts := newTestServer(t)
-	id := submitJob(t, ts.URL, "acme", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
-	waitTerminal(t, ts.URL, "acme", id)
-	for _, path := range []string{"/v2/jobs/" + id, "/v2/jobs/" + id + "/result", "/v2/jobs/" + id + "/events"} {
-		code, b := doJSON(t, http.MethodGet, ts.URL+path, "globex", "")
-		if code != http.StatusNotFound {
-			t.Errorf("GET %s as globex = %d %s", path, code, b)
+// TestTenantHeaderRejected: the server has one client scope, so a
+// request naming a tenant fails loudly (400) on v1 and v2 alike rather
+// than silently sharing jobs with every other client.
+func TestTenantHeaderRejected(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/profile", `{"model":"resnet18","instance":"p3.2xlarge"}`},
+		{http.MethodGet, "/v2/jobs", ""},
+	} {
+		code, b := doJSON(t, c.method, ts.URL+c.path, c.body, tenantHeader+": acme")
+		if code != http.StatusBadRequest || errCode(t, b) != errInvalidRequest ||
+			!strings.Contains(string(b), tenantHeader) {
+			t.Errorf("%s %s with %s = %d %s", c.method, c.path, tenantHeader, code, b)
 		}
 	}
-	code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+id, "globex", "")
-	if code != http.StatusNotFound {
-		t.Errorf("DELETE as globex = %d", code)
-	}
-	// The owner still sees it, and list scoping holds.
-	var list JobListResponse
-	_, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs", "acme", "")
-	if err := json.Unmarshal(b, &list); err != nil || len(list.Jobs) != 1 {
-		t.Errorf("acme list = %s (err %v)", b, err)
-	}
-	_, b = doJSON(t, http.MethodGet, ts.URL+"/v2/jobs", "globex", "")
-	if err := json.Unmarshal(b, &list); err != nil || len(list.Jobs) != 0 {
-		t.Errorf("globex list = %s (err %v)", b, err)
+	if st := s.profiler.Stats(); st.Requests != 0 {
+		t.Errorf("rejected requests reached the profiler: %v", st)
 	}
 }
 
-// TestJobQuotaExceeded pins per-tenant admission: with quota 1 the
-// second submission bounces 429 without touching other tenants.
+// TestJobQuotaExceeded pins admission: with quota 1 the second
+// submission bounces 429 until the live job leaves the server.
 func TestJobQuotaExceeded(t *testing.T) {
 	s, ts := newTestServer(t, WithTenantQuota(1), WithJobWorkers(1))
-	// A held sweep keeps the tenant's one slot active until cancelled.
+	// A held sweep keeps the server's one slot active until cancelled.
 	held := holdFirstJob(s)
-	sweep := submitJob(t, ts.URL, "acme", `{"type":"experiments","experiments":{}}`)
+	sweep := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
 	<-held
-	code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", "acme",
+	code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs",
 		`{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 	if code != http.StatusTooManyRequests || errCode(t, b) != errQuotaExceeded {
 		t.Fatalf("over-quota submit = %d %s", code, b)
 	}
-	// Another tenant is unaffected by acme's quota.
-	other := submitJob(t, ts.URL, "globex", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	// The rejection is accounted but outside the lifecycle balance.
 	jc := s.jobsStore.counters()
-	if jc["acme"].Rejected != 1 || jc["acme"].Accepted != 1 || jc["acme"].Balance() != 0 {
-		t.Errorf("acme counters = %+v", jc["acme"])
+	if jc.Rejected != 1 || jc.Accepted != 1 || jc.Balance() != 0 {
+		t.Errorf("counters = %+v", jc)
 	}
 
-	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+sweep, "acme", "")
-	waitTerminal(t, ts.URL, "globex", other)
-	// After the cancel frees the slot, acme can submit again.
-	id := submitJob(t, ts.URL, "acme", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
-	waitTerminal(t, ts.URL, "acme", id)
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+sweep, "")
+	// After the cancel frees the slot, a submission is admitted again.
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	waitTerminal(t, ts.URL, id)
 }
 
 // TestJobCancel covers both cancellation paths: a queued job leaves the
@@ -285,12 +281,12 @@ func TestJobQuotaExceeded(t *testing.T) {
 func TestJobCancel(t *testing.T) {
 	s, ts := newTestServer(t, WithJobWorkers(1))
 	held := holdFirstJob(s)
-	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	running := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
 	<-held // occupies the only worker until cancelled
-	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	queued := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	// Cancel the queued job: synchronously terminal.
-	code, b := doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+queued, "", "")
+	code, b := doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+queued, "")
 	var js JobStatus
 	if code != http.StatusOK {
 		t.Fatalf("cancel queued = %d %s", code, b)
@@ -298,13 +294,13 @@ func TestJobCancel(t *testing.T) {
 	if err := json.Unmarshal(b, &js); err != nil || js.State != jobStateCancelled {
 		t.Fatalf("cancel queued state = %s (err %v)", b, err)
 	}
-	code, b = doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+queued+"/result", "", "")
+	code, b = doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+queued+"/result", "")
 	if code != http.StatusGone || errCode(t, b) != errCancelled {
 		t.Errorf("cancelled result = %d %s", code, b)
 	}
 
 	// Cancel the running sweep: also synchronously terminal, worker freed.
-	code, b = doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+running, "", "")
+	code, b = doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+running, "")
 	if code != http.StatusOK {
 		t.Fatalf("cancel running = %d %s", code, b)
 	}
@@ -312,18 +308,18 @@ func TestJobCancel(t *testing.T) {
 		t.Fatalf("cancel running state = %s (err %v)", b, err)
 	}
 	// Cancelling again is a no-op returning the terminal state.
-	code, b = doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+running, "", "")
+	code, b = doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+running, "")
 	if err := json.Unmarshal(b, &js); code != http.StatusOK || err != nil || js.State != jobStateCancelled {
 		t.Errorf("re-cancel = %d %s", code, b)
 	}
 	// Unknown job: 404.
-	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/job-99", "", ""); code != http.StatusNotFound {
+	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/job-99", ""); code != http.StatusNotFound {
 		t.Errorf("cancel unknown = %d", code)
 	}
 
 	// The freed worker still serves new jobs.
-	id := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
-	if js := waitTerminal(t, ts.URL, "", id); js.State != jobStateDone {
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	if js := waitTerminal(t, ts.URL, id); js.State != jobStateDone {
 		t.Errorf("post-cancel job = %s", js.State)
 	}
 }
@@ -332,55 +328,50 @@ func TestJobCancel(t *testing.T) {
 func TestJobResultNotReady(t *testing.T) {
 	s, ts := newTestServer(t, WithJobWorkers(1))
 	held := holdFirstJob(s)
-	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	running := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
 	<-held
-	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
-	code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+queued+"/result", "", "")
+	queued := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+queued+"/result", "")
 	if code != http.StatusConflict || errCode(t, b) != errJobNotReady {
 		t.Errorf("queued result = %d %s", code, b)
 	}
-	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+running, "", "")
-	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+queued, "", "")
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+running, "")
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+queued, "")
 }
 
 // TestJobDispatchFIFO drives dispatchLocked directly (no workers): in
 // every case the jobs dispatch in exactly their submission order, with
-// a cancelled queued job skipped. The cases are the histories the old
-// tenant, class and priority orders were pinned on, plus two tenants
-// submitting mixed classes with one job cancelled while queued.
+// a cancelled queued job skipped: a one-class backlog, mixed classes,
+// and mixed classes with one job cancelled while queued.
 func TestJobDispatchFIFO(t *testing.T) {
-	type sub struct{ tenant, class string }
 	for _, tc := range []struct {
-		name   string
-		subs   []sub
-		cancel int // index into subs of the job cancelled while queued, or -1
+		name    string
+		classes []string
+		cancel  int // index into classes of the job cancelled while queued, or -1
 	}{
-		{"tenant_backlog", []sub{
-			{"a", "profile"}, {"a", "profile"}, {"a", "profile"}, {"a", "profile"},
-			{"b", "profile"}, {"b", "profile"},
+		{"backlog", []string{
+			"profile", "profile", "profile", "profile", "profile", "profile",
 		}, -1},
-		{"mixed_classes", []sub{
-			{"t", "profile"}, {"t", "profile"}, {"t", "profile"},
-			{"t", "recommend"}, {"t", "experiments"},
+		{"mixed_classes", []string{
+			"profile", "profile", "profile", "recommend", "experiments",
 		}, -1},
-		{"one_class", []sub{
-			{"t", "profile"}, {"t", "profile"}, {"t", "profile"}, {"t", "profile"},
+		{"one_class", []string{
+			"profile", "profile", "profile", "profile",
 		}, -1},
-		{"two_tenants_one_cancelled", []sub{
-			{"b", "experiments"}, {"a", "profile"}, {"b", "recommend"},
-			{"a", "blame"}, {"a", "experiments"}, {"b", "profile"},
+		{"mixed_one_cancelled", []string{
+			"experiments", "profile", "recommend", "blame", "experiments", "profile",
 		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newJobStore(1, time.Minute, 64, 32)
 			var want []string
-			for i, s := range tc.subs {
-				snap, aerr := st.submit(s.tenant, JobCreateRequest{Type: s.class}, s.class)
+			for i, class := range tc.classes {
+				snap, aerr := st.submit(JobCreateRequest{Type: class}, class)
 				if aerr != nil {
 					t.Fatal(aerr.message)
 				}
 				if i == tc.cancel {
-					if _, aerr := st.cancel(s.tenant, snap.ID); aerr != nil {
+					if _, aerr := st.cancel(snap.ID); aerr != nil {
 						t.Fatal(aerr.message)
 					}
 					continue
@@ -413,7 +404,7 @@ func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
 	st := newJobStore(1, 50*time.Millisecond, 2, 32)
 	finishOne := func() string {
 		t.Helper()
-		snap, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile")
+		snap, aerr := st.submit(JobCreateRequest{Type: "profile"}, "profile")
 		if aerr != nil {
 			t.Fatal(aerr.message)
 		}
@@ -430,23 +421,23 @@ func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
 	second := finishOne()
 	// Store is at max 2 with two terminal jobs: admitting a third evicts
 	// the oldest-finished (first).
-	third, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile")
+	third, aerr := st.submit(JobCreateRequest{Type: "profile"}, "profile")
 	if aerr != nil {
 		t.Fatal(aerr.message)
 	}
-	if st.get("t", first) != nil {
+	if st.get(first) != nil {
 		t.Error("oldest terminal job not LRU-evicted")
 	}
-	if st.get("t", second) == nil {
+	if st.get(second) == nil {
 		t.Error("newer terminal job evicted out of order")
 	}
 	// Now both slots are an active job + a terminal one; cancel nothing:
 	// a fourth submission evicts `second`, a fifth finds only live jobs
 	// and bounces store_full.
-	if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile"); aerr != nil {
+	if _, aerr := st.submit(JobCreateRequest{Type: "profile"}, "profile"); aerr != nil {
 		t.Fatalf("fourth submit: %s", aerr.message)
 	}
-	if _, aerr := st.submit("t", JobCreateRequest{Type: "profile"}, "profile"); aerr == nil || aerr.code != errStoreFull {
+	if _, aerr := st.submit(JobCreateRequest{Type: "profile"}, "profile"); aerr == nil || aerr.code != errStoreFull {
 		t.Fatalf("fifth submit should bounce store_full, got %v", aerr)
 	}
 	// TTL: run the live jobs to terminal, let them expire, and any read
@@ -461,7 +452,7 @@ func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
 		st.finish(j, []byte("{}\n"), http.StatusOK, nil)
 	}
 	time.Sleep(80 * time.Millisecond)
-	if got := st.list("t", ""); len(got) != 0 {
+	if got := st.list(""); len(got) != 0 {
 		t.Errorf("TTL-expired jobs still listed: %v", got)
 	}
 	if st.size() != 0 {
@@ -469,10 +460,8 @@ func TestJobStoreEvictionTTLAndLRU(t *testing.T) {
 	}
 	_ = third
 	// Lifecycle conservation survived all the eviction churn.
-	for tenant, c := range st.counters() {
-		if c.Balance() != 0 {
-			t.Errorf("tenant %s leaks: %+v", tenant, c)
-		}
+	if c := st.counters(); c.Balance() != 0 {
+		t.Errorf("jobs leak: %+v", c)
 	}
 }
 
@@ -487,9 +476,8 @@ func TestJobStoreEvictionRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			tenant := []string{"acme", "globex"}[g%2]
 			for i := 0; i < 12; i++ {
-				code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", tenant,
+				code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs",
 					`{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 				switch code {
 				case http.StatusAccepted:
@@ -500,11 +488,11 @@ func TestJobStoreEvictionRace(t *testing.T) {
 					}
 					switch rng.Intn(3) {
 					case 0:
-						doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+js.ID, tenant, "")
+						doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+js.ID, "")
 					case 1:
-						doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+js.ID, tenant, "")
+						doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+js.ID, "")
 					default:
-						doJSON(t, http.MethodGet, ts.URL+"/v2/jobs", tenant, "")
+						doJSON(t, http.MethodGet, ts.URL+"/v2/jobs", "")
 					}
 				case http.StatusTooManyRequests:
 					// quota or store_full under pressure: expected.
@@ -519,13 +507,7 @@ func TestJobStoreEvictionRace(t *testing.T) {
 	// Quiesce: every remaining live job runs or was cancelled.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		live := false
-		for _, c := range s.jobsStore.counters() {
-			if c.Queued+c.Running > 0 {
-				live = true
-			}
-		}
-		if !live {
+		if c := s.jobsStore.counters(); c.Queued+c.Running == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -533,14 +515,13 @@ func TestJobStoreEvictionRace(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	for tenant, c := range s.jobsStore.counters() {
-		if c.Balance() != 0 {
-			t.Errorf("tenant %s leaks after churn: %+v", tenant, c)
-		}
+	if c := s.jobsStore.counters(); c.Balance() != 0 {
+		t.Errorf("jobs leak after churn: %+v", c)
 	}
-	// The deep health probe agrees.
+	// The deep health probe agrees, with a fresh server's check count:
+	// no check scales with the traffic served.
 	code, b := getBody(t, ts.URL+"/healthz?deep=1")
-	if code != http.StatusOK {
+	if code != http.StatusOK || !strings.Contains(string(b), `"checks":56,`) {
 		t.Errorf("healthz deep after churn = %d %s", code, b)
 	}
 }
@@ -555,19 +536,19 @@ func TestJobStoreEvictionRace(t *testing.T) {
 // those replays, so the comparison costs no second simulation).
 func TestFullRegistrySweepAcceptance(t *testing.T) {
 	_, ts := newTestServer(t)
-	id := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	id := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
 
 	type stream struct {
 		events []sseEvent
 	}
 	streamed := make(chan stream, 1)
 	go func() {
-		_, events := readStream(t, ts.URL, "", id)
+		_, events := readStream(t, ts.URL, id)
 		streamed <- stream{events}
 	}()
 
 	// The sweep is live; the v1 lane must answer anyway.
-	code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id, "", "")
+	code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id, "")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -580,7 +561,7 @@ func TestFullRegistrySweepAcceptance(t *testing.T) {
 		t.Fatalf("v1 profile while the sweep holds the workers = %d, body %s", code, body)
 	}
 
-	js := waitTerminal(t, ts.URL, "", id)
+	js := waitTerminal(t, ts.URL, id)
 	if js.State != jobStateDone {
 		t.Fatalf("sweep = %s, error %+v", js.State, js.Error)
 	}
@@ -613,7 +594,7 @@ func TestFullRegistrySweepAcceptance(t *testing.T) {
 
 	// Byte-identity of the persisted sweep against the synchronous API,
 	// artifact by artifact across the whole registry.
-	code, resBody := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "", "")
+	code, resBody := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "")
 	if code != http.StatusOK {
 		t.Fatalf("result = %d", code)
 	}
@@ -663,75 +644,105 @@ func holdFirstJob(s *Server) <-chan struct{} {
 func TestJobDrain(t *testing.T) {
 	s, ts := newTestServer(t, WithJobWorkers(1))
 	held := holdFirstJob(s)
-	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	running := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
 	<-held // running, and stays so until drain force-cancels it
-	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	queued := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	s.Drain(ctx)
 
-	if js := waitTerminal(t, ts.URL, "", queued); js.State != jobStateCancelled {
+	if js := waitTerminal(t, ts.URL, queued); js.State != jobStateCancelled {
 		t.Errorf("queued job after drain = %s", js.State)
 	}
-	if js := waitTerminal(t, ts.URL, "", running); js.State != jobStateCancelled {
+	if js := waitTerminal(t, ts.URL, running); js.State != jobStateCancelled {
 		t.Errorf("running job after short-deadline drain = %s", js.State)
 	}
-	code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", "",
+	code, b := doJSON(t, http.MethodPost, ts.URL+"/v2/jobs",
 		`{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 	if code != http.StatusServiceUnavailable || errCode(t, b) != errDraining {
 		t.Errorf("submit while draining = %d %s", code, b)
 	}
 	// Drain is idempotent.
 	s.Drain(ctx)
-	for tenant, c := range s.jobsStore.counters() {
-		if c.Balance() != 0 {
-			t.Errorf("tenant %s leaks after drain: %+v", tenant, c)
-		}
+	if c := s.jobsStore.counters(); c.Balance() != 0 {
+		t.Errorf("jobs leak after drain: %+v", c)
 	}
 }
 
-// TestJobMetrics: the per-tenant job and scenario series appear in
-// /metrics with conserving values.
+// TestJobDrainTTLStartsAtCancel: a running job that drain force-cancels
+// after its deadline keeps its full TTL from the cancel itself, so the
+// drain wait never shortens how long its result stays replayable.
+func TestJobDrainTTLStartsAtCancel(t *testing.T) {
+	const ttl = time.Minute
+	s, ts := newTestServer(t, WithJobWorkers(1), WithJobTTL(ttl))
+	held := holdFirstJob(s)
+	id := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
+	<-held
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	deadline, _ := ctx.Deadline()
+	s.Drain(ctx)
+
+	j := s.jobsStore.get(id)
+	if j == nil {
+		t.Fatalf("job %s evicted", id)
+	}
+	s.jobsStore.mu.Lock()
+	state, expireAt := j.state, j.expireAt
+	s.jobsStore.mu.Unlock()
+	if state != jobStateCancelled {
+		t.Fatalf("state after drain = %s", state)
+	}
+	if floor := deadline.Add(ttl); expireAt.Before(floor) {
+		t.Errorf("expireAt %v is %v before drain deadline + TTL", expireAt, floor.Sub(expireAt))
+	}
+}
+
+// TestJobMetrics: the job series render unlabeled from a fresh server
+// on, and track one job's lifecycle with conserving values.
 func TestJobMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
-	id := submitJob(t, ts.URL, "acme", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
-	waitTerminal(t, ts.URL, "acme", id)
-	code, body := getBody(t, ts.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
+	scrape := func() string {
+		t.Helper()
+		code, body := getBody(t, ts.URL+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics = %d", code)
+		}
+		return string(body)
 	}
-	text := string(body)
-	for _, want := range []string{
-		`stashd_jobs_accepted_total{tenant="acme"} 1`,
-		`stashd_jobs_terminal_total{tenant="acme",outcome="done"} 1`,
-		`stashd_jobs_queued{tenant="acme"} 0`,
-		`stashd_jobs_running{tenant="acme"} 0`,
-		`stashd_job_cells_completed_total{tenant="acme"} 3`,
+	check := func(text string, wants []string) {
+		t.Helper()
+		for _, want := range wants {
+			if !strings.Contains(text, want+"\n") {
+				t.Errorf("metrics missing %q", want)
+			}
+		}
+		if strings.Contains(text, "tenant") {
+			t.Error("metrics still carry a tenant series or label")
+		}
+	}
+	check(scrape(), []string{
+		`stashd_jobs_accepted_total 0`,
+		`stashd_jobs_rejected_total 0`,
+		`stashd_jobs_terminal_total{outcome="done"} 0`,
+		`stashd_jobs_queued 0`,
+		`stashd_jobs_running 0`,
+		`stashd_job_cells_completed_total 0`,
+		`stashd_job_store_jobs 0`,
+	})
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	waitTerminal(t, ts.URL, id)
+	check(scrape(), []string{
+		`stashd_jobs_accepted_total 1`,
+		`stashd_jobs_rejected_total 0`,
+		`stashd_jobs_terminal_total{outcome="cancelled"} 0`,
+		`stashd_jobs_terminal_total{outcome="done"} 1`,
+		`stashd_jobs_terminal_total{outcome="failed"} 0`,
+		`stashd_jobs_queued 0`,
+		`stashd_jobs_running 0`,
+		`stashd_job_cells_completed_total 3`,
 		`stashd_job_store_jobs 1`,
-		`stashd_tenant_scenario_requests_total{pool="profile",tenant="acme"}`,
-		`stashd_tenant_scenario_outcomes_total{pool="profile",tenant="acme",outcome="simulated"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-func TestTenantHeaderValidation(t *testing.T) {
-	// tenantOf accepts valid names and the default.
-	req, _ := http.NewRequest(http.MethodGet, "/", nil)
-	if tenant, aerr := tenantOf(req); aerr != nil || tenant != defaultTenant {
-		t.Errorf("default tenant = %q, %v", tenant, aerr)
-	}
-	req.Header.Set(tenantHeader, "team-a.prod_1")
-	if tenant, aerr := tenantOf(req); aerr != nil || tenant != "team-a.prod_1" {
-		t.Errorf("valid tenant = %q, %v", tenant, aerr)
-	}
-	for _, bad := range []string{"-leading", "has space", strings.Repeat("x", 65), "ünïcode"} {
-		req.Header.Set(tenantHeader, bad)
-		if _, aerr := tenantOf(req); aerr == nil {
-			t.Errorf("tenant %q accepted", bad)
-		}
-	}
+	})
 }

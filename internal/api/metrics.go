@@ -156,80 +156,29 @@ func (m *metrics) render() string {
 	b.WriteString("# TYPE stashd_blame_unattributed_runs_total counter\n")
 	fmt.Fprintf(&b, "stashd_blame_unattributed_runs_total %d\n", m.blameUnattributed.Load())
 
-	// Per-tenant scenario counters (core.Profiler.TenantStats): the
-	// same conservation family as the pool counters above, split by the
-	// tenant core.WithTenant attributed. Tenants render sorted.
-	tenantPools := []struct {
-		name  string
-		stats map[string]core.Stats
-	}{
-		{"profile", m.profiler.TenantStats()},
-		{"experiments", m.expPool.TenantStats()},
-	}
-	b.WriteString("# HELP stashd_tenant_scenario_requests_total Scenario requests admitted, by tenant.\n")
-	b.WriteString("# TYPE stashd_tenant_scenario_requests_total counter\n")
-	for _, p := range tenantPools {
-		for _, tenant := range sortedKeys(p.stats) {
-			fmt.Fprintf(&b, "stashd_tenant_scenario_requests_total{pool=%q,tenant=%q} %d\n",
-				p.name, tenant, p.stats[tenant].Requests)
-		}
-	}
-	b.WriteString("# HELP stashd_tenant_scenario_outcomes_total Scenario request outcomes, by tenant (conserves against requests).\n")
-	b.WriteString("# TYPE stashd_tenant_scenario_outcomes_total counter\n")
-	for _, p := range tenantPools {
-		for _, tenant := range sortedKeys(p.stats) {
-			s := p.stats[tenant]
-			for _, oc := range []struct {
-				name string
-				n    int64
-			}{
-				{"cache_hit", s.CacheHits},
-				{"cancelled", s.Cancelled},
-				{"simulated", s.Simulated},
-				{"wait", s.Waits},
-			} {
-				fmt.Fprintf(&b, "stashd_tenant_scenario_outcomes_total{pool=%q,tenant=%q,outcome=%q} %d\n",
-					p.name, tenant, oc.name, oc.n)
-			}
-		}
-	}
-
 	// v2 job store counters (audit.JobCounters): accepted conserves
-	// against the five lifecycle states per tenant.
+	// against the five lifecycle states.
 	jc := m.jobs.counters()
-	tenants := sortedKeys(jc)
-	b.WriteString("# HELP stashd_jobs_accepted_total Jobs admitted past quota and capacity checks, by tenant.\n")
+	b.WriteString("# HELP stashd_jobs_accepted_total Jobs admitted past quota and capacity checks.\n")
 	b.WriteString("# TYPE stashd_jobs_accepted_total counter\n")
-	for _, t := range tenants {
-		fmt.Fprintf(&b, "stashd_jobs_accepted_total{tenant=%q} %d\n", t, jc[t].Accepted)
-	}
-	b.WriteString("# HELP stashd_jobs_rejected_total Job submissions bounced at admission (quota, store full, draining), by tenant.\n")
+	fmt.Fprintf(&b, "stashd_jobs_accepted_total %d\n", jc.Accepted)
+	b.WriteString("# HELP stashd_jobs_rejected_total Job submissions bounced at admission (quota, store full, draining).\n")
 	b.WriteString("# TYPE stashd_jobs_rejected_total counter\n")
-	for _, t := range tenants {
-		fmt.Fprintf(&b, "stashd_jobs_rejected_total{tenant=%q} %d\n", t, jc[t].Rejected)
-	}
-	b.WriteString("# HELP stashd_jobs_terminal_total Jobs reaching a terminal state, by tenant and outcome.\n")
+	fmt.Fprintf(&b, "stashd_jobs_rejected_total %d\n", jc.Rejected)
+	b.WriteString("# HELP stashd_jobs_terminal_total Jobs reaching a terminal state, by outcome.\n")
 	b.WriteString("# TYPE stashd_jobs_terminal_total counter\n")
-	for _, t := range tenants {
-		fmt.Fprintf(&b, "stashd_jobs_terminal_total{tenant=%q,outcome=\"cancelled\"} %d\n", t, jc[t].Cancelled)
-		fmt.Fprintf(&b, "stashd_jobs_terminal_total{tenant=%q,outcome=\"done\"} %d\n", t, jc[t].Done)
-		fmt.Fprintf(&b, "stashd_jobs_terminal_total{tenant=%q,outcome=\"failed\"} %d\n", t, jc[t].Failed)
-	}
-	b.WriteString("# HELP stashd_jobs_queued Jobs waiting in the FIFO job queue, by tenant.\n")
+	fmt.Fprintf(&b, "stashd_jobs_terminal_total{outcome=\"cancelled\"} %d\n", jc.Cancelled)
+	fmt.Fprintf(&b, "stashd_jobs_terminal_total{outcome=\"done\"} %d\n", jc.Done)
+	fmt.Fprintf(&b, "stashd_jobs_terminal_total{outcome=\"failed\"} %d\n", jc.Failed)
+	b.WriteString("# HELP stashd_jobs_queued Jobs waiting in the FIFO job queue.\n")
 	b.WriteString("# TYPE stashd_jobs_queued gauge\n")
-	for _, t := range tenants {
-		fmt.Fprintf(&b, "stashd_jobs_queued{tenant=%q} %d\n", t, jc[t].Queued)
-	}
-	b.WriteString("# HELP stashd_jobs_running Jobs executing on the job worker pool, by tenant.\n")
+	fmt.Fprintf(&b, "stashd_jobs_queued %d\n", jc.Queued)
+	b.WriteString("# HELP stashd_jobs_running Jobs executing on the job worker pool.\n")
 	b.WriteString("# TYPE stashd_jobs_running gauge\n")
-	for _, t := range tenants {
-		fmt.Fprintf(&b, "stashd_jobs_running{tenant=%q} %d\n", t, jc[t].Running)
-	}
-	b.WriteString("# HELP stashd_job_cells_completed_total Scenario cells completed by jobs, by tenant.\n")
+	fmt.Fprintf(&b, "stashd_jobs_running %d\n", jc.Running)
+	b.WriteString("# HELP stashd_job_cells_completed_total Scenario cells completed by jobs.\n")
 	b.WriteString("# TYPE stashd_job_cells_completed_total counter\n")
-	for _, t := range tenants {
-		fmt.Fprintf(&b, "stashd_job_cells_completed_total{tenant=%q} %d\n", t, jc[t].Cells)
-	}
+	fmt.Fprintf(&b, "stashd_job_cells_completed_total %d\n", jc.Cells)
 	b.WriteString("# HELP stashd_job_store_jobs Jobs currently retained by the store (live + replayable terminal).\n")
 	b.WriteString("# TYPE stashd_job_store_jobs gauge\n")
 	fmt.Fprintf(&b, "stashd_job_store_jobs %d\n", m.jobs.size())

@@ -55,13 +55,8 @@ func (s *sseWriter) event(typ string, data []byte) error {
 // comes first. Disconnects are observed via the request context; the
 // subscription is dropped and the job itself is unaffected.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	tenant, aerr := tenantOf(r)
-	if aerr != nil {
-		writeJSON(w, aerr.status, aerr.envelope())
-		return
-	}
 	id := r.PathValue("id")
-	j := s.jobsStore.get(tenant, id)
+	j := s.jobsStore.get(id)
 	if j == nil {
 		writeError(w, http.StatusNotFound, errNotFound, "no job "+id)
 		return

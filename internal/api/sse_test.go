@@ -48,14 +48,11 @@ func parseSSE(t *testing.T, raw string) []sseEvent {
 
 // readStream opens the SSE endpoint and reads it to EOF (the server
 // closes the stream after the terminal event).
-func readStream(t *testing.T, base, tenant, id string) (string, []sseEvent) {
+func readStream(t *testing.T, base, id string) (string, []sseEvent) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v2/jobs/"+id+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tenant != "" {
-		req.Header.Set(tenantHeader, tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -83,10 +80,10 @@ func TestSSETerminalReplay(t *testing.T) {
 	_, ts := newTestServer(t)
 	const spec = `{"model":"resnet18","instance":"p3.16xlarge","batch":32}`
 	_, v1Body := postJSON(t, ts.URL+"/v1/profile", spec)
-	id := submitJob(t, ts.URL, "", `{"type":"profile","profile":`+spec+`}`)
-	waitTerminal(t, ts.URL, "", id)
+	id := submitJob(t, ts.URL, `{"type":"profile","profile":`+spec+`}`)
+	waitTerminal(t, ts.URL, id)
 
-	raw, events := readStream(t, ts.URL, "", id)
+	raw, events := readStream(t, ts.URL, id)
 	if len(events) != 3 {
 		t.Fatalf("replay = %d events, want 3:\n%s", len(events), raw)
 	}
@@ -107,7 +104,7 @@ func TestSSETerminalReplay(t *testing.T) {
 		t.Errorf("result event differs from v1 body:\nsse: %s\nv1:  %s", events[2].data, v1Body)
 	}
 
-	again, _ := readStream(t, ts.URL, "", id)
+	again, _ := readStream(t, ts.URL, id)
 	if again != raw {
 		t.Errorf("replay not byte-stable:\nfirst:  %q\nsecond: %q", raw, again)
 	}
@@ -123,10 +120,10 @@ func TestSSEExperimentsPartials(t *testing.T) {
 		_, b := getBody(t, ts.URL+"/v1/experiments/"+id)
 		v1[id] = strings.TrimSuffix(string(b), "\n")
 	}
-	jobID := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{"ids":["table2","fig5"]}}`)
-	waitTerminal(t, ts.URL, "", jobID)
+	jobID := submitJob(t, ts.URL, `{"type":"experiments","experiments":{"ids":["table2","fig5"]}}`)
+	waitTerminal(t, ts.URL, jobID)
 
-	_, events := readStream(t, ts.URL, "", jobID)
+	_, events := readStream(t, ts.URL, jobID)
 	var partials []jobPartial
 	for _, ev := range events {
 		if ev.typ != ssePartial {
@@ -156,8 +153,8 @@ func TestSSEExperimentsPartials(t *testing.T) {
 // event.
 func TestSSELiveProgressMonotonic(t *testing.T) {
 	_, ts := newTestServer(t)
-	id := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{"ids":["table2","fig5","fig6"]}}`)
-	_, events := readStream(t, ts.URL, "", id) // opened while running: follows live
+	id := submitJob(t, ts.URL, `{"type":"experiments","experiments":{"ids":["table2","fig5","fig6"]}}`)
+	_, events := readStream(t, ts.URL, id) // opened while running: follows live
 	if events[0].typ != sseStatus {
 		t.Fatalf("stream opens with %s, want status", events[0].typ)
 	}
@@ -195,7 +192,7 @@ func TestSSELiveProgressMonotonic(t *testing.T) {
 // subscriber and leaves the job to finish normally.
 func TestSSEClientDisconnect(t *testing.T) {
 	s, ts := newTestServer(t)
-	id := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{"ids":["table2","fig5","fig6","fig7"]}}`)
+	id := submitJob(t, ts.URL, `{"type":"experiments","experiments":{"ids":["table2","fig5","fig6","fig7"]}}`)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/events", nil)
@@ -211,7 +208,7 @@ func TestSSEClientDisconnect(t *testing.T) {
 	resp.Body.Close()
 
 	// The handler notices and unsubscribes; the job is unaffected.
-	j := s.jobsStore.get(defaultTenant, id)
+	j := s.jobsStore.get(id)
 	if j == nil {
 		t.Fatal("job vanished")
 	}
@@ -228,7 +225,7 @@ func TestSSEClientDisconnect(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if js := waitTerminal(t, ts.URL, "", id); js.State != jobStateDone {
+	if js := waitTerminal(t, ts.URL, id); js.State != jobStateDone {
 		t.Errorf("job after disconnect = %s, error %+v", js.State, js.Error)
 	}
 }
@@ -238,22 +235,22 @@ func TestSSEClientDisconnect(t *testing.T) {
 func TestSSEDuringDrain(t *testing.T) {
 	s, ts := newTestServer(t, WithJobWorkers(1))
 	held := holdFirstJob(s)
-	running := submitJob(t, ts.URL, "", `{"type":"experiments","experiments":{}}`)
+	running := submitJob(t, ts.URL, `{"type":"experiments","experiments":{}}`)
 	<-held // occupies the only worker, so the next job stays queued
-	queued := submitJob(t, ts.URL, "", `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
+	queued := submitJob(t, ts.URL, `{"type":"profile","profile":{"model":"resnet18","instance":"p3.2xlarge"}}`)
 
 	type streamResult struct {
 		events []sseEvent
 	}
 	done := make(chan streamResult, 1)
 	go func() {
-		_, events := readStream(t, ts.URL, "", queued)
+		_, events := readStream(t, ts.URL, queued)
 		done <- streamResult{events}
 	}()
 	// Give the stream a moment to attach, then drain.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j := s.jobsStore.get(defaultTenant, queued)
+		j := s.jobsStore.get(queued)
 		s.jobsStore.mu.Lock()
 		n := len(j.subs)
 		s.jobsStore.mu.Unlock()

@@ -1,7 +1,7 @@
 package audit
 
-// JobCounters is one tenant's job-admission accounting as the stashd
-// v2 job API reports it. The counters extend the PR-3 conservation
+// JobCounters is the job-admission accounting the stashd v2 job API
+// reports. The counters extend the scenario scheduler's conservation
 // family one layer up: every job the admission layer accepts is, at
 // any consistent snapshot, in exactly one of five places — still
 // queued, running, or terminally done/failed/cancelled — so
@@ -27,7 +27,7 @@ type JobCounters struct {
 	// Queued and Running are live gauges of non-terminal jobs.
 	Queued, Running int64
 
-	// Cells counts scenario cells completed by this tenant's jobs; it
+	// Cells counts scenario cells completed by jobs; it
 	// is informational (progress accounting) and not part of the
 	// balance.
 	Cells int64
@@ -40,17 +40,17 @@ func (c JobCounters) Balance() int64 {
 	return c.Accepted - (c.Queued + c.Running + c.Done + c.Failed + c.Cancelled)
 }
 
-// CheckJobCounters audits one tenant's job accounting: all counters
+// CheckJobCounters audits the job accounting: all counters
 // non-negative and the lifecycle balance exactly zero. stashd's deep
-// health probe applies it to every tenant the job store has seen.
-func CheckJobCounters(tenant string, c JobCounters) *Result {
+// health probe applies it to its job store on every call.
+func CheckJobCounters(c JobCounters) *Result {
 	res := &Result{}
 	res.check(FamilyConservation, "job-counters-nonnegative",
 		c.Accepted >= 0 && c.Rejected >= 0 && c.Done >= 0 && c.Failed >= 0 &&
 			c.Cancelled >= 0 && c.Queued >= 0 && c.Running >= 0 && c.Cells >= 0,
-		"tenant %q has a negative job counter: %+v", tenant, c)
+		"negative job counter: %+v", c)
 	res.check(FamilyConservation, "job-balance",
 		c.Balance() == 0,
-		"tenant %q leaks jobs: %+v (balance %d)", tenant, c, c.Balance())
+		"jobs leak: %+v (balance %d)", c, c.Balance())
 	return res
 }

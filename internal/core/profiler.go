@@ -105,7 +105,7 @@ type Profiler struct {
 	// sweeps re-measure the same cells (every instance size shares the
 	// same step-1 single-GPU run, for example). Each entry is created
 	// before its simulation starts; latecomers wait on done instead of
-	// duplicating the work. mu guards cache and the tenants map.
+	// duplicating the work. mu guards cache.
 	mu    sync.Mutex
 	cache map[scenarioKey]*cacheEntry
 
@@ -118,18 +118,6 @@ type Profiler struct {
 	hits      atomic.Int64
 	waits     atomic.Int64
 	cancelled atomic.Int64
-
-	// Per-tenant mirrors of the scheduler counters, keyed by the tenant
-	// attached to the request context (WithTenant). Every increment of a
-	// global counter is mirrored into the requesting tenant's entry, so
-	// the conservation law holds per tenant too. The counters themselves
-	// are atomics with the same load ordering discipline as the globals.
-	tenants map[string]*tenantCounters
-}
-
-// tenantCounters is one tenant's mirror of the scheduler counters.
-type tenantCounters struct {
-	requests, simulated, hits, waits, cancelled atomic.Int64
 }
 
 // cacheEntry is one scenario's single-flight slot: res and err are
@@ -201,45 +189,6 @@ func (p *Profiler) Stats() Stats {
 	return s
 }
 
-// TenantStats snapshots the per-tenant scheduler counters for every
-// tenant that has made at least one scenario request under WithTenant.
-// Each snapshot follows the same ordering discipline as Stats (outcomes
-// loaded before Requests), so per-tenant Balance is >= 0 even
-// mid-flight and exactly 0 at quiescence.
-func (p *Profiler) TenantStats() map[string]Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]Stats, len(p.tenants))
-	for name, tc := range p.tenants {
-		s := Stats{
-			Simulated: tc.simulated.Load(),
-			CacheHits: tc.hits.Load(),
-			Waits:     tc.waits.Load(),
-			Cancelled: tc.cancelled.Load(),
-		}
-		s.Requests = tc.requests.Load()
-		out[name] = s
-	}
-	return out
-}
-
-// tenantFor resolves the request context's tenant mirror, creating it
-// on first use; nil when the context carries no tenant.
-func (p *Profiler) tenantFor(ctx context.Context) *tenantCounters {
-	name := TenantFrom(ctx)
-	if name == "" {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	tc := p.tenants[name]
-	if tc == nil {
-		tc = &tenantCounters{}
-		p.tenants[name] = tc
-	}
-	return tc
-}
-
 // New returns a Stash profiler with the given options.
 func New(opts ...Option) *Profiler {
 	p := &Profiler{
@@ -247,7 +196,6 @@ func New(opts ...Option) *Profiler {
 		slicePolicy: cloud.SliceDegraded,
 		seed:        1,
 		cache:       make(map[scenarioKey]*cacheEntry),
-		tenants:     make(map[string]*tenantCounters),
 	}
 	for _, o := range opts {
 		o(p)
@@ -330,16 +278,9 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 	if err := checkFit(job, sc.instance); err != nil {
 		return nil, err
 	}
-	tc := p.tenantFor(ctx)
 	p.requests.Add(1)
-	if tc != nil {
-		tc.requests.Add(1)
-	}
 	if err := ctx.Err(); err != nil {
 		p.cancelled.Add(1)
-		if tc != nil {
-			tc.cancelled.Add(1)
-		}
 		return nil, err
 	}
 	key := scenarioKey{
@@ -356,24 +297,15 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 		select {
 		case <-e.done:
 			p.hits.Add(1)
-			if tc != nil {
-				tc.hits.Add(1)
-			}
 			return e.res, e.err
 		default:
 		}
 		select {
 		case <-e.done:
 			p.waits.Add(1)
-			if tc != nil {
-				tc.waits.Add(1)
-			}
 			return e.res, e.err
 		case <-ctx.Done():
 			p.cancelled.Add(1)
-			if tc != nil {
-				tc.cancelled.Add(1)
-			}
 			return nil, ctx.Err()
 		}
 	}
@@ -383,9 +315,6 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 
 	e.res, e.err = p.simulate(job, sc)
 	p.simulated.Add(1)
-	if tc != nil {
-		tc.simulated.Add(1)
-	}
 	close(e.done)
 	return e.res, e.err
 }

@@ -28,24 +28,3 @@ func progressFrom(ctx context.Context) ProgressFunc {
 	fn, _ := ctx.Value(progressKey{}).(ProgressFunc)
 	return fn
 }
-
-type tenantKey struct{}
-
-// WithTenant returns a context attributing all scenario-scheduler
-// activity under it to the named tenant: the profiler mirrors its
-// admission/outcome counters into a per-tenant Stats (TenantStats), so
-// the conservation law Requests == Simulated + CacheHits + Waits +
-// Cancelled holds per tenant exactly as it does globally. An empty
-// name means unattributed (the CLI paths).
-func WithTenant(ctx context.Context, name string) context.Context {
-	if name == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, tenantKey{}, name)
-}
-
-// TenantFrom returns the tenant attached by WithTenant, "" when none.
-func TenantFrom(ctx context.Context) string {
-	name, _ := ctx.Value(tenantKey{}).(string)
-	return name
-}

@@ -111,65 +111,3 @@ func TestProfileContextProgress(t *testing.T) {
 		}
 	}
 }
-
-func TestWithTenantRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := TenantFrom(ctx); got != "" {
-		t.Errorf("bare context tenant = %q, want empty", got)
-	}
-	if got := TenantFrom(WithTenant(ctx, "acme")); got != "acme" {
-		t.Errorf("tenant = %q, want acme", got)
-	}
-	// Empty names attach nothing (the CLI path stays unattributed).
-	if got := TenantFrom(WithTenant(ctx, "")); got != "" {
-		t.Errorf("empty tenant = %q, want empty", got)
-	}
-}
-
-// TestProfilerTenantStatsConservation runs the same workload under two
-// tenants: each tenant's counters obey the conservation law
-// independently, and the global counters equal the per-tenant sum here
-// because every request in this test is attributed.
-func TestProfilerTenantStatsConservation(t *testing.T) {
-	p := fastProfiler()
-	j := job(t, resnet18(t), 32)
-	it := instance(t, "p3.2xlarge")
-	for _, tenant := range []string{"acme", "acme", "globex"} {
-		ctx := WithTenant(context.Background(), tenant)
-		if _, err := p.ProfileContext(ctx, j, it); err != nil {
-			t.Fatalf("tenant %s: %v", tenant, err)
-		}
-	}
-	ts := p.TenantStats()
-	if len(ts) != 2 {
-		t.Fatalf("tenants = %v, want acme and globex", ts)
-	}
-	var sum Stats
-	for name, s := range ts {
-		if s.Balance() != 0 {
-			t.Errorf("tenant %s leaks: %+v (balance %d)", name, s, s.Balance())
-		}
-		if s.Requests == 0 {
-			t.Errorf("tenant %s recorded no requests", name)
-		}
-		sum.Requests += s.Requests
-		sum.Simulated += s.Simulated
-		sum.CacheHits += s.CacheHits
-		sum.Waits += s.Waits
-		sum.Cancelled += s.Cancelled
-	}
-	global := p.Stats()
-	if global != sum {
-		t.Errorf("global %+v != per-tenant sum %+v", global, sum)
-	}
-	// The second acme profile repeats the first: its scenarios must be
-	// cache hits attributed to acme, not re-simulations.
-	if ts["acme"].CacheHits == 0 {
-		t.Errorf("acme repeat produced no cache hits: %+v", ts["acme"])
-	}
-	// globex ran the same scenarios after acme populated the cache:
-	// nothing it did requires new simulation.
-	if ts["globex"].Simulated != 0 {
-		t.Errorf("globex re-simulated cached scenarios: %+v", ts["globex"])
-	}
-}

@@ -59,7 +59,6 @@ go test -race ./...
 # here each one also explores for a few seconds.
 for target in \
   "FuzzJobCreate ./internal/api" \
-  "FuzzTenantOf ./internal/api" \
   "FuzzResolve ./internal/dnn" \
   "FuzzByName ./internal/cloud"; do
   set -- $target
