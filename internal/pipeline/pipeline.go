@@ -12,6 +12,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"stash/internal/hw"
 	"stash/internal/sim"
@@ -75,14 +76,21 @@ type HostPipeline struct {
 // New builds a host pipeline on the machine's network. Node namespaces
 // the link names.
 func New(eng *sim.Engine, net *simnet.Network, node int, cfg Config) (*HostPipeline, error) {
-	if cfg.Storage.Throughput <= 0 {
-		return nil, fmt.Errorf("pipeline: storage throughput %v <= 0", cfg.Storage.Throughput)
+	st := cfg.Storage
+	if !finitePositive(st.Throughput) {
+		return nil, fmt.Errorf("pipeline: storage throughput %v is not finite and positive", st.Throughput)
 	}
-	if cfg.CPU.VCPUs < 1 || cfg.CPU.PrepRate <= 0 {
+	if !(st.IOPS >= 0) || math.IsInf(st.IOPS, 1) {
+		return nil, fmt.Errorf("pipeline: storage IOPS %v is not finite and non-negative", st.IOPS)
+	}
+	if st.RequestLatency < 0 {
+		return nil, fmt.Errorf("pipeline: negative storage request latency %v", st.RequestLatency)
+	}
+	if cfg.CPU.VCPUs < 1 || !finitePositive(float64(cfg.CPU.VCPUs)*cfg.CPU.PrepRate) {
 		return nil, fmt.Errorf("pipeline: bad CPU spec %+v", cfg.CPU)
 	}
-	if cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("pipeline: negative cache size")
+	if !(cfg.CacheBytes >= 0) {
+		return nil, fmt.Errorf("pipeline: cache size %v is not non-negative", cfg.CacheBytes)
 	}
 	if cfg.PrefetchDepth == 0 {
 		cfg.PrefetchDepth = 4
@@ -106,6 +114,9 @@ func New(eng *sim.Engine, net *simnet.Network, node int, cfg Config) (*HostPipel
 	}
 	return hp, nil
 }
+
+// finitePositive reports whether v is a finite number above zero.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // SetCacheMode switches between the cold (step 3) and warm (step 4)
 // cache regimes for subsequent reads.

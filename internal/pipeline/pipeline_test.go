@@ -91,12 +91,29 @@ func TestConfigValidation(t *testing.T) {
 		{Storage: hw.GP2SSD}, // no CPU
 		{Storage: hw.GP2SSD, CPU: hw.Xeon(8), CacheBytes: -1},    // negative cache
 		{Storage: hw.GP2SSD, CPU: hw.Xeon(8), PrefetchDepth: -2}, // negative prefetch
+		// Non-finite specs used to pass the sign checks above.
+		{Storage: storage(func(s *hw.StorageSpec) { s.Throughput = math.NaN() }), CPU: hw.Xeon(8)},
+		{Storage: storage(func(s *hw.StorageSpec) { s.Throughput = math.Inf(1) }), CPU: hw.Xeon(8)},
+		{Storage: storage(func(s *hw.StorageSpec) { s.IOPS = math.Inf(1) }), CPU: hw.Xeon(8)},
+		{Storage: storage(func(s *hw.StorageSpec) { s.IOPS = math.NaN() }), CPU: hw.Xeon(8)},
+		{Storage: storage(func(s *hw.StorageSpec) { s.IOPS = -1 }), CPU: hw.Xeon(8)},
+		{Storage: storage(func(s *hw.StorageSpec) { s.RequestLatency = -1 }), CPU: hw.Xeon(8)},
+		{Storage: hw.GP2SSD, CPU: hw.CPUSpec{VCPUs: 8, PrepRate: math.NaN()}},
+		{Storage: hw.GP2SSD, CPU: hw.CPUSpec{VCPUs: 2, PrepRate: math.MaxFloat64}}, // pool rate overflows
+		{Storage: hw.GP2SSD, CPU: hw.Xeon(8), CacheBytes: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := New(eng, net, 0, cfg); err == nil {
 			t.Errorf("config %d: expected error", i)
 		}
 	}
+}
+
+// storage returns GP2SSD with one field changed by set.
+func storage(set func(*hw.StorageSpec)) hw.StorageSpec {
+	s := hw.GP2SSD
+	set(&s)
+	return s
 }
 
 func TestLoaderValidation(t *testing.T) {

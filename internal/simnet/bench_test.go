@@ -53,3 +53,43 @@ func BenchmarkRecompute16Way(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRingBesideLoaders measures one all-reduce op of an 8-member
+// ring on private links while four loaders stream disk reads and CPU
+// prep on links the ring never uses: the shape of a real-data training
+// step, where every loader flow that starts or finishes changes the flow
+// set beside the ring. The ring's uplinks differ, so its members finish
+// one by one and each round is several solves.
+func BenchmarkRingBesideLoaders(b *testing.B) {
+	e := sim.NewEngine()
+	n := New(e)
+	const p, loaders = 8, 4
+	sw := n.NewLink("switch", 100e9, 0)
+	routes := make([][]*Link, p)
+	for i := range routes {
+		routes[i] = []*Link{n.NewLink("up", float64(10+i)*1e9, 0), sw}
+	}
+	disk := n.NewLink("disk", 250e6, 500*time.Microsecond)
+	cpu := n.NewLink("cpu", 32000, 0) // samples/sec
+	g := n.NewGroup(routes)
+	// Each loader reads a batch, preps it, and repeats until the op ends.
+	var load func()
+	load = func() {
+		if g.Completed() {
+			return
+		}
+		n.StartFlow(1e5, []*Link{disk}).Done().OnFire(func() {
+			n.StartFlow(32, []*Link{cpu}).Done().OnFire(load)
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Start(1e7, 2*(p-1))
+		for j := 0; j < loaders; j++ {
+			load()
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -179,10 +179,17 @@ type scenarioResult struct {
 
 func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
 	t.Helper()
-	e := sim.NewEngine()
-	n := New(e)
-	checks := watchSolutions(t, n)
+	n := New(sim.NewEngine())
 	rings, flows := randomScenario(seed, n)
+	return runSpecs(t, n, rings, flows, grouped)
+}
+
+// runSpecs runs rings and flows on n, each ring as a flow group when
+// grouped and per step otherwise, checking every solve.
+func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grouped bool) scenarioResult {
+	t.Helper()
+	e := n.eng
+	checks := watchSolutions(t, n)
 	var res scenarioResult
 	res.rings = make([]time.Duration, len(rings))
 	for i, rs := range rings {
@@ -251,6 +258,72 @@ func TestGroupMatchesPerStepRing(t *testing.T) {
 	t.Logf("group runs kept %d completions and replayed %d solves", kept, replayed)
 	if kept == 0 || replayed == 0 {
 		t.Errorf("group runs kept %d completions and replayed %d solves, want both > 0", kept, replayed)
+	}
+}
+
+// TestComponentSolveMatchesGlobalSolve is the differential oracle for
+// solving per component. Two or three islands of random traffic, each
+// drawn by randomScenario on links of its own, share one network, so
+// their solves interleave. The reference run appends a bus link to every
+// route, which joins all flows into one component and makes every solve
+// global; its capacity is beyond any flow set's reach, so it is never a
+// bottleneck and changes no rate. Both runs must finish every ring and
+// every other flow at exactly the same instants, with the same per-link
+// flow counts and bytes, and pass the max-min check after every solve.
+// The island runs must replay solves of rings alone on their island.
+func TestComponentSolveMatchesGlobalSolve(t *testing.T) {
+	run := func(seed int64, global bool) scenarioResult {
+		n := New(sim.NewEngine())
+		var rings []ringSpec
+		var flows []flowSpec
+		for i := int64(0); i < 2+seed%2; i++ {
+			r, f := randomScenario(3*seed+i, n)
+			rings, flows = append(rings, r...), append(flows, f...)
+		}
+		if global {
+			bus := n.NewLink("bus", 1e30, 0)
+			join := func(r []*Link) []*Link { return append(r[:len(r):len(r)], bus) }
+			for i := range rings {
+				routes := make([][]*Link, len(rings[i].routes))
+				for m, r := range rings[i].routes {
+					routes[m] = join(r)
+				}
+				rings[i].routes = routes
+			}
+			for i := range flows {
+				flows[i].route = join(flows[i].route)
+			}
+		}
+		res := runSpecs(t, n, rings, flows, true)
+		if global {
+			// The bus is the last link; its counters are the reference's own.
+			res.counts, res.bytes = res.counts[:len(res.counts)-1], res.bytes[:len(res.bytes)-1]
+		}
+		return res
+	}
+	var replayed uint64
+	for seed := int64(1); seed <= 200; seed++ {
+		got, want := run(seed, false), run(seed, true)
+		if fmt.Sprint(got.rings) != fmt.Sprint(want.rings) {
+			t.Errorf("seed %d: ring completions %v, global %v", seed, got.rings, want.rings)
+		}
+		if fmt.Sprint(got.flows) != fmt.Sprint(want.flows) {
+			t.Errorf("seed %d: flow completions %v, global %v", seed, got.flows, want.flows)
+		}
+		if fmt.Sprint(got.counts) != fmt.Sprint(want.counts) {
+			t.Errorf("seed %d: FlowsCarried %v, global %v", seed, got.counts, want.counts)
+		}
+		if fmt.Sprint(got.bytes) != fmt.Sprint(want.bytes) {
+			t.Errorf("seed %d: BytesCarried %v, global %v", seed, got.bytes, want.bytes)
+		}
+		if got.checks == 0 || want.checks == 0 {
+			t.Fatalf("seed %d: no solution checked", seed)
+		}
+		replayed += got.replayed
+	}
+	t.Logf("island runs replayed %d solves", replayed)
+	if replayed == 0 {
+		t.Error("island runs replayed no solves, so replay per component went untested")
 	}
 }
 
@@ -348,11 +421,12 @@ func TestGroupRoundsAndLinkStats(t *testing.T) {
 }
 
 // TestLoneGroupSolvesOnce pins the solver's fast paths for a group alone
-// on the network. On equal private links every round ends in one event,
-// so each op fills once and keeps its rates for every later round. On a
-// heterogeneous ring members finish one by one, so each round is several
-// solves; round 1 repeats none of round 0 (staggered activations), and
-// every later round replays round 1.
+// in its component. On equal private links every round ends in one event,
+// so each op fills once and keeps its rates for every later round, also
+// beside traffic on other links, which fills only its own component. On
+// a heterogeneous ring members finish one by one, so each round is
+// several solves; round 1 repeats none of round 0 (staggered
+// activations), and every later round replays round 1.
 func TestLoneGroupSolvesOnce(t *testing.T) {
 	t.Run("equal private links", func(t *testing.T) {
 		e := sim.NewEngine()
@@ -373,6 +447,36 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		if n.filled != ops || n.kept != ops*(rounds-1) || n.replayed != 0 {
 			t.Errorf("filled %d, kept %d, replayed %d; want %d, %d, 0",
 				n.filled, n.kept, n.replayed, ops, ops*(rounds-1))
+		}
+	})
+	t.Run("beside disjoint traffic", func(t *testing.T) {
+		e := sim.NewEngine()
+		n := New(e)
+		watchSolutions(t, n)
+		const ops, rounds = 3, 6
+		routes := make([][]*Link, 4)
+		for i := range routes {
+			routes[i] = []*Link{n.NewLink("l", 1*gb, time.Microsecond)}
+		}
+		disk := n.NewLink("disk", 1*gb, 0)
+		g := n.NewGroup(routes)
+		// Each op's rounds end at 1.001, 2.001, ... 6.001 ms; the stream
+		// runs one 0.1 ms flow at a time in between.
+		starts := []time.Duration{500, 1700, 2900, 4100, 5300}
+		for op := 0; op < ops; op++ {
+			g.Start(1e6, rounds)
+			for _, at := range starts {
+				e.Schedule(at*time.Microsecond, func() { n.StartFlow(1e5, []*Link{disk}) })
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A stream flow fills its own component when it starts; when it
+		// finishes, that component is empty and nothing is filled.
+		want := [3]uint64{ops * (1 + uint64(len(starts))), ops * (rounds - 1), 0}
+		if got := [3]uint64{n.filled, n.kept, n.replayed}; got != want {
+			t.Errorf("filled, kept, replayed = %v; want %v", got, want)
 		}
 	})
 	t.Run("heterogeneous ring", func(t *testing.T) {

@@ -7,15 +7,24 @@
 //
 // simnet runs on the virtual clock of an internal/sim Engine. Rate
 // recomputation is coalesced: any number of flow arrivals and departures
-// at one instant trigger a single progressive-filling pass.
+// at one instant trigger a single solve.
+//
+// Max-min fair rates decompose over the connected components of the
+// flow–link graph, so a solve re-fills only the components that a change
+// touched and every other flow keeps its rate: a loader's disk read does
+// not re-solve an NVLink ring on links it never uses. Components only
+// merge: a flow's activation joins the links of its route, and links
+// stay joined after it finishes. Filling a union of true components
+// gives each one the rates it would get alone, so the merged sets are
+// exact, and the routes a workload uses recur, so they stay small.
 //
 // A FlowGroup runs a set of flows in lockstep rounds (a ring all-reduce
 // is 2(p-1) rounds of p neighbor transfers). A round's members re-arm in
-// place when its last member finishes, and when they all finished at
-// that same instant with nothing else changed, the flow set is the one
-// the last pass solved, so its rates stand and no pass runs. A group
-// alone on the network solves the same flow sets in the same order every
-// round, so it replays the previous round's rates instead of filling.
+// place when its last member finishes. A round whose members all finished
+// at that same instant touches no component, so its flows' rates stand. A
+// group alone in its component solves the same flow sets in the same
+// order every round, so it replays the previous round's rates instead of
+// filling.
 package simnet
 
 import (
@@ -42,6 +51,12 @@ type Link struct {
 	// Progressive-filling scratch state.
 	residual float64
 	unfrozen int
+
+	// Component state: a union-find forest over the links, joined by
+	// every route that carries a flow. A root is its own parent, and its
+	// stamp is the epoch of the solve its component was last touched for.
+	parent *Link
+	stamp  uint64
 
 	// Statistics.
 	bytesCarried float64
@@ -75,6 +90,7 @@ type Flow struct {
 	completed bool
 	started   time.Duration
 	finished  time.Duration
+	root      *Link      // a link of the flow's component, set on activation
 	group     *FlowGroup // owning group of a member flow, nil otherwise
 	done      sim.Signal // embedded to keep a flow at one allocation
 }
@@ -123,8 +139,8 @@ type FlowGroup struct {
 	firstLeft uint64 // completion event in which the round's first member finished
 	done      sim.Signal
 
-	// Round replay memo (see recompute): step k of the solves made while
-	// the group was alone on the network solved flow set
+	// Round replay memo (see solve): step k of the solves made while
+	// the group was alone in its component solved flow set
 	// memoFlows[memoEnd[k-1]:memoEnd[k]] (memoEnd[-1] = 0), in that order,
 	// to memoRates over the same range. Steps before step come from this
 	// round, the rest from the last round that reached them.
@@ -154,6 +170,12 @@ type Network struct {
 	completion  sim.Event
 	dirty       bool
 
+	// epoch counts solves; touch stamps a component's root with the next
+	// one, and that solve fills the flows whose root carries it.
+	epoch   uint64
+	touched bool    // some component was touched since the last solve
+	solving []*Flow // recompute scratch: the touched flows, in flow-set order
+
 	// Solver counters: progressive-filling passes run, completions that
 	// kept the standing rates, and solves replayed from a group's memo.
 	filled, kept, replayed uint64
@@ -179,12 +201,27 @@ func New(eng *sim.Engine) *Network {
 }
 
 // NewLink adds a link with the given capacity (bytes/sec) and latency.
+// Panics on a capacity that is not finite and positive, or on a negative
+// latency.
 func (n *Network) NewLink(name string, capacity float64, latency time.Duration) *Link {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("simnet: link %q capacity %v <= 0", name, capacity))
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		panic(fmt.Sprintf("simnet: link %q capacity %v is not finite and positive", name, capacity))
+	}
+	if latency < 0 {
+		panic(fmt.Sprintf("simnet: link %q latency %v < 0", name, latency))
 	}
 	l := &Link{name: name, capacity: capacity, latency: latency}
+	l.parent = l
 	n.links = append(n.links, l)
+	return l
+}
+
+// find returns the root of l's component, halving the path to it.
+func (l *Link) find() *Link {
+	for l.parent != l {
+		l.parent = l.parent.parent
+		l = l.parent
+	}
 	return l
 }
 
@@ -290,9 +327,24 @@ func (n *Network) activate(f *Flow) {
 		return
 	}
 	n.settle()
+	r := f.route[0].find()
+	for _, l := range f.route[1:] {
+		if s := l.find(); s != r {
+			s.parent = r
+		}
+	}
+	f.root = r
+	n.touch(f)
 	f.index = len(n.flows)
 	n.flows = append(n.flows, f)
 	n.markDirty()
+}
+
+// touch marks f's component for the next solve.
+func (n *Network) touch(f *Flow) {
+	f.root = f.root.find()
+	f.root.stamp = n.epoch + 1
+	n.touched = true
 }
 
 func (n *Network) finish(f *Flow) {
@@ -332,14 +384,6 @@ func (n *Network) leave(f *Flow) {
 		n.flows = append(n.flows, m)
 	}
 	g.pending = len(g.members)
-}
-
-// rearmedWhole reports whether group member f's whole round finished in
-// this completion event and re-armed: the round began leaving in this
-// event and is full again. A group that just completed has none pending.
-func (n *Network) rearmedWhole(f *Flow) bool {
-	g := f.group
-	return g != nil && g.pending == len(g.members) && g.firstLeft == n.completions
 }
 
 // removeFlow drops an active flow by swap-removal.
@@ -384,30 +428,56 @@ func (n *Network) settle() {
 	}
 }
 
-// recompute runs progressive filling to assign max-min fair rates, then
-// reschedules the next completion event. When one group has the network
-// to itself and its memo holds this step's flow set in this order, the
-// memo's rates are the answer: progressive filling reads only the order
-// of the flow set, the flows' routes and the link capacities, and a
-// group's routes and every capacity are fixed, so filling would
-// reproduce them bit for bit.
+// recompute re-solves the components touched since the last solve, then
+// reschedules the next completion event. It fills the touched flows in
+// flow-set order; every other flow keeps its rate, which a solve of its
+// component would reproduce because none of its flows or links changed.
 func (n *Network) recompute() {
 	// Cancel of a stale or zero handle is a no-op, so no pending check.
 	n.eng.Cancel(n.completion)
 	n.completion = sim.Event{}
-	if len(n.flows) == 0 {
-		return
+	n.epoch++
+	n.touched = false
+	flows := n.solving[:0]
+	for _, f := range n.flows {
+		f.root = f.root.find()
+		if f.root.stamp == n.epoch {
+			flows = append(flows, f)
+		}
 	}
-	g := n.loneGroup()
-	if g != nil && g.replay(n.flows) {
+	n.solving = flows
+	if len(flows) > 0 {
+		n.solve(flows)
+	}
+	n.scheduleCompletion()
+}
+
+// solve assigns max-min fair rates to flows, a union of whole
+// components. When one group is alone in them and its memo holds this
+// step's flow set in this order, the memo's rates are the answer:
+// progressive filling reads only the order of the flow set, the flows'
+// routes and the link capacities, and a group's routes and every
+// capacity are fixed, so filling would reproduce them bit for bit.
+func (n *Network) solve(flows []*Flow) {
+	g := loneGroup(flows)
+	if g != nil && g.replay(flows) {
 		n.replayed++
-		n.scheduleCompletion()
 		return
 	}
 	n.filled++
+	fill(flows)
+	if g != nil {
+		g.record(flows)
+	}
+}
 
-	// Reset scratch state on links touched by active flows.
-	for _, f := range n.flows {
+// fill runs progressive filling over flows. Every link capacity is finite
+// and positive and every route non-empty, so each pass finds a finite,
+// non-negative bottleneck share and freezes at least the first unfrozen
+// flow on the bottleneck link, which sees exactly that share.
+func fill(flows []*Flow) {
+	// Reset scratch state on links touched by the flows.
+	for _, f := range flows {
 		f.rate = 0
 		f.frozen = false
 		for _, l := range f.route {
@@ -415,17 +485,17 @@ func (n *Network) recompute() {
 			l.unfrozen = 0
 		}
 	}
-	for _, f := range n.flows {
+	for _, f := range flows {
 		for _, l := range f.route {
 			l.unfrozen++
 		}
 	}
 
-	remaining := len(n.flows)
+	remaining := len(flows)
 	for remaining > 0 {
 		// Find the tightest link share among links with unfrozen flows.
 		share := math.Inf(1)
-		for _, f := range n.flows {
+		for _, f := range flows {
 			if f.frozen {
 				continue
 			}
@@ -437,24 +507,9 @@ func (n *Network) recompute() {
 				}
 			}
 		}
-		if math.IsInf(share, 1) {
-			// No capacity-constrained links (cannot happen with non-empty
-			// routes); freeze at an arbitrary large rate to terminate.
-			for _, f := range n.flows {
-				if !f.frozen {
-					f.frozen = true
-					f.rate = math.MaxFloat64
-					remaining--
-				}
-			}
-			break
-		}
-		if share < 0 {
-			share = 0
-		}
 		// Freeze every unfrozen flow crossing a bottleneck link.
 		progressed := false
-		for _, f := range n.flows {
+		for _, f := range flows {
 			if f.frozen {
 				continue
 			}
@@ -481,30 +536,19 @@ func (n *Network) recompute() {
 			}
 		}
 		if !progressed {
-			// Numerical corner: freeze everything left at the share.
-			for _, f := range n.flows {
-				if !f.frozen {
-					f.frozen = true
-					f.rate = share
-					remaining--
-				}
-			}
+			panic(fmt.Sprintf("simnet: progressive filling froze no flow at share %v", share))
 		}
 	}
-	if g != nil {
-		g.record(n.flows)
-	}
-	n.scheduleCompletion()
 }
 
-// loneGroup returns the group every flow in the non-empty flow set
-// belongs to, or nil when there is no such group.
-func (n *Network) loneGroup() *FlowGroup {
-	g := n.flows[0].group
+// loneGroup returns the group every flow in the non-empty flows belongs
+// to, or nil when there is no such group.
+func loneGroup(flows []*Flow) *FlowGroup {
+	g := flows[0].group
 	if g == nil {
 		return nil
 	}
-	for _, f := range n.flows[1:] {
+	for _, f := range flows[1:] {
 		if f.group != g {
 			return nil
 		}
@@ -581,24 +625,30 @@ func (n *Network) scheduleCompletion() {
 	n.completion = n.eng.Schedule(delay, n.completionFn)
 }
 
-// onCompletion retires every finished flow and re-solves, except in two
-// cases. If an activation at this instant is pending, its settle solves
-// the final flow set before time moves. If every finished flow was a
-// group member re-armed in this event with its whole round, the flow set
-// holds the flows the last solve saw, on the same routes, and the
-// standing rates are kept: only the next completion is scheduled.
+// onCompletion retires every finished flow, touches the components that
+// changed, and re-solves them. If an activation at this instant is
+// pending, its settle solves the final flow set before time moves. If no
+// component was touched, the standing rates are kept: only the next
+// completion is scheduled.
 //
-// The order of those flows may differ from the last solve's. When that
-// solve followed the previous re-arm of a group alone on the network,
-// both saw the members in member order, and the kept rates are exact.
-// Otherwise swap-removal has moved some flows and the members re-armed
-// at the end. Max-min fair rates do not depend on order in exact
+// A finished flow touches its component unless its group's whole round
+// finished in this event and re-armed: then each of those components
+// holds the flows its last solve saw, on the same routes. A round that
+// ended piecemeal and re-arms touches every member's component, because
+// the members that left earlier come back with the rates of a solve made
+// before they left, which the solves since then have not corrected.
+//
+// The order of a kept component's flows may differ from its last solve's.
+// When that solve followed the previous re-arm of a group alone in its
+// component, both saw the members in member order, and the kept rates are
+// exact. Otherwise swap-removal has moved some flows and the members
+// re-armed at the end. Max-min fair rates do not depend on order in exact
 // arithmetic, but the freeze pass compares link shares with a 1e-12
 // tolerance and lowers residuals as it freezes, so in a near-tie the
 // order picks which flow freezes first, and a fresh solve could differ
 // in the last bits. Guards: the max-min oracle checked after every kept
-// completion, the per-step ring differential test (group_test.go), and
-// the suite's byte-identical output.
+// completion, the per-step ring and per-component differential tests
+// (group_test.go), and the suite's byte-identical output.
 func (n *Network) onCompletion() {
 	n.completion = sim.Event{}
 	n.settle()
@@ -624,18 +674,25 @@ func (n *Network) onCompletion() {
 	}
 	// Decided once every round that ends here has re-armed: a member that
 	// is not its round's last cannot tell whether the rest follow.
-	unchanged := true
 	for i, f := range done {
 		done[i] = nil
-		if !n.rearmedWhole(f) {
-			unchanged = false
+		g := f.group
+		switch {
+		case g == nil || g.pending != len(g.members):
+			// A plain flow, a round still running, or a last round.
+			n.touch(f)
+		case g.firstLeft != n.completions:
+			// A round that ended piecemeal and re-armed.
+			for j := range g.members {
+				n.touch(&g.members[j])
+			}
 		}
 	}
 	n.finished = done[:0]
 	switch {
 	case n.dirty:
-		// The pending settle solves the final flow set.
-	case unchanged:
+		// The pending settle solves the touched components.
+	case !n.touched:
 		n.kept++
 		n.scheduleCompletion()
 	default:

@@ -286,3 +286,31 @@ func TestQuickFairnessSymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewLinkRejectsBadSpecs: a link's capacity must be finite and
+// positive and its latency non-negative. NaN and +Inf capacities used to
+// pass a `<= 0` check, and a negative latency panicked only when a flow
+// started on the link.
+func TestNewLinkRejectsBadSpecs(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		capacity float64
+		latency  time.Duration
+	}{
+		{"zero capacity", 0, 0},
+		{"negative capacity", -1, 0},
+		{"NaN capacity", math.NaN(), 0},
+		{"infinite capacity", math.Inf(1), 0},
+		{"negative latency", gb, -time.Nanosecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := New(sim.NewEngine())
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLink(%v, %v) did not panic", c.capacity, c.latency)
+				}
+			}()
+			n.NewLink("l", c.capacity, c.latency)
+		})
+	}
+}
