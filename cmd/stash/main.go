@@ -24,9 +24,9 @@
 // it as a gate.
 //
 // Models: the Table II zoo (alexnet, mobilenet_v2, squeezenet1_1,
-// shufflenet_v2, resnet18, resnet50, vgg11, bert-large) plus resnet<N>,
-// vgg<N> and densenet<N> variants, resnext50, wide_resnet50, bert-base
-// and gpt2-small.
+// shufflenet_v2, resnet18, resnet50, vgg11, bert-large) plus the §VI-A
+// micro-study depths resnet<N> (18/34/50/101/152) and vgg<N>
+// (11/13/16/19), resolved by dnn.Resolve as stashd resolves them.
 package main
 
 import (
@@ -92,7 +92,7 @@ func run(args []string) error {
 		return runSelfcheck(auditIters, *seed, *parallel)
 	}
 
-	model, err := lookupModel(*modelName)
+	model, err := dnn.Resolve(*modelName)
 	if err != nil {
 		return err
 	}
@@ -229,10 +229,4 @@ func runRecommend(p *core.Profiler, job workload.Job, cons core.Constraints) err
 	}
 	fmt.Printf("\n%s\n", rec.ModelAdvice)
 	return nil
-}
-
-// lookupModel resolves zoo names plus parametric resnet<N>/vgg<N>;
-// the shared resolver also backs stashd's /v1 endpoints.
-func lookupModel(name string) (*dnn.Model, error) {
-	return dnn.Resolve(name)
 }

@@ -20,6 +20,7 @@ func TestRunFlagErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-model", "nope"}, ""},
+		{[]string{"-model", "densenet121"}, `"densenet121"`},
 		{[]string{"-instance", "m5.large"}, ""},
 		{[]string{"-batch", "0"}, ""},
 		{[]string{"-badflag"}, ""},
@@ -52,22 +53,6 @@ func TestRunOOMSurfaces(t *testing.T) {
 	err := run([]string{"-model", "bert-large", "-batch", "64", "-iters", "4"})
 	if err == nil || !strings.Contains(err.Error(), "GB") {
 		t.Errorf("expected OOM error, got %v", err)
-	}
-}
-
-func TestLookupModel(t *testing.T) {
-	for _, name := range []string{
-		"resnet18", "resnet101", "vgg19", "densenet169", "bert-large",
-		"bert-base", "gpt2-small", "resnext50", "wide_resnet50", "alexnet",
-	} {
-		if _, err := lookupModel(name); err != nil {
-			t.Errorf("lookupModel(%s): %v", name, err)
-		}
-	}
-	for _, name := range []string{"resnet7", "vggX", "nothing", "densenet7"} {
-		if _, err := lookupModel(name); err == nil {
-			t.Errorf("lookupModel(%s) should fail", name)
-		}
 	}
 }
 

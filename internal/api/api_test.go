@@ -146,6 +146,7 @@ func TestProfileValidationErrors(t *testing.T) {
 		{"missing model", `{"instance":"p3.2xlarge"}`, http.StatusBadRequest, errInvalidRequest},
 		{"missing instance", `{"model":"resnet18"}`, http.StatusBadRequest, errInvalidRequest},
 		{"unknown model", `{"model":"nope","instance":"p3.2xlarge"}`, http.StatusBadRequest, errInvalidRequest},
+		{"removed model", `{"model":"gpt2-small","instance":"p3.2xlarge"}`, http.StatusBadRequest, errInvalidRequest},
 		{"unknown instance", `{"model":"resnet18","instance":"m5.large"}`, http.StatusBadRequest, errInvalidRequest},
 		{"negative batch", `{"model":"resnet18","instance":"p3.2xlarge","batch":-1}`, http.StatusBadRequest, errInvalidRequest},
 		{"bad nodes", `{"model":"resnet18","instance":"p3.16xlarge","nodes":3}`, http.StatusBadRequest, errInvalidRequest},

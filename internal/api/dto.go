@@ -65,9 +65,8 @@ type AuditSummary struct {
 // ProfileRequest is POST /v1/profile's body: one (model, instance,
 // batch) workload to characterize.
 type ProfileRequest struct {
-	// Model is any name dnn.Resolve accepts (zoo names plus resnet<N>,
-	// vgg<N>, densenet<N>, resnext50, wide_resnet50, bert-base,
-	// gpt2-small). Required.
+	// Model is any name dnn.Resolve accepts: the Table II zoo names plus
+	// resnet<N> (18/34/50/101/152) and vgg<N> (11/13/16/19). Required.
 	Model string `json:"model"`
 
 	// Instance is a Table I catalog name (cloud.ByName). Required.
@@ -151,7 +150,7 @@ type ProfileResponse struct {
 // attribute — for every all-reduce barrier, the last-arriving worker is
 // charged the comm-wait it caused the others (core.BlameContext).
 type BlameRequest struct {
-	// Model is any name dnn.Resolve accepts. Required.
+	// Model is any name dnn.Resolve accepts, as in ProfileRequest. Required.
 	Model string `json:"model"`
 
 	// Instance is a Table I catalog name (cloud.ByName). Required.

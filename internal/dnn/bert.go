@@ -28,20 +28,6 @@ func BERTLarge() *Model {
 	})
 }
 
-// BERTBase returns BERT-base (12 layers, hidden 768), used by tests and
-// examples as a smaller transformer.
-func BERTBase() *Model {
-	return buildBERT(bertConfig{
-		name:         "bert-base",
-		layers:       12,
-		hidden:       768,
-		heads:        12,
-		intermediate: 3072,
-		seqLen:       384,
-		vocab:        30522,
-	})
-}
-
 func buildBERT(cfg bertConfig) *Model {
 	t := float64(cfg.seqLen)
 	h := float64(cfg.hidden)

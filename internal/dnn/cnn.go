@@ -136,19 +136,6 @@ func AlexNet() *Model {
 	return b.m
 }
 
-// VGGOption modifies a VGG under construction.
-type VGGOption func(*vggConfig)
-
-type vggConfig struct {
-	batchNorm bool
-}
-
-// VGGWithBatchNorm adds a batch-norm layer after every convolution (the
-// vgg*_bn torchvision variants).
-func VGGWithBatchNorm() VGGOption {
-	return func(c *vggConfig) { c.batchNorm = true }
-}
-
 // vggCfgs maps depth to the torchvision layer configuration; 0 marks a
 // max-pool.
 var vggCfgs = map[int][]int{
@@ -160,20 +147,12 @@ var vggCfgs = map[int][]int{
 
 // VGG returns the standard VGG-<depth> (11, 13, 16 or 19), 132.8 M
 // parameters at depth 11 as in Table II.
-func VGG(depth int, opts ...VGGOption) (*Model, error) {
+func VGG(depth int) (*Model, error) {
 	cfg, ok := vggCfgs[depth]
 	if !ok {
 		return nil, fmt.Errorf("dnn: no VGG-%d; depths are 11/13/16/19", depth)
 	}
-	var vc vggConfig
-	for _, o := range opts {
-		o(&vc)
-	}
-	name := fmt.Sprintf("vgg%d", depth)
-	if vc.batchNorm {
-		name += "_bn"
-	}
-	b := newConvBuilder(name, "vgg")
+	b := newConvBuilder(fmt.Sprintf("vgg%d", depth), "vgg")
 	ci := 0
 	for _, c := range cfg {
 		if c == 0 {
@@ -182,9 +161,6 @@ func VGG(depth int, opts ...VGGOption) (*Model, error) {
 		}
 		ci++
 		b.conv(fmt.Sprintf("conv%d", ci), c, 3, 1, 1, 1)
-		if vc.batchNorm {
-			b.bn(fmt.Sprintf("bn%d", ci))
-		}
 		b.relu(fmt.Sprintf("relu%d", ci))
 	}
 	b.fc("fc1", 4096)

@@ -70,16 +70,6 @@ func TestBERTLargeShape(t *testing.T) {
 	}
 }
 
-func TestBERTBaseSmallerThanLarge(t *testing.T) {
-	base, large := BERTBase(), BERTLarge()
-	if base.TotalParams() >= large.TotalParams() {
-		t.Error("BERT-base should have fewer params than BERT-large")
-	}
-	if base.FwdFLOPsPerSample() >= large.FwdFLOPsPerSample() {
-		t.Error("BERT-base should have fewer FLOPs than BERT-large")
-	}
-}
-
 func TestResNetDepthFamily(t *testing.T) {
 	var prevParams int64
 	var prevLayers int
@@ -204,24 +194,6 @@ func TestVGG11KnownParams(t *testing.T) {
 	}
 }
 
-func TestVGGWithBatchNorm(t *testing.T) {
-	plain, err := VGG(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bn, err := VGG(16, VGGWithBatchNorm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bn.NumParamLayers() != plain.NumParamLayers()+13 {
-		t.Errorf("VGG16_bn param layers = %d, want %d (one BN per conv)",
-			bn.NumParamLayers(), plain.NumParamLayers()+13)
-	}
-	if bn.Name != "vgg16_bn" {
-		t.Errorf("name = %q", bn.Name)
-	}
-}
-
 func TestVGGvsResNetCommunicationProfile(t *testing.T) {
 	// The §VI-A2 contrast: VGG has few layers and many gradients; ResNet
 	// has many layers and few gradients.
@@ -316,6 +288,32 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("ByName(nope) should fail")
+	}
+}
+
+// TestResolve pins the model names the CLI and stashd accept: the
+// Table II zoo and the §VI-A micro-study depths, and nothing else.
+func TestResolve(t *testing.T) {
+	accept := []string{
+		"alexnet", "mobilenet_v2", "squeezenet1_1", "shufflenet_v2", "resnet18", "resnet50", "vgg11", "bert-large",
+		"resnet34", "resnet101", "resnet152", "vgg13", "vgg16", "vgg19",
+	}
+	for _, name := range accept {
+		m, err := Resolve(name)
+		if err != nil {
+			t.Errorf("Resolve(%s): %v", name, err)
+		} else if m.Name != name {
+			t.Errorf("Resolve(%s) is named %s", name, m.Name)
+		}
+	}
+	reject := []string{
+		"densenet121", "densenet169", "densenet201", "resnext50", "wide_resnet50", "bert-base", "gpt2-small",
+		"resnet7", "vggX", "nothing", "densenet7",
+	}
+	for _, name := range reject {
+		if _, err := Resolve(name); err == nil {
+			t.Errorf("Resolve(%s) should fail", name)
+		}
 	}
 }
 

@@ -20,6 +20,12 @@ func FuzzResolve(f *testing.F) {
 	for _, seed := range []string{"resnet018", "resnet+50", "vgg-1", "densenet99999999999", "bert-base", ""} {
 		f.Add(seed)
 	}
+	// Names outside the paper's models must fail cleanly; resnext50 and
+	// wide_resnet50 once returned models named resnext50_32x4d and
+	// wide_resnet50_2, which did not resolve back. resnet50 is kept.
+	for _, seed := range []string{"resnext50", "wide_resnet50", "densenet121", "gpt2-small", "resnet50"} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, name string) {
 		m, err := Resolve(name)
 		if err != nil {

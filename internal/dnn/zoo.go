@@ -83,9 +83,9 @@ func ByName(name string) (*Model, error) {
 }
 
 // Resolve maps a user-supplied model name to a model: any Table II zoo
-// entry (ByName) plus the parametric families the CLI and stashd
-// accept — resnet<N>, vgg<N> and densenet<N> at their standard depths,
-// resnext50, wide_resnet50, bert-base and gpt2-small.
+// entry (ByName) plus resnet<N> (18/34/50/101/152) and vgg<N>
+// (11/13/16/19), the depths the §VI-A micro study sweeps. Every model
+// it returns resolves again by its own name.
 func Resolve(name string) (*Model, error) {
 	if m, err := ByName(name); err == nil {
 		return m, nil
@@ -99,21 +99,6 @@ func Resolve(name string) (*Model, error) {
 		if d, err := strconv.Atoi(depth); err == nil {
 			return VGG(d)
 		}
-	}
-	if depth, ok := strings.CutPrefix(name, "densenet"); ok {
-		if d, err := strconv.Atoi(depth); err == nil {
-			return DenseNet(d)
-		}
-	}
-	switch name {
-	case "bert-base":
-		return BERTBase(), nil
-	case "gpt2-small":
-		return GPT2Small(), nil
-	case "resnext50":
-		return ResNeXt50()
-	case "wide_resnet50":
-		return WideResNet50()
 	}
 	return nil, fmt.Errorf("dnn: unknown model %q", name)
 }
