@@ -359,12 +359,12 @@ func TestLoaderTimingOracle(t *testing.T) {
 	}{
 		{"cold-gp2", defaultCfg(), CacheCold, 1, 128, 5, loaderTrace{
 			deliveries: [][]time.Duration{{96427528, 176427528, 256427528, 336427528, 416427528}},
-			disk:       6.643942592964072e+07,
+			disk:       6.643942592964071e+07,
 			cpu:        640,
 		}},
 		{"warm-partial", partial, CacheWarm, 1, 32, 5, loaderTrace{
-			deliveries: [][]time.Duration{{14110632, 24110633, 34110634, 44110635, 54110636}},
-			disk:       8.30492824120509e+06,
+			deliveries: [][]time.Duration{{14110632, 24110632, 34110632, 44110632, 54110632}},
+			disk:       8.304928241205089e+06,
 			cpu:        160,
 		}},
 		{"cold-contended", defaultCfg(), CacheCold, 2, 64, 4, loaderTrace{

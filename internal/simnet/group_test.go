@@ -10,15 +10,28 @@ import (
 	"stash/internal/sim"
 )
 
+// transferring returns the flows transferring now: the flow set and the
+// members of fast-forwarded groups, which run at their kept rates.
+func transferring(n *Network) []*Flow {
+	flows := append([]*Flow(nil), n.flows...)
+	for _, g := range n.forwarding {
+		for i := range g.members {
+			flows = append(flows, &g.members[i])
+		}
+	}
+	return flows
+}
+
 // checkMaxMin reports whether the standing rates are a max-min fair
-// allocation of the current flow set: no link carries more than its
+// allocation of the flows transferring now: no link carries more than its
 // capacity, and every flow crosses a saturated link on which no flow has
 // a higher rate.
 func checkMaxMin(n *Network) error {
 	const tol = 1e-9
 	load := make(map[*Link]float64)
 	top := make(map[*Link]float64)
-	for _, f := range n.flows {
+	flows := transferring(n)
+	for _, f := range flows {
 		for _, l := range f.route {
 			load[l] += f.rate
 			top[l] = math.Max(top[l], f.rate)
@@ -29,7 +42,7 @@ func checkMaxMin(n *Network) error {
 			return fmt.Errorf("link %s carries %v > capacity %v", l.name, load[l], l.capacity)
 		}
 	}
-	for i, f := range n.flows {
+	for i, f := range flows {
 		bottlenecked := false
 		for _, l := range f.route {
 			if load[l] >= l.capacity*(1-tol) && f.rate >= top[l]*(1-tol) {
@@ -44,9 +57,11 @@ func checkMaxMin(n *Network) error {
 	return nil
 }
 
-// watchSolutions checks checkMaxMin after every settle and completion
+// watchSolutions checks checkMaxMin after every solve and completion
 // event on n — every solve, and every completion that kept the standing
-// rates — and returns a pointer to the number of checks made.
+// rates or solved — and returns a pointer to the number of checks made.
+// A completion that leaves a solve pending at its instant is checked
+// after that solve: a flow activated there has no rate before it.
 func watchSolutions(t *testing.T, n *Network) *int {
 	t.Helper()
 	checks := new(int)
@@ -56,9 +71,14 @@ func watchSolutions(t *testing.T, n *Network) *int {
 			t.Errorf("at %v: %v", n.eng.Now(), err)
 		}
 	}
-	settle, complete := n.settleFn, n.completionFn
-	n.settleFn = func() { settle(); check() }
-	n.completionFn = func() { complete(); check() }
+	solve, complete := n.solveFn, n.completionFn
+	n.solveFn = func() { solve(); check() }
+	n.completionFn = func() {
+		complete()
+		if !n.dirty {
+			check()
+		}
+	}
 	return checks
 }
 
@@ -80,7 +100,10 @@ type flowSpec struct {
 // randomScenario builds links on n and draws rings and background flows
 // over them. The same seed draws the same scenario on any network. One
 // scenario in four keeps only its first ring, alone on the network, so
-// whole rounds repeat and the group replays its solves.
+// whole rounds repeat and the group replays its solves. Of the rest, one
+// in two adds a flow on a ring member's route while the ring may still
+// run, so a ring fast-forwarded on its private links is joined and
+// brought back.
 func randomScenario(seed int64, n *Network) ([]ringSpec, []flowSpec) {
 	rng := rand.New(rand.NewSource(seed))
 	links := make([]*Link, 3+rng.Intn(10))
@@ -126,6 +149,16 @@ func randomScenario(seed int64, n *Network) ([]ringSpec, []flowSpec) {
 	}
 	if rng.Intn(4) == 0 {
 		return rings[:1], nil
+	}
+	if rng.Intn(2) == 0 {
+		rs := rings[rng.Intn(len(rings))]
+		// The ring's length alone on its private links.
+		span := float64(rs.rounds) * rs.bytes / (2 * gb) * float64(time.Second)
+		flows = append(flows, flowSpec{
+			route: rs.routes[rng.Intn(len(rs.routes))],
+			bytes: 1e4 + 3e7*rng.Float64(),
+			start: rs.start + time.Duration(span*rng.Float64()),
+		})
 	}
 	return rings, flows
 }
@@ -174,7 +207,8 @@ type scenarioResult struct {
 	bytes  []float64
 	checks int
 
-	filled, kept, replayed uint64
+	filled, kept, replayed, forwarded uint64
+	materialized                      int
 }
 
 func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
@@ -191,6 +225,16 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 	e := n.eng
 	checks := watchSolutions(t, n)
 	var res scenarioResult
+	activate := n.activateFn
+	n.activateFn = func(arg any) {
+		for _, l := range arg.(*Flow).route {
+			if l.find().forward != nil {
+				res.materialized++
+				break
+			}
+		}
+		activate(arg)
+	}
 	res.rings = make([]time.Duration, len(rings))
 	for i, rs := range rings {
 		e.Schedule(rs.start, func() {
@@ -218,7 +262,7 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 		res.bytes = append(res.bytes, l.BytesCarried())
 	}
 	res.checks = *checks
-	res.filled, res.kept, res.replayed = n.filled, n.kept, n.replayed
+	res.filled, res.kept, res.replayed, res.forwarded = n.filled, n.kept, n.replayed, n.forwarded
 	return res
 }
 
@@ -228,10 +272,12 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 // exactly the instants the per-flow ring does, with the same per-link
 // flow counts and the same bytes up to float summation order. Both runs
 // pass the max-min check after every solve. The group runs must take
-// both fast paths, keeping standing rates and replaying a lone group's
-// solves, or the test proves nothing about them.
+// every fast path, keeping standing rates, replaying a lone group's
+// solves, fast-forwarding a lone ring's rounds and bringing one back when
+// a flow joins it, or the test proves nothing about them.
 func TestGroupMatchesPerStepRing(t *testing.T) {
-	var kept, replayed uint64
+	var kept, replayed, forwarded uint64
+	materialized := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		want := runScenario(t, seed, false)
 		got := runScenario(t, seed, true)
@@ -254,10 +300,80 @@ func TestGroupMatchesPerStepRing(t *testing.T) {
 		}
 		kept += got.kept
 		replayed += got.replayed
+		forwarded += got.forwarded
+		materialized += got.materialized
 	}
-	t.Logf("group runs kept %d completions and replayed %d solves", kept, replayed)
-	if kept == 0 || replayed == 0 {
-		t.Errorf("group runs kept %d completions and replayed %d solves, want both > 0", kept, replayed)
+	t.Logf("group runs kept %d completions, replayed %d solves, forwarded %d rounds and brought back %d groups",
+		kept, replayed, forwarded, materialized)
+	if kept == 0 || replayed == 0 || forwarded == 0 || materialized == 0 {
+		t.Errorf("group runs kept %d completions, replayed %d solves, forwarded %d rounds and brought back %d groups, want all > 0",
+			kept, replayed, forwarded, materialized)
+	}
+}
+
+// TestForwardedGroupJoined is the differential oracle for bringing back
+// a fast-forwarded ring. A lone ring on equal private links runs rounds
+// of exactly 1 ms that end at 1.001, 2.001, ... 6.001 ms, so it is
+// forwarded at the end of round 0. A flow then joins one or two of its
+// components mid-round, exactly on an interior round boundary, or
+// exactly at the ring's end. Its activation is queued before the ring's
+// completion event at that instant (started at 0 with the join instant
+// as its latency) or after it (started at the join instant). Every case
+// must finish the ring and the flow at exactly the instants the per-step
+// ring does, with the same per-link flow counts and the same bytes up to
+// float summation order, and pass the max-min check after every solve.
+// Only a join after the ring's end finds nothing to bring back.
+func TestForwardedGroupJoined(t *testing.T) {
+	const p, rounds, bytes = 4, 6, 1e6
+	for _, c := range []struct {
+		name    string
+		at      time.Duration
+		members []int // whose private links the joining flow crosses
+	}{
+		{"mid-round", 3500500 * time.Nanosecond, []int{0}},
+		{"round boundary", 3001 * time.Microsecond, []int{0, 1}},
+		{"ring end", 6001 * time.Microsecond, []int{2}},
+	} {
+		for _, early := range []bool{true, false} {
+			run := func(grouped bool) scenarioResult {
+				n := New(sim.NewEngine())
+				rs := ringSpec{routes: make([][]*Link, p), bytes: bytes, rounds: rounds}
+				for i := range rs.routes {
+					rs.routes[i] = []*Link{n.NewLink(fmt.Sprintf("m%d", i), 1*gb, time.Microsecond)}
+				}
+				var route []*Link
+				for _, m := range c.members {
+					route = append(route, rs.routes[m][0])
+				}
+				var join *Flow
+				if early {
+					n.eng.Schedule(0, func() { join = n.StartFlowLatency(3e5, route, c.at) })
+				} else {
+					n.eng.Schedule(c.at, func() { join = n.StartFlowLatency(3e5, route, 0) })
+				}
+				res := runSpecs(t, n, []ringSpec{rs}, nil, grouped)
+				res.flows = []time.Duration{join.finished}
+				return res
+			}
+			name := c.name + map[bool]string{true: ", queued first", false: ", queued last"}[early]
+			got, want := run(true), run(false)
+			if fmt.Sprint(got.rings, got.flows, got.counts) != fmt.Sprint(want.rings, want.flows, want.counts) {
+				t.Errorf("%s: ring, flow, FlowsCarried %v %v %v; per-step %v %v %v",
+					name, got.rings, got.flows, got.counts, want.rings, want.flows, want.counts)
+			}
+			for i := range want.bytes {
+				if math.Abs(got.bytes[i]-want.bytes[i]) > 1e-9*math.Abs(want.bytes[i]) {
+					t.Errorf("%s: link %d BytesCarried %v, per-step %v", name, i, got.bytes[i], want.bytes[i])
+				}
+			}
+			wantBack := 1
+			if c.name == "ring end" && !early {
+				wantBack = 0
+			}
+			if got.materialized != wantBack || got.forwarded == 0 {
+				t.Errorf("%s: brought back %d groups after forwarding %d rounds, want %d after some", name, got.materialized, got.forwarded, wantBack)
+			}
+		}
 	}
 }
 
@@ -269,7 +385,10 @@ func TestGroupMatchesPerStepRing(t *testing.T) {
 // global; its capacity is beyond any flow set's reach, so it is never a
 // bottleneck and changes no rate. Both runs must finish every ring and
 // every other flow at exactly the same instants, with the same per-link
-// flow counts and bytes, and pass the max-min check after every solve.
+// flow counts, and pass the max-min check after every solve. Bytes match
+// up to float summation order: each flow is settled when its own
+// component is re-solved, and the reference re-solves every flow at every
+// change, so it splits each flow's progress into more, different parts.
 // The island runs must replay solves of rings alone on their island.
 func TestComponentSolveMatchesGlobalSolve(t *testing.T) {
 	run := func(seed int64, global bool) scenarioResult {
@@ -313,8 +432,10 @@ func TestComponentSolveMatchesGlobalSolve(t *testing.T) {
 		if fmt.Sprint(got.counts) != fmt.Sprint(want.counts) {
 			t.Errorf("seed %d: FlowsCarried %v, global %v", seed, got.counts, want.counts)
 		}
-		if fmt.Sprint(got.bytes) != fmt.Sprint(want.bytes) {
-			t.Errorf("seed %d: BytesCarried %v, global %v", seed, got.bytes, want.bytes)
+		for i := range want.bytes {
+			if math.Abs(got.bytes[i]-want.bytes[i]) > 1e-9*math.Abs(want.bytes[i]) {
+				t.Errorf("seed %d: link %d BytesCarried %v, global %v", seed, i, got.bytes[i], want.bytes[i])
+			}
 		}
 		if got.checks == 0 || want.checks == 0 {
 			t.Fatalf("seed %d: no solution checked", seed)
@@ -388,6 +509,8 @@ func TestMaxMinOracleCatchesUnfairRates(t *testing.T) {
 // TestGroupRoundsAndLinkStats: a lone group of equal private links
 // re-arms in place each round, so it takes rounds × (bytes / capacity)
 // after the route latency and counts one flow per round on each link.
+// From the end of round 0 it runs fast-forwarded, out of the flow set,
+// and its members still count as active flows.
 func TestGroupRoundsAndLinkStats(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e)
@@ -398,6 +521,12 @@ func TestGroupRoundsAndLinkStats(t *testing.T) {
 	}
 	g := n.NewGroup(routes)
 	g.Start(0.25*gb, rounds)
+	if err := e.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(n.forwarding) != 1 || n.ActiveFlows() != len(routes) {
+		t.Errorf("mid-transfer: %d groups forwarding, ActiveFlows = %d; want 1, %d", len(n.forwarding), n.ActiveFlows(), len(routes))
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,12 +550,14 @@ func TestGroupRoundsAndLinkStats(t *testing.T) {
 }
 
 // TestLoneGroupSolvesOnce pins the solver's fast paths for a group alone
-// in its component. On equal private links every round ends in one event,
-// so each op fills once and keeps its rates for every later round, also
-// beside traffic on other links, which fills only its own component. On
-// a heterogeneous ring members finish one by one, so each round is
-// several solves; round 1 repeats none of round 0 (staggered
-// activations), and every later round replays round 1.
+// in its component. On equal private links every round ends in one piece,
+// so each op fills once, keeps its rates at the end of round 0, runs
+// rounds 1 to 5 as one event and keeps nothing at that event's end: 4
+// round ends per op need no event. That holds beside traffic on other
+// links too, which fills only its own component. On a heterogeneous ring
+// members finish one by one, so each round is several solves; round 1
+// repeats none of round 0 (staggered activations), every later round
+// replays round 1, and no round is forwarded.
 func TestLoneGroupSolvesOnce(t *testing.T) {
 	t.Run("equal private links", func(t *testing.T) {
 		e := sim.NewEngine()
@@ -444,9 +575,9 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n.filled != ops || n.kept != ops*(rounds-1) || n.replayed != 0 {
-			t.Errorf("filled %d, kept %d, replayed %d; want %d, %d, 0",
-				n.filled, n.kept, n.replayed, ops, ops*(rounds-1))
+		want := [4]uint64{ops, ops * 2, 0, ops * (rounds - 2)}
+		if got := [4]uint64{n.filled, n.kept, n.replayed, n.forwarded}; got != want {
+			t.Errorf("filled, kept, replayed, forwarded = %v; want %v", got, want)
 		}
 	})
 	t.Run("beside disjoint traffic", func(t *testing.T) {
@@ -474,9 +605,9 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		}
 		// A stream flow fills its own component when it starts; when it
 		// finishes, that component is empty and nothing is filled.
-		want := [3]uint64{ops * (1 + uint64(len(starts))), ops * (rounds - 1), 0}
-		if got := [3]uint64{n.filled, n.kept, n.replayed}; got != want {
-			t.Errorf("filled, kept, replayed = %v; want %v", got, want)
+		want := [4]uint64{ops * (1 + uint64(len(starts))), ops * 2, 0, ops * (rounds - 2)}
+		if got := [4]uint64{n.filled, n.kept, n.replayed, n.forwarded}; got != want {
+			t.Errorf("filled, kept, replayed, forwarded = %v; want %v", got, want)
 		}
 	})
 	t.Run("heterogeneous ring", func(t *testing.T) {
@@ -494,7 +625,7 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		g := n.NewGroup(routes)
 		g.Start(1e6, rounds)
 		late := 0
-		for _, fn := range []*func(){&n.settleFn, &n.completionFn} {
+		for _, fn := range []*func(){&n.solveFn, &n.completionFn} {
 			inner := *fn
 			*fn = func() {
 				before := n.filled
@@ -515,8 +646,8 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		if want := uint64((rounds - 2) * p); n.replayed != want {
 			t.Errorf("replayed %d solves, want %d", n.replayed, want)
 		}
-		if n.kept != 0 {
-			t.Errorf("kept %d completions of a ring whose members finish apart", n.kept)
+		if n.kept != 0 || n.forwarded != 0 {
+			t.Errorf("kept %d completions and forwarded %d rounds of a ring whose members finish apart", n.kept, n.forwarded)
 		}
 	})
 }
@@ -654,4 +785,170 @@ func TestStartFlowLatencyRejectsNegativeLatency(t *testing.T) {
 		}
 	}()
 	n.StartFlowLatency(1, []*Link{l}, -time.Nanosecond)
+}
+
+// TestFillIgnoresFlowOrder: progressive filling is a function of the flow
+// set. The same flows, activated in permuted orders at one instant, get
+// bit-identical rates. The near-tie case has link a's share 1 set the
+// pass while link b's two flows share 1+0.8e-12, inside the 1e-12
+// tolerance: every flow must freeze at 1, whichever of b's flows the
+// pass meets first.
+func TestFillIgnoresFlowOrder(t *testing.T) {
+	type spec struct {
+		caps   []float64
+		routes [][]int
+	}
+	cases := map[string]spec{
+		"near tie": {caps: []float64{1, 2 + 1.6e-12}, routes: [][]int{{0}, {1}, {1}}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 20; c++ {
+		var s spec
+		for i := 0; i < 2+rng.Intn(5); i++ {
+			// Few distinct capacities, so shares tie often.
+			s.caps = append(s.caps, float64(1+rng.Intn(3))*gb)
+		}
+		for i := 0; i < 2+rng.Intn(10); i++ {
+			perm := rng.Perm(len(s.caps))
+			s.routes = append(s.routes, perm[:1+rng.Intn(len(perm))])
+		}
+		cases[fmt.Sprintf("random %d", c)] = s
+	}
+	rates := func(s spec, order []int) []uint64 {
+		e := sim.NewEngine()
+		n := New(e)
+		links := make([]*Link, len(s.caps))
+		for i, c := range s.caps {
+			links[i] = n.NewLink(fmt.Sprintf("l%d", i), c, 0)
+		}
+		flows := make([]*Flow, len(s.routes))
+		for _, i := range order {
+			route := make([]*Link, len(s.routes[i]))
+			for j, l := range s.routes[i] {
+				route[j] = links[l]
+			}
+			flows[i] = n.StartFlow(1e12, route)
+		}
+		if err := e.RunUntil(0); err != nil {
+			t.Fatal(err)
+		}
+		bits := make([]uint64, len(flows))
+		for i, f := range flows {
+			bits[i] = math.Float64bits(f.Rate())
+		}
+		return bits
+	}
+	for name, s := range cases {
+		order := make([]int, len(s.routes))
+		for i := range order {
+			order[i] = i
+		}
+		want := rates(s, order)
+		for p := 0; p < 6; p++ {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			if got := rates(s, order); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: activation order %v gives rate bits %x, in order %x", name, order, got, want)
+				break
+			}
+		}
+	}
+}
+
+// TestDisjointTrafficKeepsTimestamps: traffic that shares no link with
+// a flow must not change its timestamps, even in the last bit.
+//
+// A flow whose size is its link's capacity times a whole number of
+// nanoseconds finishes on a tick that rounding can move: settling it
+// early at another flow's event leaves a remainder whose time to finish
+// can round up one nanosecond. Such flows must finish at the same
+// instant beside a stream of flows on another link as alone.
+//
+// A flow whose link's share lies within the filling tolerance above
+// another link's must keep its own rate when a flow on that other link
+// starts at the same instant, so the one solve fills both components.
+//
+// Each scenario from randomScenario runs alone and again beside two
+// more scenarios on links of their own; its rings and flows must finish
+// at exactly the same instants, with the same flow counts on each of its
+// links. Bytes match up to float summation order: a solve settles the
+// flows sharing a link in flow-set order, which the other traffic moves.
+func TestDisjointTrafficKeepsTimestamps(t *testing.T) {
+	t.Run("whole-nanosecond flows", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for trial := 0; trial < 200; trial++ {
+			capacity := gb * (0.5 + 4*rng.Float64())
+			bytes := capacity * float64(1e6+rng.Intn(1e7)) / 1e9
+			run := func(beside bool) time.Duration {
+				e := sim.NewEngine()
+				n := New(e)
+				f := n.StartFlow(bytes, []*Link{n.NewLink("l", capacity, 0)})
+				if beside {
+					other := n.NewLink("other", 3*gb, 0)
+					var next func()
+					k := 0
+					next = func() {
+						if k++; k <= 50 {
+							n.StartFlow(1e5+float64(k)*7777.7, []*Link{other}).Done().OnFire(next)
+						}
+					}
+					next()
+				}
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return f.finished
+			}
+			if alone, beside := run(false), run(true); alone != beside {
+				t.Errorf("%v bytes at %v B/s: finished at %v beside a stream, %v alone", bytes, capacity, beside, alone)
+			}
+		}
+	})
+	t.Run("near-tied components", func(t *testing.T) {
+		run := func(beside bool) time.Duration {
+			e := sim.NewEngine()
+			n := New(e)
+			l := n.NewLink("l", gb*(1+0.5e-12), 0)
+			f := n.StartFlow(l.Capacity(), []*Link{l})
+			if beside {
+				n.StartFlow(gb, []*Link{n.NewLink("other", gb, 0)})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return f.finished
+		}
+		if alone, beside := run(false), run(true); alone != beside {
+			t.Errorf("finished at %v beside a near-tied flow, %v alone", beside, alone)
+		}
+	})
+	t.Run("random scenarios", func(t *testing.T) {
+		for seed := int64(1); seed <= 200; seed++ {
+			n := New(sim.NewEngine())
+			rings, flows := randomScenario(seed, n)
+			alone := runSpecs(t, n, rings, flows, true)
+
+			n = New(sim.NewEngine())
+			rings, flows = randomScenario(seed, n)
+			nr, nf, nl := len(rings), len(flows), len(n.links)
+			for i := int64(1); i <= 2; i++ {
+				r, f := randomScenario(1000*i+seed, n)
+				rings, flows = append(rings, r...), append(flows, f...)
+			}
+			beside := runSpecs(t, n, rings, flows, true)
+			if got, want := fmt.Sprint(beside.rings[:nr]), fmt.Sprint(alone.rings); got != want {
+				t.Errorf("seed %d: ring completions %v beside other traffic, %v alone", seed, got, want)
+			}
+			if got, want := fmt.Sprint(beside.flows[:nf]), fmt.Sprint(alone.flows); got != want {
+				t.Errorf("seed %d: flow completions %v beside other traffic, %v alone", seed, got, want)
+			}
+			if got, want := fmt.Sprint(beside.counts[:nl]), fmt.Sprint(alone.counts); got != want {
+				t.Errorf("seed %d: FlowsCarried %v beside other traffic, %v alone", seed, got, want)
+			}
+			for i, b := range alone.bytes {
+				if math.Abs(beside.bytes[i]-b) > 1e-9*math.Abs(b) {
+					t.Errorf("seed %d: link %d BytesCarried %v beside other traffic, %v alone", seed, i, beside.bytes[i], b)
+				}
+			}
+		}
+	})
 }

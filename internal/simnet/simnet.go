@@ -17,6 +17,14 @@
 // stay joined after it finishes. Filling a union of true components
 // gives each one the rates it would get alone, so the merged sets are
 // exact, and the routes a workload uses recur, so they stay small.
+// Progressive filling is a function of each component's flow set, not
+// of its order or of the other components a solve fills beside it.
+//
+// Each flow is settled on its own: its remaining bytes are kept as of
+// the last solve of its component (or its last due instant), and it is
+// due when they run out at its rate. So traffic on links never joined
+// to a flow's component changes neither its rate nor the instants at
+// which it is settled, and cannot move its timestamps.
 //
 // A FlowGroup runs a set of flows in lockstep rounds (a ring all-reduce
 // is 2(p-1) rounds of p neighbor transfers). A round's members re-arm in
@@ -24,20 +32,35 @@
 // at that same instant touches no component, so its flows' rates stand. A
 // group alone in its component solves the same flow sets in the same
 // order every round, so it replays the previous round's rates instead of
-// filling.
+// filling. A group alone in its components whose whole round re-armed
+// under kept rates repeats that round exactly until its last, so it runs
+// them as one event; a flow that joins one of its components first
+// brings back the round the stepwise path would be in.
 package simnet
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stash/internal/sim"
 )
 
 // epsilonBytes is the residual below which a flow counts as finished,
-// absorbing float rounding from repeated settlement.
+// absorbing the float rounding of settling a flow at its due instant:
+// the due instant is rounded up to the clock's tick, but the bytes moved
+// by then are a float product.
 const epsilonBytes = 1e-6
+
+// maxHorizonSeconds clamps how far ahead a flow is due: far beyond any
+// experiment but safely inside time.Duration's range. An enormous flow is
+// settled at the horizon and planned again instead of overflowing into a
+// negative (immediate) instant.
+const maxHorizonSeconds = 1e9 // ~31 years
+
+// never is the due instant of a flow that makes no progress.
+const never = time.Duration(math.MaxInt64)
 
 // Link is a unidirectionally-modeled communication link with a fixed
 // capacity. (Full-duplex hardware is modeled as two Links or, where the
@@ -48,15 +71,25 @@ type Link struct {
 	capacity float64 // bytes per second
 	latency  time.Duration
 
-	// Progressive-filling scratch state.
+	// Progressive-filling scratch state. On a root, share is the
+	// component's tightest link share in the current pass. unfrozen also
+	// counts a group's members per component while forward checks that
+	// they are alone.
 	residual float64
+	share    float64
 	unfrozen int
+	marked   bool // a bottleneck of the current filling pass
 
 	// Component state: a union-find forest over the links, joined by
 	// every route that carries a flow. A root is its own parent, and its
 	// stamp is the epoch of the solve its component was last touched for.
-	parent *Link
-	stamp  uint64
+	// On a root, active counts the component's plain flows in the flow
+	// set and the members of its running groups, and forward is a
+	// fast-forwarded group with members in the component.
+	parent  *Link
+	stamp   uint64
+	active  int
+	forward *FlowGroup
 
 	// Statistics.
 	bytesCarried float64
@@ -72,8 +105,10 @@ func (l *Link) Capacity() float64 { return l.capacity }
 // Latency returns the link's per-traversal propagation latency.
 func (l *Link) Latency() time.Duration { return l.latency }
 
-// BytesCarried returns the total bytes transferred over the link by
-// completed and in-progress flows (settled so far).
+// BytesCarried returns the total bytes transferred over the link. A flow
+// adds its progress when it is settled, which is when its rate changes
+// and when it finishes, and a fast-forwarded group adds its rounds when
+// it ends or a flow joins it.
 func (l *Link) BytesCarried() float64 { return l.bytesCarried }
 
 // FlowsCarried returns the number of flows that have used this link.
@@ -82,10 +117,12 @@ func (l *Link) FlowsCarried() int { return l.flowsCarried }
 // Flow is an in-flight transfer across a route of links.
 type Flow struct {
 	route     []*Link
-	remaining float64
+	remaining float64 // as of settled
 	bytes     float64
 	rate      float64
-	index     int // position in Network.flows, -1 when inactive
+	settled   time.Duration // the instant remaining is as of
+	due       time.Duration // when remaining runs out at rate (see plan)
+	index     int           // position in Network.flows, -1 when inactive
 	frozen    bool
 	completed bool
 	started   time.Duration
@@ -123,6 +160,45 @@ func (f *Flow) Throughput() float64 {
 	return f.bytes / d
 }
 
+// progress is the bytes a flow at rate moves in dt seconds, at most its
+// remaining bytes.
+func progress(rate, dt, remaining float64) float64 {
+	moved := rate * dt
+	if moved > remaining {
+		moved = remaining
+	}
+	return moved
+}
+
+// settle advances f's progress from its last settlement to now at its
+// current rate.
+func (f *Flow) settle(now time.Duration) {
+	if now == f.settled {
+		return
+	}
+	dt := (now - f.settled).Seconds()
+	f.settled = now
+	moved := progress(f.rate, dt, f.remaining)
+	f.remaining -= moved
+	for _, l := range f.route {
+		l.bytesCarried += moved
+	}
+}
+
+// plan sets f's due instant: when its remaining bytes run out at its
+// rate, rounded up to the clock's tick and clamped to maxHorizonSeconds.
+func (f *Flow) plan() {
+	if f.rate <= 0 {
+		f.due = never
+		return
+	}
+	t := f.remaining / f.rate
+	if t > maxHorizonSeconds {
+		t = maxHorizonSeconds
+	}
+	f.due = f.settled + time.Duration(math.Ceil(t*float64(time.Second)))
+}
+
 // FlowGroup is a set of member flows that transfer in lockstep rounds.
 // Every member carries the same bytes in each round over its own route.
 // A round ends when its last member finishes; the next round starts at
@@ -138,6 +214,11 @@ type FlowGroup struct {
 	pending   int    // members of the current round still transferring
 	firstLeft uint64 // completion event in which the round's first member finished
 	done      sim.Signal
+
+	// Fast-forward state (see forward): while the group is in
+	// Network.forwarding, its members are out of the flow set, round
+	// round started at since, and every round lasts period.
+	since, period time.Duration
 
 	// Round replay memo (see solve): step k of the solves made while
 	// the group was alone in its component solved flow set
@@ -159,14 +240,19 @@ func (g *FlowGroup) Done() *sim.Signal { return &g.done }
 // finished. An idle group that was never started counts as completed.
 func (g *FlowGroup) Completed() bool { return g.round == g.rounds }
 
+// end is when a forwarding group's last round finishes.
+func (g *FlowGroup) end() time.Duration {
+	return g.since + time.Duration(g.rounds-g.round)*g.period
+}
+
 // Network owns a set of links and the flows crossing them.
 type Network struct {
 	eng         *sim.Engine
 	links       []*Link
 	flows       []*Flow
-	finished    []*Flow // onCompletion scratch
-	completions uint64  // completion events run, stamps FlowGroup.firstLeft
-	lastSettle  time.Duration
+	forwarding  []*FlowGroup // fast-forwarded groups, in the order they began
+	finished    []*Flow      // onCompletion scratch
+	completions uint64       // completion events run, stamps FlowGroup.firstLeft
 	completion  sim.Event
 	dirty       bool
 
@@ -177,13 +263,14 @@ type Network struct {
 	solving []*Flow // recompute scratch: the touched flows, in flow-set order
 
 	// Solver counters: progressive-filling passes run, completions that
-	// kept the standing rates, and solves replayed from a group's memo.
-	filled, kept, replayed uint64
+	// kept the standing rates, solves replayed from a group's memo, and
+	// group rounds that ended without a completion event.
+	filled, kept, replayed, forwarded uint64
 
-	// Long-lived callbacks, bound once so the per-flow and per-settle
+	// Long-lived callbacks, bound once so the per-flow and per-solve
 	// scheduling operations never mint closures.
 	activateFn   func(arg any)
-	settleFn     func()
+	solveFn      func()
 	completionFn func()
 }
 
@@ -191,9 +278,8 @@ type Network struct {
 func New(eng *sim.Engine) *Network {
 	n := &Network{eng: eng}
 	n.activateFn = func(arg any) { n.activate(arg.(*Flow)) }
-	n.settleFn = func() {
+	n.solveFn = func() {
 		n.dirty = false
-		n.settle()
 		n.recompute()
 	}
 	n.completionFn = n.onCompletion
@@ -326,17 +412,24 @@ func (n *Network) activate(f *Flow) {
 		n.finish(f)
 		return
 	}
-	n.settle()
+	f.settled = n.eng.Now()
 	r := f.route[0].find()
+	if g := r.forward; g != nil {
+		n.materialize(g)
+	}
 	for _, l := range f.route[1:] {
 		if s := l.find(); s != r {
+			if g := s.forward; g != nil {
+				n.materialize(g)
+			}
 			s.parent = r
+			r.active += s.active
 		}
 	}
+	r.active++
 	f.root = r
 	n.touch(f)
-	f.index = len(n.flows)
-	n.flows = append(n.flows, f)
+	n.push(f)
 	n.markDirty()
 }
 
@@ -356,9 +449,10 @@ func (n *Network) finish(f *Flow) {
 
 // leave records that group member f finished its round in this
 // completion event. When f is the round's last member, the round ends:
-// every member re-arms in place for the next round (full size, one more
-// flow carried per link, back in the flow set), or Done fires after the
-// last round. A round end also restarts the group's replay steps.
+// every member re-arms in place for the next round (full size, settled
+// now, one more flow carried per link, back in the flow set), or Done
+// fires after the last round. A round end also restarts the group's
+// replay steps. onCompletion plans the re-armed members.
 func (n *Network) leave(f *Flow) {
 	g := f.group
 	if g.pending == len(g.members) {
@@ -371,19 +465,30 @@ func (n *Network) leave(f *Flow) {
 	g.round++
 	g.step = 0
 	if g.round == g.rounds {
+		for i := range g.members {
+			m := &g.members[i]
+			m.root = m.root.find()
+			m.root.active--
+		}
 		g.done.Fire()
 		return
 	}
+	now := n.eng.Now()
 	for i := range g.members {
 		m := &g.members[i]
 		for _, l := range m.route {
 			l.flowsCarried++
 		}
-		m.remaining = g.bytes
-		m.index = len(n.flows)
-		n.flows = append(n.flows, m)
+		m.remaining, m.settled = g.bytes, now
+		n.push(m)
 	}
 	g.pending = len(g.members)
+}
+
+// push appends f to the flow set.
+func (n *Network) push(f *Flow) {
+	f.index = len(n.flows)
+	n.flows = append(n.flows, f)
 }
 
 // removeFlow drops an active flow by swap-removal.
@@ -404,50 +509,36 @@ func (n *Network) markDirty() {
 		return
 	}
 	n.dirty = true
-	n.eng.Schedule(0, n.settleFn)
-}
-
-// settle advances all active flows' progress from lastSettle to now at
-// their current rates.
-func (n *Network) settle() {
-	now := n.eng.Now()
-	dt := (now - n.lastSettle).Seconds()
-	n.lastSettle = now
-	if dt <= 0 {
-		return
-	}
-	for _, f := range n.flows {
-		moved := f.rate * dt
-		if moved > f.remaining {
-			moved = f.remaining
-		}
-		f.remaining -= moved
-		for _, l := range f.route {
-			l.bytesCarried += moved
-		}
-	}
+	n.eng.Schedule(0, n.solveFn)
 }
 
 // recompute re-solves the components touched since the last solve, then
-// reschedules the next completion event. It fills the touched flows in
-// flow-set order; every other flow keeps its rate, which a solve of its
-// component would reproduce because none of its flows or links changed.
+// reschedules the next completion event. It settles the touched flows
+// under the rates they had, fills them, and plans them under the new
+// ones; every other flow keeps its rate, its settlement and its due
+// instant, which a solve of its component would reproduce because none
+// of its flows or links changed.
 func (n *Network) recompute() {
 	// Cancel of a stale or zero handle is a no-op, so no pending check.
 	n.eng.Cancel(n.completion)
 	n.completion = sim.Event{}
 	n.epoch++
 	n.touched = false
+	now := n.eng.Now()
 	flows := n.solving[:0]
 	for _, f := range n.flows {
 		f.root = f.root.find()
 		if f.root.stamp == n.epoch {
+			f.settle(now)
 			flows = append(flows, f)
 		}
 	}
 	n.solving = flows
 	if len(flows) > 0 {
 		n.solve(flows)
+		for _, f := range flows {
+			f.plan()
+		}
 	}
 	n.scheduleCompletion()
 }
@@ -455,9 +546,9 @@ func (n *Network) recompute() {
 // solve assigns max-min fair rates to flows, a union of whole
 // components. When one group is alone in them and its memo holds this
 // step's flow set in this order, the memo's rates are the answer:
-// progressive filling reads only the order of the flow set, the flows'
-// routes and the link capacities, and a group's routes and every
-// capacity are fixed, so filling would reproduce them bit for bit.
+// progressive filling reads only the flow set, the flows' routes and the
+// link capacities, and a group's routes and every capacity are fixed, so
+// filling would reproduce them bit for bit.
 func (n *Network) solve(flows []*Flow) {
 	g := loneGroup(flows)
 	if g != nil && g.replay(flows) {
@@ -471,10 +562,18 @@ func (n *Network) solve(flows []*Flow) {
 	}
 }
 
-// fill runs progressive filling over flows. Every link capacity is finite
-// and positive and every route non-empty, so each pass finds a finite,
-// non-negative bottleneck share and freezes at least the first unfrozen
-// flow on the bottleneck link, which sees exactly that share.
+// fill runs progressive filling over flows, a union of whole components
+// whose roots the flows hold. Each pass finds each component's tightest
+// link share, marks every link within a 1e-12 relative tolerance of its
+// component's share as a bottleneck, and only then freezes every
+// unfrozen flow that crosses a marked link at its component's share. The
+// marks are taken from the residuals the pass started with, and each
+// freeze lowers its links' residuals by the same share, so the rates
+// depend on the flow set and not on its order; and no share crosses a
+// component, so each component gets the rates it would get filled alone.
+// Every link capacity is finite and positive and every route non-empty,
+// so each pass finds a finite, non-negative share per component and
+// marks at least the link that sets it.
 func fill(flows []*Flow) {
 	// Reset scratch state on links touched by the flows.
 	for _, f := range flows {
@@ -491,38 +590,44 @@ func fill(flows []*Flow) {
 		}
 	}
 
+	// Every link of an unfrozen flow carries at least that flow, so its
+	// unfrozen count is positive below. Marks are set on exactly those
+	// links, so a mark left from an earlier pass is never read.
 	remaining := len(flows)
 	for remaining > 0 {
-		// Find the tightest link share among links with unfrozen flows.
-		share := math.Inf(1)
+		// Find each component's tightest link share among links with
+		// unfrozen flows.
+		for _, f := range flows {
+			if !f.frozen {
+				f.root.share = math.Inf(1)
+			}
+		}
 		for _, f := range flows {
 			if f.frozen {
 				continue
 			}
 			for _, l := range f.route {
-				if l.unfrozen > 0 {
-					if s := l.residual / float64(l.unfrozen); s < share {
-						share = s
-					}
+				if s := l.residual / float64(l.unfrozen); s < f.root.share {
+					f.root.share = s
 				}
+			}
+		}
+		for _, f := range flows {
+			if f.frozen {
+				continue
+			}
+			limit := f.root.share * (1 + 1e-12)
+			for _, l := range f.route {
+				l.marked = l.residual/float64(l.unfrozen) <= limit
 			}
 		}
 		// Freeze every unfrozen flow crossing a bottleneck link.
 		progressed := false
 		for _, f := range flows {
-			if f.frozen {
+			if f.frozen || !crossesMarked(f) {
 				continue
 			}
-			bottlenecked := false
-			for _, l := range f.route {
-				if l.unfrozen > 0 && l.residual/float64(l.unfrozen) <= share*(1+1e-12) {
-					bottlenecked = true
-					break
-				}
-			}
-			if !bottlenecked {
-				continue
-			}
+			share := f.root.share
 			f.frozen = true
 			f.rate = share
 			remaining--
@@ -536,9 +641,19 @@ func fill(flows []*Flow) {
 			}
 		}
 		if !progressed {
-			panic(fmt.Sprintf("simnet: progressive filling froze no flow at share %v", share))
+			panic("simnet: progressive filling froze no flow")
 		}
 	}
+}
+
+// crossesMarked reports whether f's route crosses a marked link.
+func crossesMarked(f *Flow) bool {
+	for _, l := range f.route {
+		if l.marked {
+			return true
+		}
+	}
+	return false
 }
 
 // loneGroup returns the group every flow in the non-empty flows belongs
@@ -599,69 +714,59 @@ func (g *FlowGroup) memoStart(k int) int {
 	return g.memoEnd[k-1]
 }
 
-// scheduleCompletion schedules the completion event for the earliest
-// finishing flow at the current rates.
+// scheduleCompletion schedules the completion event at the earliest due
+// flow or forwarding group's end.
 func (n *Network) scheduleCompletion() {
-	next := math.Inf(1)
+	next := never
 	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.remaining / f.rate; t < next {
-			next = t
+		if f.due < next {
+			next = f.due
 		}
 	}
-	if math.IsInf(next, 1) {
+	for _, g := range n.forwarding {
+		if e := g.end(); e < next {
+			next = e
+		}
+	}
+	if next == never {
 		return
 	}
-	// Clamp to a horizon far beyond any experiment but safely inside
-	// time.Duration's range; enormous flows re-settle there instead of
-	// overflowing into a negative (immediate) delay.
-	const maxHorizonSeconds = 1e9 // ~31 years
-	if next > maxHorizonSeconds {
-		next = maxHorizonSeconds
-	}
-	delay := time.Duration(math.Ceil(next * float64(time.Second)))
-	n.completion = n.eng.Schedule(delay, n.completionFn)
+	n.completion = n.eng.ScheduleAt(next, n.completionFn)
 }
 
-// onCompletion retires every finished flow, touches the components that
-// changed, and re-solves them. If an activation at this instant is
-// pending, its settle solves the final flow set before time moves. If no
+// onCompletion settles every due flow and retires those that finished,
+// touches the components that changed, fast-forwards the groups that
+// qualify, ends the forwarding groups due now, and re-solves the touched
+// components. A due flow that has not finished (its due was clamped at
+// the horizon) is planned again. If an activation at this instant is
+// pending, its solve covers the final flow set before time moves. If no
 // component was touched, the standing rates are kept: only the next
 // completion is scheduled.
 //
 // A finished flow touches its component unless its group's whole round
 // finished in this event and re-armed: then each of those components
-// holds the flows its last solve saw, on the same routes. A round that
-// ended piecemeal and re-arms touches every member's component, because
-// the members that left earlier come back with the rates of a solve made
-// before they left, which the solves since then have not corrected.
-//
-// The order of a kept component's flows may differ from its last solve's.
-// When that solve followed the previous re-arm of a group alone in its
-// component, both saw the members in member order, and the kept rates are
-// exact. Otherwise swap-removal has moved some flows and the members
-// re-armed at the end. Max-min fair rates do not depend on order in exact
-// arithmetic, but the freeze pass compares link shares with a 1e-12
-// tolerance and lowers residuals as it freezes, so in a near-tie the
-// order picks which flow freezes first, and a fresh solve could differ
-// in the last bits. Guards: the max-min oracle checked after every kept
-// completion, the per-step ring and per-component differential tests
-// (group_test.go), and the suite's byte-identical output.
+// holds the flows its last solve saw, on the same routes, and filling
+// depends only on the flow set. A round that ended piecemeal and re-arms
+// touches every member's component, because the members that left
+// earlier come back with the rates of a solve made before they left,
+// which the solves since then have not corrected.
 func (n *Network) onCompletion() {
 	n.completion = sim.Event{}
-	n.settle()
 	n.completions++
+	now := n.eng.Now()
 	// Collect before acting: re-arming a group appends its members to
 	// n.flows, where the swap-removal scan must not meet them.
 	done := n.finished
 	for i := 0; i < len(n.flows); {
 		f := n.flows[i]
-		if f.remaining <= epsilonBytes {
-			n.removeFlow(f)
-			done = append(done, f)
-			continue // swapped element now at i
+		if f.due <= now {
+			f.settle(now)
+			if f.remaining <= epsilonBytes {
+				n.removeFlow(f)
+				done = append(done, f)
+				continue // swapped element now at i
+			}
+			f.plan()
 		}
 		i++
 	}
@@ -674,24 +779,43 @@ func (n *Network) onCompletion() {
 	}
 	// Decided once every round that ends here has re-armed: a member that
 	// is not its round's last cannot tell whether the rest follow.
-	for i, f := range done {
-		done[i] = nil
+	for _, f := range done {
 		g := f.group
 		switch {
-		case g == nil || g.pending != len(g.members):
-			// A plain flow, a round still running, or a last round.
+		case g == nil:
+			n.touch(f)
+			f.root.active--
+		case g.pending != len(g.members):
+			// A round still running, or a last round.
 			n.touch(f)
 		case g.firstLeft != n.completions:
-			// A round that ended piecemeal and re-armed.
+			// A round that ended piecemeal and re-armed: the solve plans
+			// its members.
 			for j := range g.members {
 				n.touch(&g.members[j])
 			}
+		default:
+			// A whole round that re-armed: every member is in the list.
+			f.plan()
+		}
+	}
+	// Decided once every touch is in: a flow that finished later in the
+	// list may share a component with a group that re-armed earlier. A
+	// group whose whole round re-armed here has every member in the list,
+	// and its first decides.
+	for i, f := range done {
+		done[i] = nil
+		if g := f.group; g != nil && f == &g.members[0] && g.pending == len(g.members) && g.firstLeft == n.completions {
+			n.forward(g)
 		}
 	}
 	n.finished = done[:0]
+	if len(n.forwarding) > 0 {
+		n.endForwarded(now)
+	}
 	switch {
 	case n.dirty:
-		// The pending settle solves the touched components.
+		// The pending solve covers the touched components.
 	case !n.touched:
 		n.kept++
 		n.scheduleCompletion()
@@ -700,6 +824,121 @@ func (n *Network) onCompletion() {
 	}
 }
 
+// forward takes g's members out of the flow set and runs the rest of
+// its transfer as one event, when the round it just re-armed in one
+// piece must repeat unchanged until the last. That holds when every
+// member's component holds only g's members and no change touched it,
+// so the kept rates stand; every member is due at one instant, so every
+// round ends in one piece; and settling there leaves each member at most
+// epsilonBytes, so every round retires all of them. Then every round
+// lasts the same period.
+func (n *Network) forward(g *FlowGroup) {
+	now := n.eng.Now()
+	due := g.members[0].due
+	period := due - now
+	dt := period.Seconds()
+	for i := range g.members {
+		m := &g.members[i]
+		m.root = m.root.find()
+		if m.due != due || m.root.stamp > n.epoch || g.bytes-progress(m.rate, dt, g.bytes) > epsilonBytes {
+			return
+		}
+		m.root.unfrozen = 0
+	}
+	for i := range g.members {
+		g.members[i].root.unfrozen++
+	}
+	for i := range g.members {
+		if r := g.members[i].root; r.unfrozen != r.active {
+			return
+		}
+	}
+	for i := range g.members {
+		m := &g.members[i]
+		n.removeFlow(m)
+		m.root.forward = g
+	}
+	g.since, g.period = now, period
+	n.forwarding = append(n.forwarding, g)
+}
+
+// endForwarded ends the forwarding groups whose last round finishes by
+// now: it books their rounds and fires Done.
+func (n *Network) endForwarded(now time.Duration) {
+	running := n.forwarding[:0]
+	for _, g := range n.forwarding {
+		if g.end() > now {
+			running = append(running, g)
+			continue
+		}
+		rounds := g.rounds - g.round
+		g.unforward(rounds, rounds-1)
+		n.forwarded += uint64(rounds - 1)
+		for i := range g.members {
+			g.members[i].root.active--
+		}
+		g.round = g.rounds
+		g.done.Fire()
+	}
+	clear(n.forwarding[len(running):])
+	n.forwarding = running
+}
+
+// materialize brings back the stepwise state of forwarding group g
+// before a flow joins one of its components: the round the stepwise path
+// would be in, re-armed where that round began, and due one period
+// later. The round is capped at the last, so a flow that joins exactly
+// at the group's end finds the members due now and the pending
+// completion event retires them and fires Done, as it would on the
+// stepwise path.
+func (n *Network) materialize(g *FlowGroup) {
+	k := int((n.eng.Now() - g.since) / g.period)
+	if last := g.rounds - g.round - 1; k > last {
+		k = last
+	}
+	g.unforward(k, k)
+	n.forwarding = slices.DeleteFunc(n.forwarding, func(h *FlowGroup) bool { return h == g })
+	n.forwarded += uint64(k)
+	g.round += k
+	at := g.since + time.Duration(k)*g.period
+	for i := range g.members {
+		m := &g.members[i]
+		m.remaining, m.settled, m.due = g.bytes, at, at+g.period
+		n.push(m)
+	}
+}
+
+// unforward ends g's fast-forward after rounds of it have finished and
+// rearms of them re-armed: it books each round's bytes per member as the
+// stepwise path would, summed round by round so the totals repeat the
+// stepwise sums, and one flow per link at each re-arm.
+func (g *FlowGroup) unforward(rounds, rearms int) {
+	dt := g.period.Seconds()
+	for r := 0; r < rounds; r++ {
+		for i := range g.members {
+			m := &g.members[i]
+			moved := progress(m.rate, dt, g.bytes)
+			for _, l := range m.route {
+				l.bytesCarried += moved
+			}
+		}
+	}
+	for i := range g.members {
+		m := &g.members[i]
+		for _, l := range m.route {
+			l.flowsCarried += rearms
+		}
+		m.root.forward = nil
+	}
+}
+
 // ActiveFlows reports the number of flows currently competing for
-// bandwidth (excludes flows still in their latency phase).
-func (n *Network) ActiveFlows() int { return len(n.flows) }
+// bandwidth (excludes flows still in their latency phase), counting the
+// members of a fast-forwarded group.
+func (n *Network) ActiveFlows() int {
+	active := len(n.flows)
+	for _, g := range n.forwarding {
+		active += len(g.members)
+	}
+	return active
+}

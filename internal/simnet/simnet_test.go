@@ -222,6 +222,32 @@ func TestActiveFlowsBookkeeping(t *testing.T) {
 	}
 }
 
+// TestFlowBeyondHorizonFinishesOnTime: a flow is due at most
+// maxHorizonSeconds ahead, so a longer one is settled at the horizon and
+// planned again. 3e9 bytes at 1 B/s passes the horizon twice and must
+// finish at exactly 3e9 s, not at the horizon.
+func TestFlowBeyondHorizonFinishesOnTime(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	l := n.NewLink("slow", 1, 0)
+	f := n.StartFlow(3e9, []*Link{l})
+	if err := e.RunUntil(maxHorizonSeconds * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if f.Completed() {
+		t.Fatalf("flow finished at the horizon, %v", f.finished)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 3e9 * time.Second; !f.Completed() || f.finished != want {
+		t.Errorf("flow finished at %v (completed %v), want %v", f.finished, f.Completed(), want)
+	}
+	if l.BytesCarried() != 3e9 {
+		t.Errorf("BytesCarried = %v, want 3e9", l.BytesCarried())
+	}
+}
+
 // Property: total bytes delivered equals sum of flow sizes, and per-flow
 // durations are at least size/capacity.
 func TestQuickConservationAndLowerBound(t *testing.T) {
