@@ -11,12 +11,16 @@ import (
 )
 
 // transferring returns the flows transferring now: the flow set and the
-// members of fast-forwarded groups, which run at their kept rates.
+// members of fast-forwarded groups that have not finished their round, at
+// the rates of the template step they are in.
 func transferring(n *Network) []*Flow {
 	flows := append([]*Flow(nil), n.flows...)
 	for _, g := range n.forwarding {
-		for i := range g.members {
-			flows = append(flows, &g.members[i])
+		_, step := g.position(n.eng.Now())
+		for i, s := range g.state(step) {
+			if !s.left {
+				flows = append(flows, &Flow{route: g.members[i].route, rate: s.rate})
+			}
 		}
 	}
 	return flows
@@ -100,10 +104,10 @@ type flowSpec struct {
 // randomScenario builds links on n and draws rings and background flows
 // over them. The same seed draws the same scenario on any network. One
 // scenario in four keeps only its first ring, alone on the network, so
-// whole rounds repeat and the group replays its solves. Of the rest, one
-// in two adds a flow on a ring member's route while the ring may still
-// run, so a ring fast-forwarded on its private links is joined and
-// brought back.
+// its rounds repeat and it runs them fast-forwarded. Of the rest, one in
+// two adds a flow on a ring member's route while the ring may still run,
+// so a ring fast-forwarded on its private links is joined and brought
+// back.
 func randomScenario(seed int64, n *Network) ([]ringSpec, []flowSpec) {
 	rng := rand.New(rand.NewSource(seed))
 	links := make([]*Link, 3+rng.Intn(10))
@@ -207,8 +211,10 @@ type scenarioResult struct {
 	bytes  []float64
 	checks int
 
-	filled, kept, replayed, forwarded uint64
-	materialized                      int
+	filled, kept, forwarded uint64
+	// Groups brought back from forwarding, and fast-forwards whose
+	// template round took more than one step (its members finished apart).
+	materialized, piecemeal int
 }
 
 func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
@@ -225,10 +231,24 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 	e := n.eng
 	checks := watchSolutions(t, n)
 	var res scenarioResult
+	complete := n.completionFn
+	type forward struct {
+		g     *FlowGroup
+		since time.Duration
+	}
+	forwards := make(map[forward]bool)
+	n.completionFn = func() {
+		complete()
+		for _, g := range n.forwarding {
+			if len(g.at) > 1 {
+				forwards[forward{g, g.since}] = true
+			}
+		}
+	}
 	activate := n.activateFn
 	n.activateFn = func(arg any) {
 		for _, l := range arg.(*Flow).route {
-			if l.find().forward != nil {
+			if g := l.find().lone; g != nil && g.mode == forwarding {
 				res.materialized++
 				break
 			}
@@ -262,7 +282,8 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 		res.bytes = append(res.bytes, l.BytesCarried())
 	}
 	res.checks = *checks
-	res.filled, res.kept, res.replayed, res.forwarded = n.filled, n.kept, n.replayed, n.forwarded
+	res.filled, res.kept, res.forwarded = n.filled, n.kept, n.forwarded
+	res.piecemeal = len(forwards)
 	return res
 }
 
@@ -272,12 +293,13 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 // exactly the instants the per-flow ring does, with the same per-link
 // flow counts and the same bytes up to float summation order. Both runs
 // pass the max-min check after every solve. The group runs must take
-// every fast path, keeping standing rates, replaying a lone group's
-// solves, fast-forwarding a lone ring's rounds and bringing one back when
-// a flow joins it, or the test proves nothing about them.
+// every fast path, keeping standing rates, fast-forwarding a lone ring's
+// rounds, from a template round whose members finished apart too, and
+// bringing one back when a flow joins it, or the test proves nothing
+// about them.
 func TestGroupMatchesPerStepRing(t *testing.T) {
-	var kept, replayed, forwarded uint64
-	materialized := 0
+	var kept, forwarded uint64
+	materialized, piecemeal := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		want := runScenario(t, seed, false)
 		got := runScenario(t, seed, true)
@@ -299,48 +321,110 @@ func TestGroupMatchesPerStepRing(t *testing.T) {
 			t.Fatalf("seed %d: no solution checked", seed)
 		}
 		kept += got.kept
-		replayed += got.replayed
 		forwarded += got.forwarded
 		materialized += got.materialized
+		piecemeal += got.piecemeal
 	}
-	t.Logf("group runs kept %d completions, replayed %d solves, forwarded %d rounds and brought back %d groups",
-		kept, replayed, forwarded, materialized)
-	if kept == 0 || replayed == 0 || forwarded == 0 || materialized == 0 {
-		t.Errorf("group runs kept %d completions, replayed %d solves, forwarded %d rounds and brought back %d groups, want all > 0",
-			kept, replayed, forwarded, materialized)
+	t.Logf("group runs kept %d completions, forwarded %d rounds (%d times from piecemeal templates) and brought back %d groups",
+		kept, forwarded, piecemeal, materialized)
+	if kept == 0 || forwarded == 0 || piecemeal == 0 || materialized == 0 {
+		t.Errorf("group runs kept %d completions, forwarded %d rounds (%d times from piecemeal templates) and brought back %d groups, want all > 0",
+			kept, forwarded, piecemeal, materialized)
 	}
 }
 
+// equalRing is a lone ring of 4 members on equal private links whose
+// rounds of exactly 1 ms end at 1.001, 2.001, ... 6.001 ms, so every
+// round ends in one piece and the ring is forwarded at the end of round 0.
+func equalRing(n *Network) ringSpec {
+	rs := ringSpec{routes: make([][]*Link, 4), bytes: 1e6, rounds: 6}
+	for i := range rs.routes {
+		rs.routes[i] = []*Link{n.NewLink(fmt.Sprintf("m%d", i), 1*gb, time.Microsecond)}
+	}
+	return rs
+}
+
+// heteroRing is a lone ring of 4 members whose uplinks carry 1, 2, 1.5
+// and 3 GB/s. Members 0 and 1 are alone on theirs; members 2 and 3 also
+// cross a bus that joins them into one component, so member 3's leave
+// settles member 2 again. Members finish apart, so round 1 is a template
+// of several steps and the ring is forwarded at the end of round 1.
+func heteroRing(n *Network) ringSpec {
+	rs := ringSpec{routes: make([][]*Link, 4), bytes: 1e6, rounds: 6}
+	bus := n.NewLink("bus", 10*gb, 0)
+	for i, c := range []float64{1, 2, 1.5, 3} {
+		rs.routes[i] = []*Link{n.NewLink(fmt.Sprintf("m%d", i), c*gb, time.Microsecond)}
+		if i >= 2 {
+			rs.routes[i] = append(rs.routes[i], bus)
+		}
+	}
+	return rs
+}
+
+// ringInstants returns the instants of the completion events of the
+// per-step run of ring alone, and how many fall in each round.
+func ringInstants(t *testing.T, ring func(*Network) ringSpec) ([]time.Duration, int) {
+	t.Helper()
+	n := New(sim.NewEngine())
+	rs := ring(n)
+	var instants []time.Duration
+	complete := n.completionFn
+	n.completionFn = func() {
+		instants = append(instants, n.eng.Now())
+		complete()
+	}
+	runSpecs(t, n, []ringSpec{rs}, nil, false)
+	if len(instants)%rs.rounds != 0 {
+		t.Fatalf("%d completion events over %d rounds", len(instants), rs.rounds)
+	}
+	return instants, len(instants) / rs.rounds
+}
+
 // TestForwardedGroupJoined is the differential oracle for bringing back
-// a fast-forwarded ring. A lone ring on equal private links runs rounds
-// of exactly 1 ms that end at 1.001, 2.001, ... 6.001 ms, so it is
-// forwarded at the end of round 0. A flow then joins one or two of its
-// components mid-round, exactly on an interior round boundary, or
-// exactly at the ring's end. Its activation is queued before the ring's
-// completion event at that instant (started at 0 with the join instant
-// as its latency) or after it (started at the join instant). Every case
-// must finish the ring and the flow at exactly the instants the per-step
-// ring does, with the same per-link flow counts and the same bytes up to
-// float summation order, and pass the max-min check after every solve.
-// Only a join after the ring's end finds nothing to bring back.
+// a fast-forwarded ring. A flow joins one or two components of a lone
+// ring: of equalRing mid-round, exactly on an interior round boundary,
+// or exactly at the ring's end; of heteroRing between two instants of
+// its template, exactly at one inside a round, exactly on an interior
+// round boundary, or exactly at the ring's end, the instants taken from
+// its per-step run. The flow's activation is queued before the ring's
+// event at that instant (started at 0 with the join instant as its
+// latency) or after it (started at the join instant). Every case must
+// finish the ring and the flow at exactly the instants the per-step ring
+// does, with the same per-link flow counts and the same bytes up to float
+// summation order, and pass the max-min check after every solve. Only a
+// join after the ring's end finds nothing to bring back.
 func TestForwardedGroupJoined(t *testing.T) {
-	const p, rounds, bytes = 4, 6, 1e6
-	for _, c := range []struct {
+	type joinCase struct {
 		name    string
+		ring    func(*Network) ringSpec
 		at      time.Duration
-		members []int // whose private links the joining flow crosses
-	}{
-		{"mid-round", 3500500 * time.Nanosecond, []int{0}},
-		{"round boundary", 3001 * time.Microsecond, []int{0, 1}},
-		{"ring end", 6001 * time.Microsecond, []int{2}},
-	} {
+		members []int // whose first links the joining flow crosses
+		end     bool  // the join is at the ring's end
+		apart   bool  // the ring's members finish apart
+	}
+	cases := []joinCase{
+		{"equal mid-round", equalRing, 3500500 * time.Nanosecond, []int{0}, false, false},
+		{"equal round boundary", equalRing, 3001 * time.Microsecond, []int{0, 1}, false, false},
+		{"equal ring end", equalRing, 6001 * time.Microsecond, []int{2}, true, false},
+	}
+	// Round 3 is the second round after heteroRing's template. Each join
+	// crosses the link of a member that leaves at the template step after
+	// the one it joins in, so restoring a later step shows.
+	in, k := ringInstants(t, heteroRing)
+	if k < 3 {
+		t.Fatalf("heterogeneous ring has %d events per round, want its members to finish apart", k)
+	}
+	cases = append(cases,
+		joinCase{"hetero between template instants", heteroRing, (in[3*k] + in[3*k+1]) / 2, []int{1}, false, true},
+		joinCase{"hetero template instant", heteroRing, in[3*k+1], []int{2}, false, true},
+		joinCase{"hetero round boundary", heteroRing, in[3*k-1], []int{3}, false, true},
+		joinCase{"hetero ring end", heteroRing, in[len(in)-1], []int{0, 3}, true, true},
+	)
+	for _, c := range cases {
 		for _, early := range []bool{true, false} {
 			run := func(grouped bool) scenarioResult {
 				n := New(sim.NewEngine())
-				rs := ringSpec{routes: make([][]*Link, p), bytes: bytes, rounds: rounds}
-				for i := range rs.routes {
-					rs.routes[i] = []*Link{n.NewLink(fmt.Sprintf("m%d", i), 1*gb, time.Microsecond)}
-				}
+				rs := c.ring(n)
 				var route []*Link
 				for _, m := range c.members {
 					route = append(route, rs.routes[m][0])
@@ -367,13 +451,47 @@ func TestForwardedGroupJoined(t *testing.T) {
 				}
 			}
 			wantBack := 1
-			if c.name == "ring end" && !early {
+			if c.end && !early {
 				wantBack = 0
 			}
 			if got.materialized != wantBack || got.forwarded == 0 {
 				t.Errorf("%s: brought back %d groups after forwarding %d rounds, want %d after some", name, got.materialized, got.forwarded, wantBack)
 			}
+			if (got.piecemeal > 0) != c.apart {
+				t.Errorf("%s: %d fast-forwards from a template of several steps", name, got.piecemeal)
+			}
 		}
+	}
+}
+
+// TestForeignFlowBlocksTemplate: a flow that starts on member 0's link of
+// heteroRing just after round 1 begins and finishes before any member
+// leaves slows member 0, so round 1 repeats no other round and must not
+// become the template, though the flow has left when the round ends.
+// Round 2 becomes it instead, so rounds 3 to 5 run as one event. The ring
+// and the flow must finish at exactly the instants of the per-step ring.
+func TestForeignFlowBlocksTemplate(t *testing.T) {
+	in, k := ringInstants(t, heteroRing)
+	start := in[k-1] + 10*time.Microsecond
+	run := func(grouped bool) scenarioResult {
+		n := New(sim.NewEngine())
+		rs := heteroRing(n)
+		var f *Flow
+		n.eng.Schedule(start, func() { f = n.StartFlowLatency(1e4, rs.routes[0][:1], 0) })
+		res := runSpecs(t, n, []ringSpec{rs}, nil, grouped)
+		if f.finished >= in[k] {
+			t.Fatalf("the flow finished at %v, after the first member leaves at %v", f.finished, in[k])
+		}
+		res.flows = []time.Duration{f.finished}
+		return res
+	}
+	got, want := run(true), run(false)
+	if fmt.Sprint(got.rings, got.flows, got.counts) != fmt.Sprint(want.rings, want.flows, want.counts) {
+		t.Errorf("ring, flow, FlowsCarried %v %v %v; per-step %v %v %v",
+			got.rings, got.flows, got.counts, want.rings, want.flows, want.counts)
+	}
+	if got.forwarded != 2 || got.materialized != 0 {
+		t.Errorf("forwarded %d rounds and brought back %d groups, want 2 and 0", got.forwarded, got.materialized)
 	}
 }
 
@@ -389,7 +507,7 @@ func TestForwardedGroupJoined(t *testing.T) {
 // up to float summation order: each flow is settled when its own
 // component is re-solved, and the reference re-solves every flow at every
 // change, so it splits each flow's progress into more, different parts.
-// The island runs must replay solves of rings alone on their island.
+// The island runs must fast-forward rings alone on their island.
 func TestComponentSolveMatchesGlobalSolve(t *testing.T) {
 	run := func(seed int64, global bool) scenarioResult {
 		n := New(sim.NewEngine())
@@ -420,7 +538,7 @@ func TestComponentSolveMatchesGlobalSolve(t *testing.T) {
 		}
 		return res
 	}
-	var replayed uint64
+	var forwarded uint64
 	for seed := int64(1); seed <= 200; seed++ {
 		got, want := run(seed, false), run(seed, true)
 		if fmt.Sprint(got.rings) != fmt.Sprint(want.rings) {
@@ -440,11 +558,11 @@ func TestComponentSolveMatchesGlobalSolve(t *testing.T) {
 		if got.checks == 0 || want.checks == 0 {
 			t.Fatalf("seed %d: no solution checked", seed)
 		}
-		replayed += got.replayed
+		forwarded += got.forwarded
 	}
-	t.Logf("island runs replayed %d solves", replayed)
-	if replayed == 0 {
-		t.Error("island runs replayed no solves, so replay per component went untested")
+	t.Logf("island runs forwarded %d rounds", forwarded)
+	if forwarded == 0 {
+		t.Error("island runs forwarded no rounds, so forwarding per component went untested")
 	}
 }
 
@@ -555,9 +673,9 @@ func TestGroupRoundsAndLinkStats(t *testing.T) {
 // rounds 1 to 5 as one event and keeps nothing at that event's end: 4
 // round ends per op need no event. That holds beside traffic on other
 // links too, which fills only its own component. On a heterogeneous ring
-// members finish one by one, so each round is several solves; round 1
-// repeats none of round 0 (staggered activations), every later round
-// replays round 1, and no round is forwarded.
+// members finish one by one, so each round is several solves; round 0
+// runs stepwise (staggered activations), round 1 is the template, and
+// rounds 2 to 5 run as one event.
 func TestLoneGroupSolvesOnce(t *testing.T) {
 	t.Run("equal private links", func(t *testing.T) {
 		e := sim.NewEngine()
@@ -575,9 +693,9 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := [4]uint64{ops, ops * 2, 0, ops * (rounds - 2)}
-		if got := [4]uint64{n.filled, n.kept, n.replayed, n.forwarded}; got != want {
-			t.Errorf("filled, kept, replayed, forwarded = %v; want %v", got, want)
+		want := [3]uint64{ops, ops * 2, ops * (rounds - 2)}
+		if got := [3]uint64{n.filled, n.kept, n.forwarded}; got != want {
+			t.Errorf("filled, kept, forwarded = %v; want %v", got, want)
 		}
 	})
 	t.Run("beside disjoint traffic", func(t *testing.T) {
@@ -605,9 +723,9 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		}
 		// A stream flow fills its own component when it starts; when it
 		// finishes, that component is empty and nothing is filled.
-		want := [4]uint64{ops * (1 + uint64(len(starts))), ops * 2, 0, ops * (rounds - 2)}
-		if got := [4]uint64{n.filled, n.kept, n.replayed, n.forwarded}; got != want {
-			t.Errorf("filled, kept, replayed, forwarded = %v; want %v", got, want)
+		want := [3]uint64{ops * (1 + uint64(len(starts))), ops * 2, ops * (rounds - 2)}
+		if got := [3]uint64{n.filled, n.kept, n.forwarded}; got != want {
+			t.Errorf("filled, kept, forwarded = %v; want %v", got, want)
 		}
 	})
 	t.Run("heterogeneous ring", func(t *testing.T) {
@@ -641,30 +759,93 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		if late != 0 {
 			t.Errorf("%d progressive-filling passes in rounds 2..%d, want 0", late, rounds-1)
 		}
-		// Each round from 1 on solves p times: at the re-arm and after
-		// each of the first p-1 members leaves.
-		if want := uint64((rounds - 2) * p); n.replayed != want {
-			t.Errorf("replayed %d solves, want %d", n.replayed, want)
-		}
-		if n.kept != 0 || n.forwarded != 0 {
-			t.Errorf("kept %d completions and forwarded %d rounds of a ring whose members finish apart", n.kept, n.forwarded)
+		// Round 0 fills at each of the 4 staggered activations and after
+		// each of the first 3 members leaves, and once more at its
+		// piecemeal re-arm; round 1 records the template with 3 fills and
+		// 4 completion events; its re-arm forwards rounds 2 to 5, which
+		// need one event, at their end, where nothing is filled.
+		want := [4]uint64{11, 1, rounds - 3, 9}
+		if got := [4]uint64{n.filled, n.kept, n.forwarded, n.completions}; got != want {
+			t.Errorf("filled, kept, forwarded, completion events = %v; want %v", got, want)
 		}
 	})
+}
+
+// TestRingBesideLoadersWorkCounts pins the work one all-reduce op costs
+// on a PCIe tree beside a real-data input pipeline. A 16-member ring
+// runs over four switches of four GPUs: a member whose neighbor sits
+// under the same switch crosses its GPU's uplink and the neighbor's
+// downlink, and the four that cross switches also share the root
+// complex, so they run at half the rate and every round ends in two
+// pieces. Four loaders, started 0.3 ms apart, read batches from a disk
+// and prep them on a CPU link the ring never uses, until the op ends.
+// Each op costs the same completion events and forwards the same rounds:
+// rounds 0 and 1 run stepwise, and round 1 is the template of rounds 2 to
+// 29. (Run round by round, an op costs 102 completion events.)
+func TestRingBesideLoadersWorkCounts(t *testing.T) {
+	e := sim.NewEngine()
+	n := New(e)
+	const p, perSwitch, loaders, ops = 16, 4, 4, 3
+	root := n.NewLink("root", 24*gb, time.Microsecond)
+	var up, down, swUp, swDown []*Link
+	for i := 0; i < p; i++ {
+		up = append(up, n.NewLink(fmt.Sprintf("gpu%d/up", i), 12*gb, time.Microsecond))
+		down = append(down, n.NewLink(fmt.Sprintf("gpu%d/down", i), 12*gb, time.Microsecond))
+	}
+	for s := 0; s < p/perSwitch; s++ {
+		swUp = append(swUp, n.NewLink(fmt.Sprintf("sw%d/up", s), 12*gb, time.Microsecond))
+		swDown = append(swDown, n.NewLink(fmt.Sprintf("sw%d/down", s), 12*gb, time.Microsecond))
+	}
+	routes := make([][]*Link, p)
+	for i := range routes {
+		j := (i + 1) % p
+		if from, to := i/perSwitch, j/perSwitch; from == to {
+			routes[i] = []*Link{up[i], down[j]}
+		} else {
+			routes[i] = []*Link{up[i], swUp[from], root, swDown[to], down[j]}
+		}
+	}
+	disk := n.NewLink("disk", 250e6, 500*time.Microsecond)
+	cpu := n.NewLink("cpu", 32000, 0) // samples/sec
+	g := n.NewGroup(routes)
+	var load func()
+	load = func() {
+		if g.Completed() {
+			return
+		}
+		n.StartFlow(1e5, []*Link{disk}).Done().OnFire(func() {
+			n.StartFlow(32, []*Link{cpu}).Done().OnFire(load)
+		})
+	}
+	for op := 0; op < ops; op++ {
+		completions, forwarded := n.completions, n.forwarded
+		g.Start(4e6, 2*(p-1))
+		for j := 0; j < loaders; j++ {
+			e.Schedule(time.Duration(j)*300*time.Microsecond, load)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := [2]uint64{47, 2*(p-1) - 3}
+		if got := [2]uint64{n.completions - completions, n.forwarded - forwarded}; got != want {
+			t.Errorf("op %d: completion events, forwarded rounds = %v; want %v", op, got, want)
+		}
+	}
 }
 
 // TestRestartedGroupMatchesFresh: a group restarted for its next transfer
 // keeps its member storage and runs that transfer exactly as a fresh
 // group on the same routes does after the same first transfer: the same
 // finish instant, link counters and solver counters. The members start
-// together and finish apart, so every round replays the solves of the
-// one before, and a memo kept from the first transfer would replay the
-// second transfer's round 0 too.
+// together and finish apart, so round 1 of each transfer is a template
+// that the later rounds repeat, and a template kept from the first
+// transfer would run the second transfer's rounds at the wrong size.
 func TestRestartedGroupMatchesFresh(t *testing.T) {
 	type result struct {
-		end                    time.Duration
-		bytes                  []float64
-		flows                  []int
-		filled, kept, replayed uint64
+		end                     time.Duration
+		bytes                   []float64
+		flows                   []int
+		filled, kept, forwarded uint64
 	}
 	run := func(restart bool) result {
 		e := sim.NewEngine()
@@ -698,7 +879,7 @@ func TestRestartedGroupMatchesFresh(t *testing.T) {
 		if restart && &second.members[0] != members {
 			t.Error("restarted group reallocated its members")
 		}
-		res := result{end: e.Now(), filled: n.filled, kept: n.kept, replayed: n.replayed}
+		res := result{end: e.Now(), filled: n.filled, kept: n.kept, forwarded: n.forwarded}
 		for _, l := range n.links {
 			res.bytes = append(res.bytes, l.BytesCarried())
 			res.flows = append(res.flows, l.FlowsCarried())
@@ -709,8 +890,8 @@ func TestRestartedGroupMatchesFresh(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("restarted group: %+v\nfresh group:     %+v", got, want)
 	}
-	if want.replayed == 0 {
-		t.Error("the fresh group replayed no solves, so the memo went untested")
+	if want.forwarded == 0 {
+		t.Error("the fresh group forwarded no rounds, so its template went untested")
 	}
 }
 

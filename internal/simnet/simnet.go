@@ -30,12 +30,13 @@
 // is 2(p-1) rounds of p neighbor transfers). A round's members re-arm in
 // place when its last member finishes. A round whose members all finished
 // at that same instant touches no component, so its flows' rates stand. A
-// group alone in its component solves the same flow sets in the same
-// order every round, so it replays the previous round's rates instead of
-// filling. A group alone in its components whose whole round re-armed
-// under kept rates repeats that round exactly until its last, so it runs
-// them as one event; a flow that joins one of its components first
-// brings back the round the stepwise path would be in.
+// round that began at a re-arm, while the group's members were alone in
+// their components and no other flow joined one, is repeated exactly by
+// every later round, shifted in time, whether its members finished
+// together or apart. The group keeps that round as a template and runs
+// the rest of its transfer as one event; a flow that joins one of its
+// components first brings back, from the template, the state the stepwise
+// path would be in.
 package simnet
 
 import (
@@ -73,8 +74,8 @@ type Link struct {
 
 	// Progressive-filling scratch state. On a root, share is the
 	// component's tightest link share in the current pass. unfrozen also
-	// counts a group's members per component while forward checks that
-	// they are alone.
+	// counts a group's members per component while alone checks that
+	// they are the component's only flows.
 	residual float64
 	share    float64
 	unfrozen int
@@ -84,12 +85,13 @@ type Link struct {
 	// every route that carries a flow. A root is its own parent, and its
 	// stamp is the epoch of the solve its component was last touched for.
 	// On a root, active counts the component's plain flows in the flow
-	// set and the members of its running groups, and forward is a
-	// fast-forwarded group with members in the component.
-	parent  *Link
-	stamp   uint64
-	active  int
-	forward *FlowGroup
+	// set and the members of its running groups, and lone is a group
+	// recording or fast-forwarding its rounds (see rearm) whose members
+	// are the component's only flows.
+	parent *Link
+	stamp  uint64
+	active int
+	lone   *FlowGroup
 
 	// Statistics.
 	bytesCarried float64
@@ -215,20 +217,19 @@ type FlowGroup struct {
 	firstLeft uint64 // completion event in which the round's first member finished
 	done      sim.Signal
 
-	// Fast-forward state (see forward): while the group is in
+	// Template state (see rearm). The template is the round that began at
+	// since; at[k] is the offset from since of the k-th instant at which
+	// its members changed (at[0] = 0), steps holds their state from then
+	// until the next, one memberState per member, and moved is each
+	// member's bytes over the round. While forwarding, the group is in
 	// Network.forwarding, its members are out of the flow set, round
-	// round started at since, and every round lasts period.
+	// round started at since, and every round repeats the template
+	// shifted by a whole number of periods.
+	mode          groupMode
 	since, period time.Duration
-
-	// Round replay memo (see solve): step k of the solves made while
-	// the group was alone in its component solved flow set
-	// memoFlows[memoEnd[k-1]:memoEnd[k]] (memoEnd[-1] = 0), in that order,
-	// to memoRates over the same range. Steps before step come from this
-	// round, the rest from the last round that reached them.
-	step      int // solves made alone so far in this round
-	memoEnd   []int
-	memoFlows []*Flow // members of this group, in flow-set order
-	memoRates []float64
+	at            []time.Duration
+	steps         []memberState
+	moved         []float64
 }
 
 // Done returns a signal fired when the current transfer's last round
@@ -240,9 +241,66 @@ func (g *FlowGroup) Done() *sim.Signal { return &g.done }
 // finished. An idle group that was never started counts as completed.
 func (g *FlowGroup) Completed() bool { return g.round == g.rounds }
 
+// groupMode is how a group runs its current round.
+type groupMode uint8
+
+const (
+	stepwise   groupMode = iota // in the flow set, solved event by event
+	recording                   // stepwise, its round kept as the template
+	forwarding                  // out of the flow set, repeating the template
+)
+
+// memberState is a member's state at one step of its group's template,
+// with its instants as offsets from the start of the round.
+type memberState struct {
+	remaining, rate float64
+	settled, due    time.Duration // due is never for a member without progress
+	left            bool          // finished its round
+}
+
 // end is when a forwarding group's last round finishes.
 func (g *FlowGroup) end() time.Duration {
 	return g.since + time.Duration(g.rounds-g.round)*g.period
+}
+
+// position returns how many whole rounds a forwarding group has run by
+// now, capped so that its last round is never counted, and the template
+// step it is in: the last one at or before now's offset in that round.
+func (g *FlowGroup) position(now time.Duration) (rounds, step int) {
+	rounds = int((now - g.since) / g.period)
+	if last := g.rounds - g.round - 1; rounds > last {
+		rounds = last
+	}
+	off := now - g.since - time.Duration(rounds)*g.period
+	step = len(g.at) - 1
+	for g.at[step] > off {
+		step--
+	}
+	return rounds, step
+}
+
+// state returns the members' states at template step k.
+func (g *FlowGroup) state(k int) []memberState {
+	p := len(g.members)
+	return g.steps[k*p : (k+1)*p]
+}
+
+// snapshot takes the members' state now as the template step at now's
+// offset, replacing a step already taken at that offset.
+func (g *FlowGroup) snapshot(now time.Duration) {
+	off := now - g.since
+	if k := len(g.at) - 1; k >= 0 && g.at[k] == off {
+		g.at, g.steps = g.at[:k], g.steps[:k*len(g.members)]
+	}
+	g.at = append(g.at, off)
+	for i := range g.members {
+		m := &g.members[i]
+		due := m.due
+		if due != never {
+			due -= g.since
+		}
+		g.steps = append(g.steps, memberState{m.remaining, m.rate, m.settled - g.since, due, m.index < 0})
+	}
 }
 
 // Network owns a set of links and the flows crossing them.
@@ -251,7 +309,9 @@ type Network struct {
 	links       []*Link
 	flows       []*Flow
 	forwarding  []*FlowGroup // fast-forwarded groups, in the order they began
+	recording   []*FlowGroup // groups recording a template round
 	finished    []*Flow      // onCompletion scratch
+	rearmed     []*FlowGroup // onCompletion scratch: groups whose round re-armed
 	completions uint64       // completion events run, stamps FlowGroup.firstLeft
 	completion  sim.Event
 	dirty       bool
@@ -263,9 +323,9 @@ type Network struct {
 	solving []*Flow // recompute scratch: the touched flows, in flow-set order
 
 	// Solver counters: progressive-filling passes run, completions that
-	// kept the standing rates, solves replayed from a group's memo, and
-	// group rounds that ended without a completion event.
-	filled, kept, replayed, forwarded uint64
+	// kept the standing rates, and group rounds that ended without a
+	// completion event.
+	filled, kept, forwarded uint64
 
 	// Long-lived callbacks, bound once so the per-flow and per-solve
 	// scheduling operations never mint closures.
@@ -362,7 +422,7 @@ func (n *Network) NewGroup(routes [][]*Link) *FlowGroup {
 	if len(routes) == 0 {
 		panic("simnet: flow group with no members")
 	}
-	g := &FlowGroup{net: n, members: make([]Flow, len(routes))}
+	g := &FlowGroup{net: n, members: make([]Flow, len(routes)), moved: make([]float64, len(routes))}
 	for i, r := range routes {
 		if len(r) == 0 {
 			panic("simnet: flow group member with empty route")
@@ -393,9 +453,6 @@ func (g *FlowGroup) Start(bytesPerMember float64, rounds int) {
 	// The previous transfer's signal has fired, so no waiter is parked on
 	// it and resetting it loses none.
 	g.done = sim.MakeSignal(n.eng)
-	// The memo starts empty for every transfer.
-	g.step = 0
-	g.memoEnd, g.memoFlows, g.memoRates = g.memoEnd[:0], g.memoFlows[:0], g.memoRates[:0]
 	now := n.eng.Now()
 	for i := range g.members {
 		m := &g.members[i]
@@ -414,13 +471,13 @@ func (n *Network) activate(f *Flow) {
 	}
 	f.settled = n.eng.Now()
 	r := f.route[0].find()
-	if g := r.forward; g != nil {
-		n.materialize(g)
+	if g := r.lone; g != nil {
+		n.join(g)
 	}
 	for _, l := range f.route[1:] {
 		if s := l.find(); s != r {
-			if g := s.forward; g != nil {
-				n.materialize(g)
+			if g := s.lone; g != nil {
+				n.join(g)
 			}
 			s.parent = r
 			r.active += s.active
@@ -450,9 +507,10 @@ func (n *Network) finish(f *Flow) {
 // leave records that group member f finished its round in this
 // completion event. When f is the round's last member, the round ends:
 // every member re-arms in place for the next round (full size, settled
-// now, one more flow carried per link, back in the flow set), or Done
-// fires after the last round. A round end also restarts the group's
-// replay steps. onCompletion plans the re-armed members.
+// now, one more flow carried per link, back in the flow set, the group
+// listed in rearmed), or Done fires after the last round. The end of a
+// template round takes each member's bytes over it, what it moved before
+// the re-arm. onCompletion plans the re-armed members.
 func (n *Network) leave(f *Flow) {
 	g := f.group
 	if g.pending == len(g.members) {
@@ -463,7 +521,6 @@ func (n *Network) leave(f *Flow) {
 		return
 	}
 	g.round++
-	g.step = 0
 	if g.round == g.rounds {
 		for i := range g.members {
 			m := &g.members[i]
@@ -476,6 +533,9 @@ func (n *Network) leave(f *Flow) {
 	now := n.eng.Now()
 	for i := range g.members {
 		m := &g.members[i]
+		if g.mode == recording {
+			g.moved[i] = g.bytes - m.remaining
+		}
 		for _, l := range m.route {
 			l.flowsCarried++
 		}
@@ -483,6 +543,7 @@ func (n *Network) leave(f *Flow) {
 		n.push(m)
 	}
 	g.pending = len(g.members)
+	n.rearmed = append(n.rearmed, g)
 }
 
 // push appends f to the flow set.
@@ -535,31 +596,23 @@ func (n *Network) recompute() {
 	}
 	n.solving = flows
 	if len(flows) > 0 {
-		n.solve(flows)
+		n.filled++
+		fill(flows)
 		for _, f := range flows {
 			f.plan()
 		}
 	}
+	// A recording group's members hold their roots: no flow joins their
+	// components while it records.
+	for _, g := range n.recording {
+		for i := range g.members {
+			if g.members[i].root.stamp == n.epoch {
+				g.snapshot(now)
+				break
+			}
+		}
+	}
 	n.scheduleCompletion()
-}
-
-// solve assigns max-min fair rates to flows, a union of whole
-// components. When one group is alone in them and its memo holds this
-// step's flow set in this order, the memo's rates are the answer:
-// progressive filling reads only the flow set, the flows' routes and the
-// link capacities, and a group's routes and every capacity are fixed, so
-// filling would reproduce them bit for bit.
-func (n *Network) solve(flows []*Flow) {
-	g := loneGroup(flows)
-	if g != nil && g.replay(flows) {
-		n.replayed++
-		return
-	}
-	n.filled++
-	fill(flows)
-	if g != nil {
-		g.record(flows)
-	}
 }
 
 // fill runs progressive filling over flows, a union of whole components
@@ -656,64 +709,6 @@ func crossesMarked(f *Flow) bool {
 	return false
 }
 
-// loneGroup returns the group every flow in the non-empty flows belongs
-// to, or nil when there is no such group.
-func loneGroup(flows []*Flow) *FlowGroup {
-	g := flows[0].group
-	if g == nil {
-		return nil
-	}
-	for _, f := range flows[1:] {
-		if f.group != g {
-			return nil
-		}
-	}
-	return g
-}
-
-// replay assigns the memo's rates for this step when its flow set is
-// flows in the same order, and reports whether it did.
-func (g *FlowGroup) replay(flows []*Flow) bool {
-	if g.step >= len(g.memoEnd) {
-		return false
-	}
-	lo, hi := g.memoStart(g.step), g.memoEnd[g.step]
-	if hi-lo != len(flows) {
-		return false
-	}
-	for i, f := range g.memoFlows[lo:hi] {
-		if flows[i] != f {
-			return false
-		}
-	}
-	for i, r := range g.memoRates[lo:hi] {
-		flows[i].rate = r
-	}
-	g.step++
-	return true
-}
-
-// record stores the rates just filled for flows as this step's memo
-// entry, dropping the later steps of an older round.
-func (g *FlowGroup) record(flows []*Flow) {
-	lo := g.memoStart(g.step)
-	g.memoEnd = append(g.memoEnd[:g.step], lo+len(flows))
-	g.memoFlows, g.memoRates = g.memoFlows[:lo], g.memoRates[:lo]
-	for _, f := range flows {
-		g.memoFlows = append(g.memoFlows, f)
-		g.memoRates = append(g.memoRates, f.rate)
-	}
-	g.step++
-}
-
-// memoStart is where step k's entries begin in memoFlows and memoRates.
-func (g *FlowGroup) memoStart(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return g.memoEnd[k-1]
-}
-
 // scheduleCompletion schedules the completion event at the earliest due
 // flow or forwarding group's end.
 func (n *Network) scheduleCompletion() {
@@ -735,13 +730,13 @@ func (n *Network) scheduleCompletion() {
 }
 
 // onCompletion settles every due flow and retires those that finished,
-// touches the components that changed, fast-forwards the groups that
-// qualify, ends the forwarding groups due now, and re-solves the touched
-// components. A due flow that has not finished (its due was clamped at
-// the horizon) is planned again. If an activation at this instant is
-// pending, its solve covers the final flow set before time moves. If no
-// component was touched, the standing rates are kept: only the next
-// completion is scheduled.
+// touches the components that changed, decides how each group whose round
+// re-armed here runs its next one (see rearm), ends the forwarding groups
+// due now, and re-solves the touched components. A due flow that has not
+// finished (its due was clamped at the horizon) is planned again. If an
+// activation at this instant is pending, its solve covers the final flow
+// set before time moves. If no component was touched, the standing rates
+// are kept: only the next completion is scheduled.
 //
 // A finished flow touches its component unless its group's whole round
 // finished in this event and re-armed: then each of those components
@@ -767,6 +762,10 @@ func (n *Network) onCompletion() {
 				continue // swapped element now at i
 			}
 			f.plan()
+			if g := f.group; g != nil && g.mode == recording {
+				// Changed without a solve, so no snapshot would see it.
+				n.stopRecording(g)
+			}
 		}
 		i++
 	}
@@ -779,37 +778,37 @@ func (n *Network) onCompletion() {
 	}
 	// Decided once every round that ends here has re-armed: a member that
 	// is not its round's last cannot tell whether the rest follow.
-	for _, f := range done {
-		g := f.group
-		switch {
+	for i, f := range done {
+		done[i] = nil
+		switch g := f.group; {
 		case g == nil:
 			n.touch(f)
 			f.root.active--
 		case g.pending != len(g.members):
 			// A round still running, or a last round.
 			n.touch(f)
-		case g.firstLeft != n.completions:
-			// A round that ended piecemeal and re-armed: the solve plans
-			// its members.
-			for j := range g.members {
-				n.touch(&g.members[j])
-			}
-		default:
-			// A whole round that re-armed: every member is in the list.
-			f.plan()
-		}
-	}
-	// Decided once every touch is in: a flow that finished later in the
-	// list may share a component with a group that re-armed earlier. A
-	// group whose whole round re-armed here has every member in the list,
-	// and its first decides.
-	for i, f := range done {
-		done[i] = nil
-		if g := f.group; g != nil && f == &g.members[0] && g.pending == len(g.members) && g.firstLeft == n.completions {
-			n.forward(g)
 		}
 	}
 	n.finished = done[:0]
+	for _, g := range n.rearmed {
+		whole := g.firstLeft == n.completions
+		for i := range g.members {
+			if m := &g.members[i]; whole {
+				// Every member finished here: the kept rates stand.
+				m.plan()
+			} else {
+				// The round ended piecemeal: the solve plans its members.
+				n.touch(m)
+			}
+		}
+	}
+	// Decided once every touch is in: a flow that finished later in the
+	// list may share a component with a group that re-armed earlier.
+	for i, g := range n.rearmed {
+		n.rearmed[i] = nil
+		n.rearm(g)
+	}
+	n.rearmed = n.rearmed[:0]
 	if len(n.forwarding) > 0 {
 		n.endForwarded(now)
 	}
@@ -824,25 +823,57 @@ func (n *Network) onCompletion() {
 	}
 }
 
-// forward takes g's members out of the flow set and runs the rest of
-// its transfer as one event, when the round it just re-armed in one
-// piece must repeat unchanged until the last. That holds when every
-// member's component holds only g's members and no change touched it,
-// so the kept rates stand; every member is due at one instant, so every
-// round ends in one piece; and settling there leaves each member at most
-// epsilonBytes, so every round retires all of them. Then every round
-// lasts the same period.
-func (n *Network) forward(g *FlowGroup) {
+// rearm decides how group g runs the round it re-armed in this event.
+//
+// A round that began at a re-arm, with every member's component holding
+// only g's members and no flow joining one until the round ended, is a
+// template: every later round repeats it exactly, shifted in time. Such a
+// round begins with the same flow sets as the template, every member
+// full and settled at its start, and filling, settling and planning see
+// only those sets and offsets from the start; no other flow touches the
+// components meanwhile. So when g's template round ends here, the rest of
+// its transfer runs as one event (see forward).
+//
+// A round is known to be a template already at its re-arm when the whole
+// round re-armed under kept rates, every member is due at one instant, and
+// settling there leaves each member at most epsilonBytes: then it ends in
+// one piece, its one step is its start. Otherwise g records the round it
+// re-armed, if rounds follow it and its members are alone.
+func (n *Network) rearm(g *FlowGroup) {
 	now := n.eng.Now()
-	due := g.members[0].due
-	period := due - now
-	dt := period.Seconds()
+	if g.mode == recording {
+		n.recording = slices.DeleteFunc(n.recording, func(h *FlowGroup) bool { return h == g })
+		n.forward(g, now-g.since)
+		return
+	}
+	if !n.alone(g) {
+		return
+	}
+	single := g.firstLeft == n.completions && n.oneStep(g)
+	if !single && g.rounds-g.round < 2 {
+		return
+	}
+	g.since = now
+	g.at, g.steps = g.at[:0], g.steps[:0]
+	g.snapshot(now)
+	if single {
+		n.forward(g, g.members[0].due-now)
+		return
+	}
+	// A solve of g's components at this instant takes step 0 again.
+	g.mode = recording
+	n.recording = append(n.recording, g)
+	for i := range g.members {
+		g.members[i].root.lone = g
+	}
+}
+
+// alone reports whether every component of g's members holds only g's
+// members, and leaves each member's root in its root field.
+func (n *Network) alone(g *FlowGroup) bool {
 	for i := range g.members {
 		m := &g.members[i]
 		m.root = m.root.find()
-		if m.due != due || m.root.stamp > n.epoch || g.bytes-progress(m.rate, dt, g.bytes) > epsilonBytes {
-			return
-		}
 		m.root.unfrozen = 0
 	}
 	for i := range g.members {
@@ -850,16 +881,60 @@ func (n *Network) forward(g *FlowGroup) {
 	}
 	for i := range g.members {
 		if r := g.members[i].root; r.unfrozen != r.active {
-			return
+			return false
+		}
+	}
+	return true
+}
+
+// oneStep reports whether the whole round g just re-armed is a template of
+// one step (see rearm), and sets each member's bytes over it.
+func (n *Network) oneStep(g *FlowGroup) bool {
+	now := n.eng.Now()
+	due := g.members[0].due
+	dt := (due - now).Seconds()
+	for i := range g.members {
+		m := &g.members[i]
+		if m.due != due || m.root.stamp > n.epoch || g.bytes-progress(m.rate, dt, g.bytes) > epsilonBytes {
+			return false
 		}
 	}
 	for i := range g.members {
+		g.moved[i] = progress(g.members[i].rate, dt, g.bytes)
+	}
+	return true
+}
+
+// forward takes g's re-armed members out of the flow set and runs the
+// rest of its transfer, each round a copy of its template of the given
+// period, as one event at its end.
+func (n *Network) forward(g *FlowGroup, period time.Duration) {
+	for i := range g.members {
 		m := &g.members[i]
 		n.removeFlow(m)
-		m.root.forward = g
+		m.root.lone = g
 	}
-	g.since, g.period = now, period
+	g.mode, g.since, g.period = forwarding, n.eng.Now(), period
 	n.forwarding = append(n.forwarding, g)
+}
+
+// stopRecording returns recording group g to the stepwise path.
+func (n *Network) stopRecording(g *FlowGroup) {
+	n.recording = slices.DeleteFunc(n.recording, func(h *FlowGroup) bool { return h == g })
+	for i := range g.members {
+		g.members[i].root.lone = nil
+	}
+	g.mode = stepwise
+}
+
+// join brings group g back to the stepwise path before a flow joins one
+// of its components.
+func (n *Network) join(g *FlowGroup) {
+	if g.mode == forwarding {
+		n.materialize(g)
+	} else {
+		n.stopRecording(g)
+	}
 }
 
 // endForwarded ends the forwarding groups whose last round finishes by
@@ -886,59 +961,69 @@ func (n *Network) endForwarded(now time.Duration) {
 
 // materialize brings back the stepwise state of forwarding group g
 // before a flow joins one of its components: the round the stepwise path
-// would be in, re-armed where that round began, and due one period
-// later. The round is capped at the last, so a flow that joins exactly
-// at the group's end finds the members due now and the pending
-// completion event retires them and fires Done, as it would on the
-// stepwise path.
+// would be in, in the template step it would be in, shifted to that
+// round's start. The round is capped at the last and its final step is
+// never taken, so a flow that joins exactly at the group's end finds the
+// members that finish last due now, and the pending completion event
+// retires them and fires Done, as it would on the stepwise path. Members
+// that left earlier in the round stay out of the flow set.
 func (n *Network) materialize(g *FlowGroup) {
-	k := int((n.eng.Now() - g.since) / g.period)
-	if last := g.rounds - g.round - 1; k > last {
-		k = last
-	}
+	k, step := g.position(n.eng.Now())
 	g.unforward(k, k)
 	n.forwarding = slices.DeleteFunc(n.forwarding, func(h *FlowGroup) bool { return h == g })
 	n.forwarded += uint64(k)
 	g.round += k
 	at := g.since + time.Duration(k)*g.period
-	for i := range g.members {
+	g.pending = 0
+	for i, s := range g.state(step) {
 		m := &g.members[i]
-		m.remaining, m.settled, m.due = g.bytes, at, at+g.period
-		n.push(m)
+		m.remaining, m.rate, m.settled, m.due = s.remaining, s.rate, at+s.settled, s.due
+		if m.due != never {
+			m.due += at
+		}
+		for _, l := range m.route {
+			l.bytesCarried += g.bytes - s.remaining
+		}
+		if !s.left {
+			g.pending++
+			n.push(m)
+		}
+	}
+	if g.pending < len(g.members) {
+		// The round ends piecemeal: no later event is its first leave.
+		g.firstLeft = n.completions
 	}
 }
 
 // unforward ends g's fast-forward after rounds of it have finished and
-// rearms of them re-armed: it books each round's bytes per member as the
-// stepwise path would, summed round by round so the totals repeat the
-// stepwise sums, and one flow per link at each re-arm.
+// rearms of them re-armed: it books each member's bytes over the rounds
+// on its links, one product per member, and one flow per link at each
+// re-arm.
 func (g *FlowGroup) unforward(rounds, rearms int) {
-	dt := g.period.Seconds()
-	for r := 0; r < rounds; r++ {
-		for i := range g.members {
-			m := &g.members[i]
-			moved := progress(m.rate, dt, g.bytes)
-			for _, l := range m.route {
-				l.bytesCarried += moved
-			}
-		}
-	}
+	g.mode = stepwise
 	for i := range g.members {
 		m := &g.members[i]
+		moved := float64(rounds) * g.moved[i]
 		for _, l := range m.route {
+			l.bytesCarried += moved
 			l.flowsCarried += rearms
 		}
-		m.root.forward = nil
+		m.root.lone = nil
 	}
 }
 
 // ActiveFlows reports the number of flows currently competing for
 // bandwidth (excludes flows still in their latency phase), counting the
-// members of a fast-forwarded group.
+// members of a fast-forwarded group that have not finished their round.
 func (n *Network) ActiveFlows() int {
 	active := len(n.flows)
 	for _, g := range n.forwarding {
-		active += len(g.members)
+		_, step := g.position(n.eng.Now())
+		for _, s := range g.state(step) {
+			if !s.left {
+				active++
+			}
+		}
 	}
 	return active
 }
