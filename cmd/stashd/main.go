@@ -6,8 +6,7 @@
 // Usage:
 //
 //	stashd [-addr :8321] [-iters N] [-exp-iters N] [-seed S]
-//	       [-parallel N] [-max-concurrent N]
-//	       [-request-timeout D] [-drain-timeout D]
+//	       [-parallel N] [-request-timeout D] [-drain-timeout D]
 //	       [-job-workers N] [-job-ttl D] [-max-jobs N]
 //	       [-tenant-quota N]
 //
@@ -39,8 +38,10 @@
 // shares them. The server has one client scope (a request carrying an
 // X-Stash-Tenant header is a 400): jobs are admitted under a
 // server-wide live-job quota (-tenant-quota) and dispatched in
-// submission order (one FIFO) on a worker pool separate from the v1
-// concurrency gate.
+// submission order (one FIFO), -job-workers of them progressing at
+// once. Every simulation, whether a /v1 request, a job or a sweep
+// worker inside one asks for it, takes one of the process's GOMAXPROCS
+// simulation slots, so the CPU has one budget and no flag sizes it.
 // On SIGTERM/SIGINT the server rejects new jobs, cancels queued ones,
 // gives running jobs and in-flight requests up to -drain-timeout to
 // settle, then exits.
@@ -56,7 +57,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"syscall"
 	"time"
@@ -91,7 +91,6 @@ type config struct {
 	expIters     int
 	seed         int64
 	parallel     int
-	maxConc      int
 	reqTimeout   time.Duration
 	drainTimeout time.Duration
 	jobWorkers   int
@@ -108,10 +107,9 @@ func newFlagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.expIters, "exp-iters", experiments.DefaultConfig().Iterations, "profiling iterations per scenario (experiments)")
 	fs.Int64Var(&c.seed, "seed", 1, "provisioning seed")
 	fs.IntVar(&c.parallel, "parallel", 0, "per-request worker pool size (0 or negative = GOMAXPROCS, 1 = serial)")
-	fs.IntVar(&c.maxConc, "max-concurrent", runtime.GOMAXPROCS(0), "concurrent heavy requests (profile/recommend/experiment)")
 	fs.DurationVar(&c.reqTimeout, "request-timeout", api.DefaultRequestTimeout, "per-request deadline")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain window")
-	fs.IntVar(&c.jobWorkers, "job-workers", api.DefaultJobWorkers, "v2 job executor pool size")
+	fs.IntVar(&c.jobWorkers, "job-workers", api.DefaultJobWorkers, "v2 jobs progressing at once")
 	fs.DurationVar(&c.jobTTL, "job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
 	fs.IntVar(&c.maxJobs, "max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
 	fs.IntVar(&c.tenantQuota, "tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs on the server")
@@ -126,7 +124,6 @@ func (c *config) check() error {
 	}{
 		{"iters", c.iters},
 		{"exp-iters", c.expIters},
-		{"max-concurrent", c.maxConc},
 		{"job-workers", c.jobWorkers},
 		{"max-jobs", c.maxJobs},
 		{"tenant-quota", c.tenantQuota},
@@ -169,7 +166,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		api.WithExperimentIterations(c.expIters),
 		api.WithSeed(c.seed),
 		api.WithParallelism(c.parallel),
-		api.WithMaxConcurrent(c.maxConc),
 		api.WithRequestTimeout(c.reqTimeout),
 		api.WithJobWorkers(c.jobWorkers),
 		api.WithJobTTL(c.jobTTL),

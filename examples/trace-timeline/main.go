@@ -8,14 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"stash/internal/cloud"
+	"stash/internal/core"
 	"stash/internal/dnn"
-	"stash/internal/sim"
-	"stash/internal/simnet"
 	"stash/internal/trace"
 	"stash/internal/train"
 	"stash/internal/workload"
@@ -40,20 +40,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
-	top, err := cloud.NewProvisioner(cloud.SliceDegraded, 1).Provision(net, instance, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	recorder := trace.New()
-	res, err := train.Run(eng, net, train.Config{
-		Job:        job,
-		Topology:   top,
-		Iterations: 5,
-		Synthetic:  true,
-		Trace:      recorder,
+	res, err := core.Simulate(context.Background(), cloud.NewProvisioner(cloud.SliceDegraded, 1), instance, 1, func(w core.World) (*train.Result, error) {
+		return train.Run(w.Engine, w.Net, train.Config{
+			Job:        job,
+			Topology:   w.Topology,
+			Iterations: 5,
+			Synthetic:  true,
+			Trace:      recorder,
+		})
 	})
 	if err != nil {
 		log.Fatal(err)

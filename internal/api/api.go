@@ -18,11 +18,10 @@
 //   - every request runs under a per-request timeout (WithRequestTimeout)
 //     whose context is threaded through core and experiments, so an
 //     expired request stops at the next scenario boundary;
-//   - heavy endpoints (/v1/profile, /v1/recommend, /v1/blame,
-//     /v1/experiments/{id}) pass through a bounded-concurrency gate
-//     (WithMaxConcurrent);
-//     within a request, sweeps fan out on core.ForEach's worker pool
-//     (WithParallelism);
+//   - within a request or job, sweeps fan out on core.ForEach's worker
+//     pool (WithParallelism); every simulation, whatever asked for it,
+//     takes one of the process's GOMAXPROCS simulation slots (package
+//     core's CPU budget), so there is no separate request gate;
 //   - graceful shutdown is the caller's http.Server.Shutdown, which
 //     drains in-flight profiles before returning (cmd/stashd wires it
 //     to SIGTERM/SIGINT).
@@ -36,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"time"
 
@@ -79,13 +77,6 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.timeout = d }
 }
 
-// WithMaxConcurrent bounds how many heavy requests (profile, recommend,
-// experiment runs) execute simultaneously; excess requests queue until
-// a slot frees or their deadline expires (503). Default GOMAXPROCS.
-func WithMaxConcurrent(n int) Option {
-	return func(s *Server) { s.maxConcurrent = n }
-}
-
 // WithExperimentIterations sets the profiling window for
 // /v1/experiments/{id} (default experiments.DefaultConfig().Iterations,
 // matching cmd/characterize, so API tables equal CLI tables).
@@ -93,9 +84,10 @@ func WithExperimentIterations(n int) Option {
 	return func(s *Server) { s.expIterations = n }
 }
 
-// WithJobWorkers sets the v2 job executor pool size (default
-// DefaultJobWorkers). The pool is separate from the v1 concurrency
-// gate by design: queued jobs can never starve synchronous calls.
+// WithJobWorkers sets how many queued v2 jobs progress at once
+// (default DefaultJobWorkers). It shapes job turnaround, not CPU use:
+// a job's simulations take the same process-wide slots as every /v1
+// request's.
 func WithJobWorkers(n int) Option {
 	return func(s *Server) { s.jobWorkers = n }
 }
@@ -127,7 +119,6 @@ type Server struct {
 	seed          int64
 	parallelism   int
 	timeout       time.Duration
-	maxConcurrent int
 	jobWorkers    int
 	jobTTL        time.Duration
 	jobStoreMax   int
@@ -135,7 +126,6 @@ type Server struct {
 
 	profiler  *core.Profiler
 	expCfg    experiments.Config
-	sem       chan struct{}
 	metrics   *metrics
 	jobsStore *jobStore
 	mux       *http.ServeMux
@@ -148,7 +138,6 @@ func New(opts ...Option) *Server {
 		expIterations: experiments.DefaultConfig().Iterations,
 		seed:          1,
 		timeout:       DefaultRequestTimeout,
-		maxConcurrent: runtime.GOMAXPROCS(0),
 		jobWorkers:    DefaultJobWorkers,
 		jobTTL:        DefaultJobTTL,
 		jobStoreMax:   DefaultJobStoreMax,
@@ -160,34 +149,30 @@ func New(opts ...Option) *Server {
 	if s.timeout <= 0 {
 		s.timeout = DefaultRequestTimeout
 	}
-	if s.maxConcurrent < 1 {
-		s.maxConcurrent = 1
-	}
 	s.profiler = core.New(
 		core.WithIterations(s.iterations),
 		core.WithSeed(s.seed),
 		core.WithParallelism(s.parallelism),
 	)
 	s.expCfg = experiments.NewConfig(s.expIterations, s.seed, s.parallelism)
-	s.sem = make(chan struct{}, s.maxConcurrent)
 	s.jobsStore = newJobStore(s.jobWorkers, s.jobTTL, s.jobStoreMax, s.tenantQuota)
 	s.metrics = newMetrics(s.profiler, s.expCfg.Pool, s.jobsStore)
 	s.jobsStore.start(s.executeJob)
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.route("healthz", false, s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.route("metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("POST /v1/profile", s.route("profile", true, s.handleProfile))
-	s.mux.HandleFunc("POST /v1/recommend", s.route("recommend", true, s.handleRecommend))
-	s.mux.HandleFunc("POST /v1/blame", s.route("blame", true, s.handleBlame))
-	s.mux.HandleFunc("GET /v1/experiments", s.route("experiments", false, s.handleExperimentList))
-	s.mux.HandleFunc("GET /v1/experiments/{id}", s.route("experiment", true, s.handleExperimentRun))
-	s.mux.HandleFunc("POST /v2/jobs", s.route("job-create", false, s.handleJobCreate))
-	s.mux.HandleFunc("GET /v2/jobs", s.route("job-list", false, s.handleJobList))
-	s.mux.HandleFunc("GET /v2/jobs/{id}", s.route("job-get", false, s.handleJobGet))
-	s.mux.HandleFunc("GET /v2/jobs/{id}/result", s.route("job-result", false, s.handleJobResult))
+	s.mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
+	s.mux.HandleFunc("POST /v1/profile", s.route("profile", s.handleProfile))
+	s.mux.HandleFunc("POST /v1/recommend", s.route("recommend", s.handleRecommend))
+	s.mux.HandleFunc("POST /v1/blame", s.route("blame", s.handleBlame))
+	s.mux.HandleFunc("GET /v1/experiments", s.route("experiments", s.handleExperimentList))
+	s.mux.HandleFunc("GET /v1/experiments/{id}", s.route("experiment", s.handleExperimentRun))
+	s.mux.HandleFunc("POST /v2/jobs", s.route("job-create", s.handleJobCreate))
+	s.mux.HandleFunc("GET /v2/jobs", s.route("job-list", s.handleJobList))
+	s.mux.HandleFunc("GET /v2/jobs/{id}", s.route("job-get", s.handleJobGet))
+	s.mux.HandleFunc("GET /v2/jobs/{id}/result", s.route("job-result", s.handleJobResult))
 	s.mux.HandleFunc("GET /v2/jobs/{id}/events", s.routeStream("job-events", s.handleJobEvents))
-	s.mux.HandleFunc("DELETE /v2/jobs/{id}", s.route("job-cancel", false, s.handleJobCancel))
+	s.mux.HandleFunc("DELETE /v2/jobs/{id}", s.route("job-cancel", s.handleJobCancel))
 	return s
 }
 
@@ -274,9 +259,8 @@ func (w *statusWriter) Flush() {
 }
 
 // route wraps a handler with the server's cross-cutting behavior:
-// per-request timeout, the bounded-concurrency gate for heavy
-// endpoints, and request/latency metrics.
-func (s *Server) route(endpoint string, heavy bool, h http.HandlerFunc) http.HandlerFunc {
+// per-request timeout and request/latency metrics.
+func (s *Server) route(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now() //lint:allow wallclock request-latency metric for /metrics, never enters a stall table
 		sw := &statusWriter{ResponseWriter: w}
@@ -285,41 +269,15 @@ func (s *Server) route(endpoint string, heavy bool, h http.HandlerFunc) http.Han
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
-		r = r.WithContext(ctx)
-
-		if heavy {
-			// Prefer a free slot over an expired deadline so a request
-			// that could run immediately is never bounced with 503; a
-			// dead context then surfaces as 504 from the handler itself.
-			acquired := false
-			select {
-			case s.sem <- struct{}{}:
-				acquired = true
-			default:
-			}
-			if !acquired {
-				select {
-				case s.sem <- struct{}{}:
-				case <-ctx.Done():
-					writeError(sw, http.StatusServiceUnavailable, errOverloaded,
-						"server at max concurrent requests; deadline expired while queued")
-					//lint:allow wallclock request-latency metric for /metrics, never enters a stall table
-					s.metrics.observe(endpoint, sw.status(), time.Since(start))
-					return
-				}
-			}
-			defer func() { <-s.sem }()
-		}
-		h(sw, r)
+		h(sw, r.WithContext(ctx))
 		//lint:allow wallclock request-latency metric for /metrics, never enters a stall table
 		s.metrics.observe(endpoint, sw.status(), time.Since(start))
 	}
 }
 
 // routeStream wraps a streaming handler (SSE) with metrics but no
-// per-request timeout and no concurrency gate: the stream lives until
-// the job settles or the client disconnects, and it must never occupy a
-// slot a simulation could use.
+// per-request timeout: the stream lives until the job settles or the
+// client disconnects.
 func (s *Server) routeStream(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now() //lint:allow wallclock request-latency metric for /metrics, never enters a stall table

@@ -321,28 +321,6 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestOverloadedQueue pins the 503 path deterministically: the single
-// concurrency slot is taken, and the request arrives with an already
-// expired context, so the gate's select can only take the Done branch.
-func TestOverloadedQueue(t *testing.T) {
-	s := New(WithIterations(4), WithMaxConcurrent(1))
-	s.sem <- struct{}{} // occupy the only heavy slot
-	defer func() { <-s.sem }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/profile",
-		strings.NewReader(`{"model":"resnet18","instance":"p3.2xlarge"}`)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("queued request = %d, body %s", rec.Code, rec.Body)
-	}
-	if got := errCode(t, rec.Body.Bytes()); got != errOverloaded {
-		t.Errorf("error code = %q, want %q", got, errOverloaded)
-	}
-}
-
 // TestConcurrentProfilesDeterministic hammers one workload from many
 // goroutines: every response must be byte-identical (the single-flight
 // cache shares one simulation), and repeats must not re-simulate.

@@ -22,7 +22,6 @@ const (
 	errOOM              = "oom"
 	errInfeasible       = "infeasible"
 	errTimeout          = "timeout"
-	errOverloaded       = "overloaded"
 	errAuditFailed      = "audit_failed"
 	errInternal         = "internal"
 

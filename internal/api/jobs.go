@@ -31,11 +31,11 @@ func terminalState(s string) bool {
 }
 
 const (
-	// DefaultJobWorkers is the size of the job executor pool. It is
+	// DefaultJobWorkers is how many queued jobs progress at once. It is
 	// deliberately fixed (not GOMAXPROCS-derived) so a server's
-	// dispatch behavior is identical on every machine, and deliberately
-	// separate from the v1 concurrency gate: synchronous /v1 calls keep
-	// their own reserved lane and are never starved by queued jobs.
+	// dispatch behavior is identical on every machine. It sets job
+	// turnaround, not CPU use: a job's simulations take the same
+	// process-wide slots as every /v1 request's (package core's budget).
 	DefaultJobWorkers = 2
 
 	// DefaultJobTTL is how long a terminal job's result is retained for

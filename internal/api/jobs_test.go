@@ -529,8 +529,8 @@ func TestJobStoreEvictionRace(t *testing.T) {
 // TestFullRegistrySweepAcceptance is the acceptance scenario from the
 // issue, in one pass over a single full-registry sweep: (1) the SSE
 // stream reports monotonic progress and one partial per artifact, (2) a
-// synchronous /v1/profile completes through its reserved lane while the
-// sweep holds the job workers, and (3) every persisted partial is
+// synchronous /v1/profile completes while the sweep's simulations take
+// slots of the same CPU budget, and (3) every persisted partial is
 // byte-identical to the corresponding synchronous /v1/experiments/{id}
 // response (fetched afterwards — the shared single-flight cache makes
 // those replays, so the comparison costs no second simulation).
@@ -547,7 +547,7 @@ func TestFullRegistrySweepAcceptance(t *testing.T) {
 		streamed <- stream{events}
 	}()
 
-	// The sweep is live; the v1 lane must answer anyway.
+	// The sweep is live; a v1 call must answer anyway.
 	code, b := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id, "")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)

@@ -104,6 +104,9 @@ func (m *metrics) render() string {
 	b.WriteString("# HELP stashd_inflight_requests Requests currently being served.\n")
 	b.WriteString("# TYPE stashd_inflight_requests gauge\n")
 	fmt.Fprintf(&b, "stashd_inflight_requests %d\n", m.inflight.Load())
+	b.WriteString("# HELP stashd_simulations_running Simulations running across the process, each in one of its GOMAXPROCS slots.\n")
+	b.WriteString("# TYPE stashd_simulations_running gauge\n")
+	fmt.Fprintf(&b, "stashd_simulations_running %d\n", core.SimulationsRunning())
 
 	// Scenario-scheduler counters (core.Profiler.Stats) for both pools:
 	// "profile" backs /v1/profile + /v1/recommend, "experiments" is the

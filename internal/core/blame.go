@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"stash/internal/cloud"
-	"stash/internal/sim"
-	"stash/internal/simnet"
 	"stash/internal/topo"
 	"stash/internal/trace"
 	"stash/internal/train"
@@ -136,41 +134,32 @@ func (p *Profiler) BlameContext(ctx context.Context, job workload.Job, it cloud.
 	default:
 		return nil, fmt.Errorf("stash: straggler scale %v below 1", opt.StragglerScale)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
-	top, err := cloud.NewProvisioner(p.slicePolicy, p.seed).Provision(net, it, count)
-	if err != nil {
-		return nil, err
-	}
-
-	var gpus []*topo.Device
-	if gpusPer > 0 {
-		for _, m := range top.Machines {
-			gpus = append(gpus, m.GPUs[:gpusPer]...)
-		}
-	}
 	rec := trace.New()
-	cfg := train.Config{
-		Job:               job,
-		Topology:          top,
-		GPUs:              gpus,
-		Iterations:        p.iterations,
-		Warmup:            profileWarmup,
-		Synthetic:         true,
-		CollectiveOptions: p.collectiveOpts,
-		DisableOverlap:    !top.SupportsAsyncCollectives(),
-		Trace:             rec,
-		StragglerRank:     straggler,
-		StragglerScale:    scale,
-	}
-	if straggler < 0 {
-		cfg.StragglerRank, cfg.StragglerScale = 0, 1
-	}
-	res, err := train.Run(eng, net, cfg)
+	res, err := Simulate(ctx, cloud.NewProvisioner(p.slicePolicy, p.seed), it, count, func(w World) (*train.Result, error) {
+		var gpus []*topo.Device
+		if gpusPer > 0 {
+			for _, m := range w.Topology.Machines {
+				gpus = append(gpus, m.GPUs[:gpusPer]...)
+			}
+		}
+		cfg := train.Config{
+			Job:               job,
+			Topology:          w.Topology,
+			GPUs:              gpus,
+			Iterations:        p.iterations,
+			Warmup:            profileWarmup,
+			Synthetic:         true,
+			CollectiveOptions: p.collectiveOpts,
+			DisableOverlap:    !w.Topology.SupportsAsyncCollectives(),
+			Trace:             rec,
+			StragglerRank:     straggler,
+			StragglerScale:    scale,
+		}
+		if straggler < 0 {
+			cfg.StragglerRank, cfg.StragglerScale = 0, 1
+		}
+		return train.Run(w.Engine, w.Net, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}

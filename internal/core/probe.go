@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"stash/internal/cloud"
 	"stash/internal/hw"
-	"stash/internal/sim"
 	"stash/internal/simnet"
 	"stash/internal/workload"
 )
@@ -38,30 +38,26 @@ func (b BandwidthProbe) MinPerGPU() float64 {
 // PCIeBandwidthProbe measures per-GPU PCIe bandwidth on an instance with
 // all GPUs transferring in parallel.
 func (p *Profiler) PCIeBandwidthProbe(it cloud.InstanceType) (BandwidthProbe, error) {
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
-	top, err := cloud.NewProvisioner(p.slicePolicy, p.seed).Provision(net, it, 1)
-	if err != nil {
-		return BandwidthProbe{}, err
-	}
-	m := top.Machines[0]
-	const probeBytes = 1 * hw.GB
-	flows := make([]*simnet.Flow, len(m.GPUs))
-	for i, g := range m.GPUs {
-		route, err := top.Route(m.Host, g)
-		if err != nil {
-			return BandwidthProbe{}, err
+	return Simulate(context.Background(), cloud.NewProvisioner(p.slicePolicy, p.seed), it, 1, func(w World) (BandwidthProbe, error) {
+		m := w.Topology.Machines[0]
+		const probeBytes = 1 * hw.GB
+		flows := make([]*simnet.Flow, len(m.GPUs))
+		for i, g := range m.GPUs {
+			route, err := w.Topology.Route(m.Host, g)
+			if err != nil {
+				return BandwidthProbe{}, err
+			}
+			flows[i] = w.Net.StartFlow(probeBytes, route)
 		}
-		flows[i] = net.StartFlow(probeBytes, route)
-	}
-	if err := eng.Run(); err != nil {
-		return BandwidthProbe{}, fmt.Errorf("stash: bandwidth probe: %w", err)
-	}
-	probe := BandwidthProbe{Instance: it.Name, PerGPU: make([]float64, len(flows))}
-	for i, f := range flows {
-		probe.PerGPU[i] = f.Throughput()
-	}
-	return probe, nil
+		if err := w.Engine.Run(); err != nil {
+			return BandwidthProbe{}, fmt.Errorf("stash: bandwidth probe: %w", err)
+		}
+		probe := BandwidthProbe{Instance: it.Name, PerGPU: make([]float64, len(flows))}
+		for i, f := range flows {
+			probe.PerGPU[i] = f.Throughput()
+		}
+		return probe, nil
+	})
 }
 
 // MemoryUtilization returns the percentage of per-GPU device memory the

@@ -30,8 +30,6 @@ import (
 	"stash/internal/cloud"
 	"stash/internal/collective"
 	"stash/internal/pipeline"
-	"stash/internal/sim"
-	"stash/internal/simnet"
 	"stash/internal/topo"
 	"stash/internal/train"
 	"stash/internal/workload"
@@ -256,18 +254,26 @@ const (
 	modeRealWarm
 )
 
-// run executes one scenario on a fresh engine and returns the result.
+// run executes one scenario on a fresh world and returns the result.
 // Results are memoized: with a fixed profiler configuration a scenario is
 // fully deterministic, so the first requester simulates and everyone
 // else — concurrent or later — shares its result (or its error).
 //
+// Only a miss takes a budget slot, and it takes it before it claims the
+// scenario: it waits for the slot under its own ctx, then checks the
+// cache again and inserts its entry only if no other goroutine did
+// meanwhile; otherwise it gives the slot back and waits on that entry.
+// So hits and single-flight waits never hold a slot, no entry's owner
+// waits for one, and a request cancelled while it waits for a slot
+// leaves no entry behind.
+//
 // Cancellation is checked at scenario granularity: a request that
 // arrives with an expired context never starts a simulation, and a
-// request blocked on another goroutine's in-flight scenario stops
-// waiting when its own context is cancelled. A simulation that has
-// already started always runs to completion (they take milliseconds),
-// so a cancelled requester never poisons the single-flight entry for
-// the goroutines still waiting on it.
+// request waiting for a slot or blocked on another goroutine's
+// in-flight scenario stops waiting when its own context is cancelled.
+// A simulation that has already started always runs to completion (they
+// take milliseconds), so a cancelled requester never poisons the
+// single-flight entry for the goroutines still waiting on it.
 //
 // Counter discipline: a request that passes the fit check increments
 // requests, then exactly one outcome counter — simulated, hits, waits,
@@ -292,88 +298,94 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 		mode:     sc.mode,
 	}
 	p.mu.Lock()
-	if e, ok := p.cache[key]; ok {
-		p.mu.Unlock()
-		select {
-		case <-e.done:
-			p.hits.Add(1)
-			return e.res, e.err
-		default:
-		}
-		select {
-		case <-e.done:
-			p.waits.Add(1)
-			return e.res, e.err
-		case <-ctx.Done():
-			p.cancelled.Add(1)
-			return nil, ctx.Err()
-		}
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	p.cache[key] = e
+	e, ok := p.cache[key]
 	p.mu.Unlock()
-
-	e.res, e.err = p.simulate(job, sc)
-	p.simulated.Add(1)
-	close(e.done)
-	return e.res, e.err
+	if !ok {
+		s, err := takeSlot(ctx)
+		if err != nil {
+			p.cancelled.Add(1)
+			return nil, err
+		}
+		p.mu.Lock()
+		if e, ok = p.cache[key]; !ok {
+			e = &cacheEntry{done: make(chan struct{})}
+			p.cache[key] = e
+		}
+		p.mu.Unlock()
+		if !ok {
+			e.res, e.err = p.simulate(s, job, sc)
+			p.simulated.Add(1)
+			close(e.done)
+			return e.res, e.err
+		}
+		s.release()
+	}
+	select {
+	case <-e.done:
+		p.hits.Add(1)
+		return e.res, e.err
+	default:
+	}
+	select {
+	case <-e.done:
+		p.waits.Add(1)
+		return e.res, e.err
+	case <-ctx.Done():
+		p.cancelled.Add(1)
+		return nil, ctx.Err()
+	}
 }
 
-// simulate runs one scenario on a world built for it — engine, network
-// and provisioned topology — so every profiling step is its own clean
-// training run.
-func (p *Profiler) simulate(job workload.Job, sc scenario) (*train.Result, error) {
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
-	top, err := cloud.NewProvisioner(p.slicePolicy, p.seed).Provision(net, sc.instance, sc.count)
-	if err != nil {
-		return nil, err
-	}
-
-	var gpus []*topo.Device
-	if sc.gpusPer > 0 {
-		for _, m := range top.Machines {
-			if sc.gpusPer > len(m.GPUs) {
-				return nil, fmt.Errorf("stash: %d GPUs requested per %s, has %d",
-					sc.gpusPer, sc.instance.Name, len(m.GPUs))
+// simulate runs one scenario on held slot s, on a world built for it —
+// engine, network and provisioned topology — so every profiling step is
+// its own clean training run.
+func (p *Profiler) simulate(s *slot, job workload.Job, sc scenario) (*train.Result, error) {
+	return simulate(s, cloud.NewProvisioner(p.slicePolicy, p.seed), sc.instance, sc.count, func(w World) (*train.Result, error) {
+		var gpus []*topo.Device
+		if sc.gpusPer > 0 {
+			for _, m := range w.Topology.Machines {
+				if sc.gpusPer > len(m.GPUs) {
+					return nil, fmt.Errorf("stash: %d GPUs requested per %s, has %d",
+						sc.gpusPer, sc.instance.Name, len(m.GPUs))
+				}
+				gpus = append(gpus, m.GPUs[:sc.gpusPer]...)
 			}
-			gpus = append(gpus, m.GPUs[:sc.gpusPer]...)
 		}
-	}
 
-	cfg := train.Config{
-		Job:               job,
-		Topology:          top,
-		GPUs:              gpus,
-		Iterations:        p.iterations,
-		Warmup:            profileWarmup,
-		Synthetic:         sc.mode == modeSynthetic,
-		EveryIteration:    p.everyIteration,
-		CollectiveOptions: p.collectiveOpts,
-		// Transfers that stage through host memory (PCIe peer traffic,
-		// network paths) block the compute stream; only whole NVLink
-		// crossbars keep the DDP overlap (§VI-A2's additive cost model).
-		DisableOverlap: !top.SupportsAsyncCollectives(),
-	}
-	if sc.mode != modeSynthetic {
-		cfg.Pipelines = make(map[int]*pipeline.HostPipeline, len(top.Machines))
-		for node := range top.Machines {
-			hp, err := pipeline.New(eng, net, node, pipeline.Config{
-				Storage:    sc.instance.Storage,
-				CPU:        sc.instance.CPU(),
-				CacheBytes: sc.instance.MainMemoryGB * 0.9e9,
-			})
-			if err != nil {
-				return nil, err
+		cfg := train.Config{
+			Job:               job,
+			Topology:          w.Topology,
+			GPUs:              gpus,
+			Iterations:        p.iterations,
+			Warmup:            profileWarmup,
+			Synthetic:         sc.mode == modeSynthetic,
+			EveryIteration:    p.everyIteration,
+			CollectiveOptions: p.collectiveOpts,
+			// Transfers that stage through host memory (PCIe peer traffic,
+			// network paths) block the compute stream; only whole NVLink
+			// crossbars keep the DDP overlap (§VI-A2's additive cost model).
+			DisableOverlap: !w.Topology.SupportsAsyncCollectives(),
+		}
+		if sc.mode != modeSynthetic {
+			cfg.Pipelines = make(map[int]*pipeline.HostPipeline, len(w.Topology.Machines))
+			for node := range w.Topology.Machines {
+				hp, err := pipeline.New(w.Engine, w.Net, node, pipeline.Config{
+					Storage:    sc.instance.Storage,
+					CPU:        sc.instance.CPU(),
+					CacheBytes: sc.instance.MainMemoryGB * 0.9e9,
+				})
+				if err != nil {
+					return nil, err
+				}
+				cfg.Pipelines[node] = hp
 			}
-			cfg.Pipelines[node] = hp
+			cfg.CacheMode = pipeline.CacheCold
+			if sc.mode == modeRealWarm {
+				cfg.CacheMode = pipeline.CacheWarm
+			}
 		}
-		cfg.CacheMode = pipeline.CacheCold
-		if sc.mode == modeRealWarm {
-			cfg.CacheMode = pipeline.CacheWarm
-		}
-	}
-	return train.Run(eng, net, cfg)
+		return train.Run(w.Engine, w.Net, cfg)
+	})
 }
 
 // ICStall is the interconnect-stall measurement of §IV-B1.

@@ -9,8 +9,6 @@ import (
 	"stash/internal/core"
 	"stash/internal/dnn"
 	"stash/internal/report"
-	"stash/internal/sim"
-	"stash/internal/simnet"
 	"stash/internal/train"
 	"stash/internal/workload"
 )
@@ -24,24 +22,20 @@ func rawRun(cfg Config, instance string, count int, job workload.Job, policy clo
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	net := simnet.New(eng)
-	top, err := cloud.NewProvisioner(policy, c.Seed).Provision(net, it, count)
-	if err != nil {
-		return nil, err
-	}
-	tc := train.Config{
-		Job:            job,
-		Topology:       top,
-		Iterations:     c.Iterations,
-		Warmup:         2,
-		Synthetic:      true,
-		DisableOverlap: !top.SupportsAsyncCollectives(),
-	}
-	if mutate != nil {
-		mutate(&tc)
-	}
-	return train.Run(eng, net, tc)
+	return core.Simulate(c.context(), cloud.NewProvisioner(policy, c.Seed), it, count, func(w core.World) (*train.Result, error) {
+		tc := train.Config{
+			Job:            job,
+			Topology:       w.Topology,
+			Iterations:     c.Iterations,
+			Warmup:         2,
+			Synthetic:      true,
+			DisableOverlap: !w.Topology.SupportsAsyncCollectives(),
+		}
+		if mutate != nil {
+			mutate(&tc)
+		}
+		return train.Run(w.Engine, w.Net, tc)
+	})
 }
 
 // AblateOverlap quantifies what communication/computation overlap buys on

@@ -6,10 +6,9 @@ import (
 	"time"
 
 	"stash/internal/cloud"
+	"stash/internal/core"
 	"stash/internal/dnn"
 	"stash/internal/report"
-	"stash/internal/sim"
-	"stash/internal/simnet"
 	"stash/internal/train"
 )
 
@@ -34,23 +33,19 @@ func NetworkVariance(cfg Config) ([]*report.Table, error) {
 	c := cfg.normalize()
 
 	run := func(seed int64, jitter float64) (time.Duration, error) {
-		eng := sim.NewEngine()
-		net := simnet.New(eng)
 		prov := cloud.NewProvisioner(cloud.SliceDegraded, seed)
 		if err := prov.SetNetworkJitter(jitter); err != nil {
 			return 0, err
 		}
-		top, err := prov.Provision(net, it, 2)
-		if err != nil {
-			return 0, err
-		}
-		res, err := train.Run(eng, net, train.Config{
-			Job:            job,
-			Topology:       top,
-			Iterations:     c.Iterations,
-			Warmup:         2,
-			Synthetic:      true,
-			DisableOverlap: true,
+		res, err := core.Simulate(c.context(), prov, it, 2, func(w core.World) (*train.Result, error) {
+			return train.Run(w.Engine, w.Net, train.Config{
+				Job:            job,
+				Topology:       w.Topology,
+				Iterations:     c.Iterations,
+				Warmup:         2,
+				Synthetic:      true,
+				DisableOverlap: true,
+			})
 		})
 		if err != nil {
 			return 0, err

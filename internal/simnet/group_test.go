@@ -762,9 +762,10 @@ func TestLoneGroupSolvesOnce(t *testing.T) {
 		// Round 0 fills at each of the 4 staggered activations and after
 		// each of the first 3 members leaves, and once more at its
 		// piecemeal re-arm; round 1 records the template with 3 fills and
-		// 4 completion events; its re-arm forwards rounds 2 to 5, which
-		// need one event, at their end, where nothing is filled.
-		want := [4]uint64{11, 1, rounds - 3, 9}
+		// 4 completion events, the last of which keeps the standing rates
+		// because its re-arm forwards rounds 2 to 5; they need one event,
+		// at their end, where nothing is filled either.
+		want := [4]uint64{11, 2, rounds - 3, 9}
 		if got := [4]uint64{n.filled, n.kept, n.forwarded, n.completions}; got != want {
 			t.Errorf("filled, kept, forwarded, completion events = %v; want %v", got, want)
 		}

@@ -744,7 +744,9 @@ func (n *Network) scheduleCompletion() {
 // depends only on the flow set. A round that ended piecemeal and re-arms
 // touches every member's component, because the members that left
 // earlier come back with the rates of a solve made before they left,
-// which the solves since then have not corrected.
+// which the solves since then have not corrected; except when the round
+// was a recorded template, whose group rearm forwards out of the flow
+// set.
 func (n *Network) onCompletion() {
 	n.completion = sim.Event{}
 	n.completions++
@@ -791,6 +793,12 @@ func (n *Network) onCompletion() {
 	}
 	n.finished = done[:0]
 	for _, g := range n.rearmed {
+		if g.mode == recording {
+			// Its template round just ended: rearm forwards it, taking
+			// the members out of the flow set, so no solve or plan of
+			// theirs would be used.
+			continue
+		}
 		whole := g.firstLeft == n.completions
 		for i := range g.members {
 			if m := &g.members[i]; whole {

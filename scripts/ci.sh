@@ -7,7 +7,8 @@
 # example), the documentation checks (docs/API.md examples replayed
 # against a live server, markdown cross-references resolved), and a
 # race-detector pass — the real guard for the parallel scenario
-# scheduler and the stashd concurrency gate. Run from the repository root:
+# scheduler and the simulation budget — plus a one-slot pass that would
+# deadlock on a slot held across a wait. Run from the repository root:
 #
 #   ./scripts/ci.sh
 set -eu
@@ -50,6 +51,13 @@ STASHD_CAPTURE="$(mktemp -d)" go test ./internal/api -run 'TestCaptureDocExample
 
 echo "==> go test ./..."
 go test ./...
+
+# Every simulation takes one of GOMAXPROCS process-wide slots
+# (core.Simulate). At -cpu 1 the budget has one slot, so every nested
+# sweep, job and recommend fan-out in these packages would deadlock if
+# anything held a slot while it waited for another simulation.
+echo "==> go test -cpu 1 (one-slot simulation budget)"
+go test -count=1 -cpu 1 ./internal/core ./internal/experiments ./internal/api
 
 echo "==> go test -race ./..."
 go test -race ./...
