@@ -86,11 +86,15 @@ func auditDeterminism(ctx context.Context, opts Options, res *Result) error {
 }
 
 // auditOnePeriod checks the one-period guarantee: a profile computed
-// the default way (synthetic training runs simulate one step and scale
-// it, see train.Config.EveryIteration) must be deeply equal to one whose
-// every training run simulates all its warmup and measured steps. Any
-// divergence means synthetic training is not periodic from iteration
-// zero and the one-period path is unsound.
+// the default way, whose training runs skip the steps that provably
+// repeat (see train.Run), must be deeply equal to one whose every
+// training run simulates all its warmup and measured steps. The profile
+// covers both kinds of skip: its synthetic runs (steps ①, ② and ⑤)
+// simulate one step and scale it, and its real-data runs (steps ③ and
+// ④) skip the periods their boundary fingerprints repeat. Any divergence
+// means synthetic training is not periodic from iteration zero, or a
+// real-data fingerprint missed state that shapes later steps, and the
+// one-period path is unsound.
 func auditOnePeriod(ctx context.Context, opts Options, res *Result) error {
 	job, it, ok := fittingCell(opts)
 	if !ok {
@@ -121,7 +125,7 @@ func auditOnePeriod(ctx context.Context, opts Options, res *Result) error {
 		return nil
 	}
 	res.check(FamilyDeterminism, "one-period-vs-full", reflect.DeepEqual(period, full),
-		"%s@%s profiles differently from one period than from every iteration — synthetic training is not periodic from iteration zero",
+		"%s@%s profiles differently from one period than from every iteration — synthetic training (steps ①②⑤) is not periodic from iteration zero, or a real-data fingerprint (steps ③④) missed state",
 		job.Model.Name, it.Name)
 	return nil
 }

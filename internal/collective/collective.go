@@ -167,6 +167,10 @@ func (g *Group) OpsCompleted() int { return g.opsCompleted }
 // collectives.
 func (g *Group) BytesReduced() float64 { return g.bytesReduced }
 
+// Idle reports whether every collective issued on the group has
+// completed: none is executing, ready or awaiting a rank.
+func (g *Group) Idle() bool { return !g.executing && len(g.ready) == 0 && len(g.ops) == 0 }
+
 // BusyTime returns the cumulative wall-clock (virtual) time the group
 // spent executing collectives.
 func (g *Group) BusyTime() time.Duration { return g.busyTime }

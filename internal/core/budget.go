@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,15 +14,18 @@ import (
 )
 
 // budget is the process's one CPU budget: runtime.GOMAXPROCS(0)
-// simulation slots, sized when the first slot is taken. Every world is
-// built and run while holding a slot, whether the simulation comes from
-// a CLI sweep, a stashd request, a job or a sweep worker inside one, so
-// however those nest, no more simulations run at once than the process
-// has CPUs. Only that leaf holds a slot: nothing that holds one waits on
-// a cache entry, a sweep or a job, so the budget cannot deadlock.
+// simulation slots, read at every take, so a process that changes
+// GOMAXPROCS (as `go test -cpu 1,2` does) gets a budget of the new size.
+// Every world is built and run while holding a slot, whether the
+// simulation comes from a CLI sweep, a stashd request, a job or a sweep
+// worker inside one, so however those nest, no more simulations run at
+// once than the process has CPUs. Only that leaf holds a slot: nothing
+// that holds one waits on a cache entry, a sweep or a job, so the budget
+// cannot deadlock. Waiters are granted slots in arrival order.
 var budget struct {
-	once    sync.Once
-	slots   chan struct{}
+	mu      sync.Mutex
+	held    int
+	waiters []chan struct{} // closed when its slot is granted
 	running atomic.Int64
 }
 
@@ -31,20 +35,47 @@ type slot struct{}
 // takeSlot waits for a free slot, or returns ctx.Err() once ctx ends.
 // An expired ctx never takes one.
 func takeSlot(ctx context.Context) (*slot, error) {
-	budget.once.Do(func() { budget.slots = make(chan struct{}, runtime.GOMAXPROCS(0)) })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	budget.mu.Lock()
+	granted := make(chan struct{})
+	budget.waiters = append(budget.waiters, granted)
+	grant()
+	budget.mu.Unlock()
 	select {
-	case budget.slots <- struct{}{}:
+	case <-granted:
+		return &slot{}, nil
 	case <-ctx.Done():
+	}
+	budget.mu.Lock()
+	if i := slices.Index(budget.waiters, granted); i >= 0 {
+		budget.waiters = slices.Delete(budget.waiters, i, i+1)
+		budget.mu.Unlock()
 		return nil, ctx.Err()
 	}
-	return &slot{}, nil
+	budget.mu.Unlock()
+	// The slot was granted as ctx ended: give it back.
+	(&slot{}).release()
+	return nil, ctx.Err()
 }
 
 // release gives the slot back.
-func (*slot) release() { <-budget.slots }
+func (*slot) release() {
+	budget.mu.Lock()
+	budget.held--
+	grant()
+	budget.mu.Unlock()
+}
+
+// grant hands free slots to the longest waiters. budget.mu is held.
+func grant() {
+	for len(budget.waiters) > 0 && budget.held < runtime.GOMAXPROCS(0) {
+		budget.held++
+		close(budget.waiters[0])
+		budget.waiters = slices.Delete(budget.waiters, 0, 1)
+	}
+}
 
 // SimulationsRunning is the number of worlds being built or run across
 // the process. Each holds a slot, so it is never more than GOMAXPROCS.

@@ -13,11 +13,13 @@ import (
 // call more than once, that gives them back.
 func holdBudget(t *testing.T) func() {
 	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var held []*slot
-	for len(held) == 0 || len(held) < cap(budget.slots) {
-		s, err := takeSlot(context.Background())
+	for len(held) < runtime.GOMAXPROCS(0) {
+		s, err := takeSlot(ctx)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("taking slot %d of GOMAXPROCS = %d: %v", len(held)+1, runtime.GOMAXPROCS(0), err)
 		}
 		held = append(held, s)
 	}
@@ -47,13 +49,23 @@ func answers(t *testing.T, what string, fn func() error) {
 	}
 }
 
-// TestBudgetIsGOMAXPROCS: the budget has one slot per GOMAXPROCS, so
-// `go test -cpu 1` runs every sweep on one slot.
+// TestBudgetIsGOMAXPROCS: the budget has one slot per GOMAXPROCS, read
+// at every take, so `go test -cpu 1` runs every sweep on one slot and
+// `-cpu 1,2` gets two in its second run.
 func TestBudgetIsGOMAXPROCS(t *testing.T) {
 	release := holdBudget(t)
 	defer release()
-	if got, want := cap(budget.slots), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("budget has %d slots, want GOMAXPROCS = %d", got, want)
+	budget.mu.Lock()
+	held := budget.held
+	budget.mu.Unlock()
+	if want := runtime.GOMAXPROCS(0); held != want {
+		t.Errorf("budget has %d slots, want GOMAXPROCS = %d", held, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if s, err := takeSlot(ctx); err == nil {
+		s.release()
+		t.Errorf("took slot %d of a budget of GOMAXPROCS = %d", held+1, held)
 	}
 }
 

@@ -81,8 +81,10 @@ func WithParallelism(n int) Option {
 }
 
 // WithEveryIteration makes every training run simulate all its steps
-// instead of one period (train.Config.EveryIteration). Default off; the
-// audit sets it to check the one-period path against the full run.
+// instead of skipping those that provably repeat: one synthetic step
+// scaled, or a real-data run's repeated periods
+// (train.Config.EveryIteration). Default off; the audit sets it to check
+// the one-period path against the full run.
 func WithEveryIteration(on bool) Option {
 	return func(p *Profiler) { p.everyIteration = on }
 }

@@ -152,6 +152,14 @@ type Loader struct {
 	iterations int
 	queue      *sim.Queue[Batch]
 	credits    *sim.Resource
+
+	// Stage state, read by AppendState: the batches fetched and handed to
+	// the consumer so far, the queues between the stages, and the flows
+	// each stage awaits (nil when it awaits none).
+	next, taken      int
+	fetched, prepped *sim.Queue[Batch]
+	reads, ops       *simnet.Flow
+	prepFlow, upFlow *simnet.Flow
 }
 
 // NewLoader creates a dataloader that will produce the given number of
@@ -171,6 +179,8 @@ func (hp *HostPipeline) NewLoader(job workload.Job, uploadTo []*simnet.Link, ite
 		iterations: iterations,
 		queue:      sim.NewQueue[Batch](hp.eng),
 		credits:    sim.NewResource(hp.eng, hp.cfg.PrefetchDepth),
+		fetched:    sim.NewQueue[Batch](hp.eng),
+		prepped:    sim.NewQueue[Batch](hp.eng),
 	}, nil
 }
 
@@ -182,8 +192,6 @@ func (l *Loader) Start(name string) {
 	hp := l.hp
 	batch := float64(l.job.BatchPerGPU)
 	ds := l.job.Dataset
-	fetched := sim.NewQueue[Batch](hp.eng)
-	prepped := sim.NewQueue[Batch](hp.eng)
 
 	// Fetch takes a prefetch credit, then reads the encoded batch from
 	// the volume, minus cache hits. Bytes and read operations are
@@ -191,18 +199,18 @@ func (l *Loader) Start(name string) {
 	// fetch.
 	var fetch *sim.Task
 	var next, read, put func()
-	i := 0
 	next = func() {
-		if i == l.iterations {
-			fetched.Close()
+		if l.next == l.iterations {
+			l.fetched.Close()
 			fetch.End()
 			return
 		}
 		l.credits.AcquireFunc(read)
 	}
 	put = func() {
-		fetched.Put(Batch{Index: i})
-		i++
+		l.reads, l.ops = nil, nil
+		l.fetched.Put(Batch{Index: l.next})
+		l.next++
 		next()
 	}
 	read = func() {
@@ -212,32 +220,33 @@ func (l *Loader) Start(name string) {
 			put()
 			return
 		}
-		bytesFlow := hp.net.StartFlow(diskBytes, []*simnet.Link{hp.disk})
+		l.reads = hp.net.StartFlow(diskBytes, []*simnet.Link{hp.disk})
 		if hp.iops == nil {
-			bytesFlow.Done().OnFire(put)
+			l.reads.Done().OnFire(put)
 			return
 		}
-		opsFlow := hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{hp.iops}, 0)
-		opsFlow.Done().OnFire(func() { bytesFlow.Done().OnFire(put) })
+		l.ops = hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{hp.iops}, 0)
+		l.ops.Done().OnFire(func() { l.reads.Done().OnFire(put) })
 	}
 	fetch = hp.eng.Spawn(name+"/fetch", next)
 
 	// Decode+augment on the shared CPU pool. The "bytes" of this flow are
 	// samples of standard prep work.
 	prepWork := batch * ds.PrepCostFactor
-	l.stage(name+"/prep", fetched, prepped, prepWork > 0, prepWork, []*simnet.Link{hp.cpu})
+	l.stage(name+"/prep", l.fetched, l.prepped, prepWork > 0, prepWork, []*simnet.Link{hp.cpu}, &l.prepFlow)
 	// Upload the decoded batch to the GPU over PCIe.
-	l.stage(name+"/upload", prepped, l.queue, true, batch*l.job.Model.SampleBytes, l.uploadTo)
+	l.stage(name+"/upload", l.prepped, l.queue, true, batch*l.job.Model.SampleBytes, l.uploadTo, &l.upFlow)
 }
 
 // stage spawns a task that moves each batch from in to out, carrying
-// bytes along route first when carry is set, and closes out once in is
-// drained.
-func (l *Loader) stage(name string, in, out *sim.Queue[Batch], carry bool, bytes float64, route []*simnet.Link) {
+// bytes along route first when carry is set (the flow kept in *flow
+// until it is done), and closes out once in is drained.
+func (l *Loader) stage(name string, in, out *sim.Queue[Batch], carry bool, bytes float64, route []*simnet.Link, flow **simnet.Flow) {
 	var task *sim.Task
 	var cur Batch
 	var next func()
 	put := func() {
+		*flow = nil
 		out.Put(cur)
 		next()
 	}
@@ -249,7 +258,8 @@ func (l *Loader) stage(name string, in, out *sim.Queue[Batch], carry bool, bytes
 		}
 		cur = b
 		if carry {
-			l.hp.net.StartFlow(bytes, route).Done().OnFire(put)
+			*flow = l.hp.net.StartFlow(bytes, route)
+			(*flow).Done().OnFire(put)
 			return
 		}
 		put()
@@ -264,12 +274,55 @@ func (l *Loader) stage(name string, in, out *sim.Queue[Batch], carry bool, bytes
 // here is the worker's fetch+prep stall. The prefetch credit is returned
 // before fn runs.
 func (l *Loader) NextFunc(fn func(Batch, bool)) {
+	l.taken++
 	l.queue.GetFunc(func(b Batch, ok bool) {
 		if ok {
 			l.credits.Release()
 		}
 		fn(b, ok)
 	})
+}
+
+// Unfetched returns how many batches the loader has yet to fetch.
+func (l *Loader) Unfetched() int { return l.iterations - l.next }
+
+// Shorten lowers the number of batches the loader produces by m, which
+// must leave at least one batch unfetched.
+func (l *Loader) Shorten(m int) {
+	if m < 0 || m >= l.Unfetched() {
+		panic(fmt.Sprintf("pipeline: shorten by %d with %d batches unfetched", m, l.Unfetched()))
+	}
+	l.iterations -= m
+}
+
+// AppendState appends the encoding of the loader's state to buf: its
+// fetch lookahead over its consumer, the prefetch credits in use and
+// awaited, each queue's length, waiting getters and closed flag, and the
+// flows its stages await, named by ref. Two loaders that encode equal at
+// instants whose networks and pending events encode equal produce
+// batches alike until one runs out. It reports false if ref does.
+func (l *Loader) AppendState(buf []uint64, ref func(*simnet.Flow) (uint64, bool)) ([]uint64, bool) {
+	buf = append(buf, uint64(l.next-l.taken), uint64(l.credits.InUse()), uint64(l.credits.Waiting()))
+	buf = appendQueue(buf, l.fetched)
+	buf = appendQueue(buf, l.prepped)
+	buf = appendQueue(buf, l.queue)
+	for _, f := range [...]*simnet.Flow{l.reads, l.ops, l.prepFlow, l.upFlow} {
+		r, ok := ref(f)
+		if !ok {
+			return buf, false
+		}
+		buf = append(buf, r)
+	}
+	return buf, true
+}
+
+// appendQueue appends a queue's length, waiting getters and closed flag.
+func appendQueue(buf []uint64, q *sim.Queue[Batch]) []uint64 {
+	closed := uint64(0)
+	if q.Closed() {
+		closed = 1
+	}
+	return append(buf, uint64(q.Len()), uint64(q.Waiting()), closed)
 }
 
 // DiskLink exposes the machine's storage link (for probes and tests).

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -197,6 +198,47 @@ func TestSlowConsumerSeesNoStall(t *testing.T) {
 	ideal := time.Duration(iters) * compute
 	if total > ideal+ideal/10 {
 		t.Errorf("total = %v, want close to compute-bound %v", total, ideal)
+	}
+}
+
+// TestLoaderStateTellsDepth: a loader's encoding tells apart two
+// instants at which it is prefetched to different depths, even when
+// every flow it awaits is named alike, and encodes equal once the
+// consumer's batch is refetched.
+func TestLoaderStateTellsDepth(t *testing.T) {
+	r := newRig(t, defaultCfg())
+	r.hp.SetCacheMode(CacheWarm)
+	l, err := r.hp.NewLoader(smallJob(t, 32), []*simnet.Link{r.upload}, 20)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	l.Start("loader")
+	anyFlow := func(*simnet.Flow) (uint64, bool) { return 0, true }
+	state := func() []uint64 {
+		t.Helper()
+		code, ok := l.AppendState(nil, anyFlow)
+		if !ok {
+			t.Fatal("AppendState reported an uncovered state")
+		}
+		return code
+	}
+	// With no consumer the loader fills its prefetch credits and stops:
+	// the engine runs out of events with its tasks blocked.
+	idle := func() {
+		t.Helper()
+		if err := r.eng.Run(); !errors.Is(err, sim.ErrDeadlock) {
+			t.Fatalf("Run = %v, want the loader blocked on its credits", err)
+		}
+	}
+	idle()
+	full := state()
+	l.NextFunc(func(Batch, bool) {})
+	if taken := state(); reflect.DeepEqual(taken, full) {
+		t.Errorf("a batch taken from a full loader encodes as the full loader: %v", full)
+	}
+	idle()
+	if refilled := state(); !reflect.DeepEqual(refilled, full) {
+		t.Errorf("the refilled loader encodes %v, the full one %v", refilled, full)
 	}
 }
 

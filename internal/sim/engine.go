@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -78,6 +79,14 @@ func (ev Event) At() time.Duration {
 		return 0
 	}
 	return ev.n.at
+}
+
+// Arg returns the argument of a pending ScheduleArg event, or nil.
+func (ev Event) Arg() any {
+	if !ev.Pending() {
+		return nil
+	}
+	return ev.n.arg
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
@@ -202,6 +211,31 @@ func (e *Engine) Cancel(ev Event) {
 
 // Pending reports the number of events waiting to fire.
 func (e *Engine) Pending() int { return e.pending }
+
+// Scheduled reports the number of events scheduled since the engine was
+// made, including those cancelled or still pending.
+func (e *Engine) Scheduled() uint64 { return e.seq }
+
+// AppendPending appends handles to the pending events to buf in the
+// order they will fire, and returns the extended slice.
+func (e *Engine) AppendPending(buf []Event) []Event {
+	start := len(buf)
+	for _, n := range e.fifo[e.fifoHead:] {
+		if !n.dead() {
+			buf = append(buf, Event{n: n, gen: n.gen})
+		}
+	}
+	for _, n := range e.heap {
+		buf = append(buf, Event{n: n, gen: n.gen})
+	}
+	slices.SortFunc(buf[start:], func(a, b Event) int {
+		if eventLess(a.n, b.n) {
+			return -1
+		}
+		return 1
+	})
+	return buf
+}
 
 // next prunes cancelled ring entries and returns the next event to
 // dispatch without removing it, or nil when none remain.

@@ -13,8 +13,10 @@ type Signal struct {
 	eng   *Engine
 	fired bool
 
-	// waiters holds the OnFire continuations in arrival order, so they
-	// wake in exactly the order they registered.
+	// first and then waiters hold the OnFire continuations in arrival
+	// order, so they wake in exactly the order they registered. Most
+	// signals have one waiter, which first keeps without a slice.
+	first   func()
 	waiters []func()
 }
 
@@ -36,8 +38,11 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	waiters := s.waiters
-	s.waiters = nil
+	first, waiters := s.first, s.waiters
+	s.first, s.waiters = nil, nil
+	if first != nil {
+		s.eng.Schedule(0, first)
+	}
 	for _, w := range waiters {
 		s.eng.Schedule(0, w)
 	}
@@ -49,6 +54,10 @@ func (s *Signal) Fire() {
 func (s *Signal) OnFire(fn func()) {
 	if s.fired {
 		fn()
+		return
+	}
+	if s.first == nil {
+		s.first = fn
 		return
 	}
 	s.waiters = append(s.waiters, fn)
@@ -75,6 +84,9 @@ func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
+
+// Waiting returns the number of acquirers queued for a unit.
+func (r *Resource) Waiting() int { return len(r.queue) }
 
 // AcquireFunc claims a unit for fn: synchronously when one is free,
 // otherwise fn joins the wait queue and runs once a Release hands it the
@@ -118,6 +130,12 @@ func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{eng: e} }
 
 // Len reports the number of buffered items.
 func (q *Queue[T]) Len() int { return len(q.items) }
+
+// Waiting reports the number of getters waiting for an item.
+func (q *Queue[T]) Waiting() int { return len(q.waiters) }
+
+// Closed reports whether Close has been called.
+func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Put appends an item and wakes one waiting getter, if any. It may be
 // called from any event callback.

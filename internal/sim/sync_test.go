@@ -14,16 +14,19 @@ func run(t *testing.T, e *Engine) {
 	}
 }
 
+// TestSignalAwaitAndFire: every waiter wakes at the firing instant, in
+// the order it registered (the first is kept apart from the rest).
 func TestSignalAwaitAndFire(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e)
-	var woke [2]time.Duration
-	for i := 0; i < 2; i++ {
-		i := i
+	var woke [3]time.Duration
+	var order []int
+	for i := range woke {
 		var task *Task
 		task = e.Spawn("waiter", func() {
 			s.OnFire(func() {
 				woke[i] = e.Now()
+				order = append(order, i)
 				task.End()
 			})
 		})
@@ -40,6 +43,9 @@ func TestSignalAwaitAndFire(t *testing.T) {
 		if w != 3*time.Second {
 			t.Errorf("waiter %d woke at %v, want 3s", i, w)
 		}
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("waiters woke in order %v, want [0 1 2]", order)
 	}
 	if !s.Fired() {
 		t.Error("signal not marked fired")

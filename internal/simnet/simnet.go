@@ -69,6 +69,7 @@ const never = time.Duration(math.MaxInt64)
 // Link.)
 type Link struct {
 	name     string
+	id       uint64  // index in Network.links
 	capacity float64 // bytes per second
 	latency  time.Duration
 
@@ -356,7 +357,7 @@ func (n *Network) NewLink(name string, capacity float64, latency time.Duration) 
 	if latency < 0 {
 		panic(fmt.Sprintf("simnet: link %q latency %v < 0", name, latency))
 	}
-	l := &Link{name: name, capacity: capacity, latency: latency}
+	l := &Link{name: name, id: uint64(len(n.links)), capacity: capacity, latency: latency}
 	l.parent = l
 	n.links = append(n.links, l)
 	return l

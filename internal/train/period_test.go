@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"stash/internal/cloud"
 	"stash/internal/collective"
 	"stash/internal/dnn"
+	"stash/internal/pipeline"
 	"stash/internal/sim"
 	"stash/internal/simnet"
 	"stash/internal/trace"
@@ -36,8 +38,10 @@ func (c cluster) String() string {
 }
 
 // run provisions a fresh copy of the cluster and trains cfg on it; cfg's
-// Topology and GPUs are filled in from the new cluster.
-func (c cluster) run(t *testing.T, cfg Config) *Result {
+// Topology and GPUs are filled in from the new cluster, and a real-data
+// run gets the profiler's pipelines and overlap setting. It returns the
+// Result and the number of events the run scheduled.
+func (c cluster) run(t *testing.T, cfg Config) (*Result, uint64) {
 	t.Helper()
 	it, err := cloud.ByName(c.instance)
 	if err != nil {
@@ -54,6 +58,19 @@ func (c cluster) run(t *testing.T, cfg Config) *Result {
 		t.Fatal(err)
 	}
 	cfg.Topology = top
+	if !cfg.Synthetic {
+		cfg.Pipelines = map[int]*pipeline.HostPipeline{}
+		for node := range top.Machines {
+			hp, err := pipeline.New(eng, net, node, pipeline.Config{
+				Storage: it.Storage, CPU: it.CPU(), CacheBytes: it.MainMemoryGB * 0.9e9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Pipelines[node] = hp
+		}
+		cfg.DisableOverlap = !top.SupportsAsyncCollectives()
+	}
 	if c.gpusPer > 0 {
 		for _, m := range top.Machines {
 			cfg.GPUs = append(cfg.GPUs, m.GPUs[:c.gpusPer]...)
@@ -63,21 +80,40 @@ func (c cluster) run(t *testing.T, cfg Config) *Result {
 	if err != nil {
 		t.Fatalf("%v: Run: %v", c, err)
 	}
-	return res
+	return res, eng.Scheduled()
 }
 
 // checkOnePeriod runs cfg on the cluster from one period and from every
-// iteration and requires the two Results to be deeply equal.
-func checkOnePeriod(t *testing.T, c cluster, cfg Config) {
+// iteration and requires the two Results to be deeply equal. It returns
+// the full run's Result and the iterations a real-data run skipped.
+func checkOnePeriod(t *testing.T, c cluster, cfg Config) (full *Result, skipped int) {
 	t.Helper()
 	cfg.EveryIteration = false
-	period := c.run(t, cfg)
-	cfg.EveryIteration = true
-	full := c.run(t, cfg)
-	if !reflect.DeepEqual(period, full) {
-		t.Errorf("%v warmup %d iterations %d: one period diverges from the full run:\n got %+v\nwant %+v",
-			c, cfg.Warmup, cfg.Iterations, *period, *full)
+	outer := observeProbe
+	observeProbe = func(s *skipper) {
+		skipped = s.skipped
+		if outer != nil {
+			outer(s)
+		}
 	}
+	period, _ := c.run(t, cfg)
+	observeProbe = outer
+	cfg.EveryIteration = true
+	full, _ = c.run(t, cfg)
+	if !reflect.DeepEqual(period, full) {
+		t.Errorf("%v %v warmup %d iterations %d: one period diverges from the full run:\n got %+v\nwant %+v",
+			c, cfg.CacheMode, cfg.Warmup, cfg.Iterations, *period, *full)
+	}
+	return full, skipped
+}
+
+func mustJob(t *testing.T, m *dnn.Model, batch int) workload.Job {
+	t.Helper()
+	job, err := workload.NewJob(m, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
 }
 
 // TestOnePeriodMatchesFullRun is the differential oracle for the
@@ -86,6 +122,8 @@ func checkOnePeriod(t *testing.T, c cluster, cfg Config) {
 // run scaled from one simulated step equals the run that simulates every
 // step, field for field. Compression, sized buckets, the parameter
 // server and jittered VPC draws ride along on representative fabrics.
+// Real-data runs that skip their repeated periods must equal the full
+// run too, and must skip somewhere on each fabric and cache mode.
 func TestOnePeriodMatchesFullRun(t *testing.T) {
 	job := resnet18Job(t, 32)
 	fabrics := []cluster{
@@ -141,6 +179,155 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 		c := cluster{instance: "p3.8xlarge", count: 2, jitter: 0.4, seed: seed}
 		checkOnePeriod(t, c, Config{Job: job, Iterations: 7, Warmup: 2, Synthetic: true, DisableOverlap: true})
 		checkOnePeriod(t, c, Config{Job: vggJob, Iterations: 7, Warmup: 2, Synthetic: true, DisableOverlap: true})
+	}
+
+	// Real data: a run that skips its repeated periods, over PCIe, NVLink
+	// and two-node VPC fabrics, cold and warm caches, and a grid of warmup
+	// and measured step counts; then a fetch-bound cell (eight GPUs
+	// reading large batches from one gp2 volume, cold) and a prep-bound
+	// one (SqueezeNet's light compute on a warm cache, where eight vCPUs
+	// set the pace).
+	realFabrics := []cluster{
+		{instance: "p2.8xlarge", count: 1, seed: 1},  // PCIe
+		{instance: "p3.16xlarge", count: 1, seed: 1}, // whole NVLink crossbar
+		{instance: "p3.8xlarge", count: 2, seed: 1},  // VPC
+	}
+	for _, c := range realFabrics {
+		for _, mode := range []pipeline.CacheMode{pipeline.CacheCold, pipeline.CacheWarm} {
+			skipped := 0
+			for _, warmup := range []int{0, 3} {
+				for _, iters := range []int{1, 2, 7, 20} {
+					_, n := checkOnePeriod(t, c, Config{Job: job, Iterations: iters, Warmup: warmup, CacheMode: mode})
+					skipped += n
+				}
+			}
+			if skipped == 0 {
+				t.Errorf("%v %v: no run skipped a period", c, mode)
+			}
+		}
+	}
+
+	squeezenet, err := dnn.ByName("squeezenet1_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		instance string
+		job      workload.Job
+		mode     pipeline.CacheMode
+	}{
+		{"fetch-bound", "p3.16xlarge", resnet18Job(t, 128), pipeline.CacheCold},
+		{"prep-bound", "p3.2xlarge", mustJob(t, squeezenet, 128), pipeline.CacheWarm},
+	} {
+		c := cluster{instance: tc.instance, count: 1, seed: 1}
+		cfg := Config{Job: tc.job, Iterations: 20, Warmup: 3, CacheMode: tc.mode}
+		full, skipped := checkOnePeriod(t, c, cfg)
+		if skipped == 0 {
+			t.Errorf("%s: no period skipped", tc.name)
+		}
+		if full.DataWaitMax == 0 {
+			t.Errorf("%s: no data stall", tc.name)
+		}
+	}
+}
+
+// TestRealDataSkipWorkCounts pins the work a real-data run simulates:
+// the iterations and the engine events. A cold and a warm p3.16xlarge
+// cell skip all but their warmup, two boundaries and the steps in which
+// the loaders run out of batches, at 12 and 20 measured iterations; a
+// 16-GPU cell whose pace changes once its loaders have fetched their
+// last batch simulates that tail exactly; and a cell whose steps never
+// settle into a period simulates every step, plus one probe event per
+// boundary. The cells are the suite's at seed 1.
+func TestRealDataSkipWorkCounts(t *testing.T) {
+	mobilenet, err := dnn.ByName("mobilenet_v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alexnet, err := dnn.ByName("alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		c        cluster
+		job      workload.Job
+		mode     pipeline.CacheMode
+		iters    int
+		simulate int    // iterations simulated, warmup included
+		events   uint64 // events scheduled
+	}{
+		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 12, 7, 9534},
+		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 20, 7, 9534},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 10, 12917},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 10, 12917},
+		// 231.57 ms steps, then 197.68 ms for the last three.
+		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 10, 78508},
+		// Every step but the loaders' last fetch takes its own time.
+		{"non-periodic", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, alexnet, 32), pipeline.CacheCold, 12, 15, 11092},
+	} {
+		const warmup = 3
+		cfg := Config{Job: tc.job, Iterations: tc.iters, Warmup: warmup, CacheMode: tc.mode}
+		skipped := 0
+		observeProbe = func(s *skipper) { skipped = s.skipped }
+		_, events := tc.c.run(t, cfg)
+		observeProbe = nil
+		cfg.EveryIteration = true
+		_, full := tc.c.run(t, cfg)
+		if got := warmup + tc.iters - skipped; got != tc.simulate || events != tc.events {
+			t.Errorf("%s %v at %d iterations: simulated %d iterations and %d events, want %d and %d (the full run schedules %d)",
+				tc.name, tc.c, tc.iters, got, events, tc.simulate, tc.events, full)
+		}
+		if skipped > 0 && events >= full {
+			t.Errorf("%s %v at %d iterations: skipped %d iterations but scheduled %d events, the full run %d",
+				tc.name, tc.c, tc.iters, skipped, events, full)
+		}
+	}
+}
+
+// TestEqualStepTimesDoNotSkip is the fingerprint's negative case. A warm
+// AlexNet run on p3.2xlarge is compute-bound from its second step: every
+// step takes the same time while the loader, only a little faster than
+// the GPU, fetches further ahead every other step until its prefetch
+// credits run out. Boundaries whose steps took equal time but whose
+// loader is at a different depth must not skip; the run skips only once
+// the depth, and the rest of the state, repeats.
+func TestEqualStepTimesDoNotSkip(t *testing.T) {
+	alexnet, err := dnn.ByName("alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type probe struct {
+		it, ahead, skipped int
+		at                 time.Duration
+	}
+	var probes []probe
+	observeProbe = func(s *skipper) {
+		w := s.workers[0]
+		probes = append(probes, probe{s.it, w.total - w.loader.Unfetched() - s.it, s.skipped, s.hist[len(s.hist)-1].at})
+	}
+	c := cluster{instance: "p3.2xlarge", count: 1, seed: 1}
+	cfg := Config{Job: mustJob(t, alexnet, 128), Iterations: 20, CacheMode: pipeline.CacheWarm}
+	_, skipped := checkOnePeriod(t, c, cfg)
+	observeProbe = nil
+	if skipped == 0 {
+		t.Fatal("the run never skipped")
+	}
+	negatives := 0
+	for k := 2; k < len(probes); k++ {
+		a, b := probes[k-1], probes[k]
+		if b.at-a.at != a.at-probes[k-2].at || a.ahead == b.ahead {
+			continue
+		}
+		negatives++
+		if b.skipped > 0 {
+			t.Errorf("skipped at boundary %d: its step took as long as the one before, but the loader is %d batches ahead, not %d",
+				b.it, b.ahead, a.ahead)
+		}
+	}
+	if negatives == 0 {
+		t.Fatalf("no boundary after an equal step with a different loader depth: %+v", probes)
 	}
 }
 

@@ -77,8 +77,9 @@ type Config struct {
 	// Warmup+Iterations optimizer steps, or one scaled to that many (Run).
 	Warmup int
 
-	// EveryIteration simulates every step even where one period would do
-	// (see Run). The audit sets it to check that both paths agree.
+	// EveryIteration simulates every step, even those that provably
+	// repeat a period of a synthetic or real-data run (see Run). The audit
+	// sets it to check that both paths agree.
 	EveryIteration bool
 
 	// CompressionRatio scales the gradient bytes each bucket carries,
@@ -146,13 +147,25 @@ type Result struct {
 // network lives on, driving the simulation to completion. The Result is
 // as if Warmup+Iterations steps ran.
 //
-// One period: a synthetic run with no trace and no straggler repeats
-// exactly from iteration zero, since each collective releases every rank
-// at once with nothing left in flight. Unless EveryIteration is set, Run
-// simulates one step of such a run and scales it in integer nanoseconds:
-// the measured durations by Iterations, and CommBusy, which counts
-// warmup steps too, by Warmup+Iterations. Link counters on the network
-// then cover only the simulated step.
+// One period: unless EveryIteration is set, Run does not simulate the
+// steps of an untraced, straggler-free run that provably repeat, and
+// link counters on the network then cover only the simulated steps.
+//
+//   - A synthetic run repeats exactly from iteration zero, since each
+//     collective releases every rank at once with nothing left in
+//     flight. Run simulates one step and scales it in integer
+//     nanoseconds: the measured durations by Iterations, and CommBusy,
+//     which counts warmup steps too, by Warmup+Iterations.
+//   - A real-data run carries loader and network state across steps, so
+//     Run finds its period instead. At every iteration boundary from
+//     Warmup on, it encodes the world relative to that instant: workers,
+//     loaders, flows and pending events. When a boundary encodes equal
+//     to one of the few before it, every later period repeats the one
+//     between them until a loader runs out of batches. Run skips the
+//     whole periods that keep each loader's fetch index below its batch
+//     count, adds their increments to the finish instant, the waits and
+//     CommBusy, and simulates the rest, where the loaders run dry,
+//     exactly (see skipper).
 func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("train: nil topology")
@@ -246,7 +259,12 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 			w.loader = loader
 		}
 	}
+	var skip *skipper
+	if !cfg.Synthetic && cfg.Trace == nil && !straggler && !cfg.EveryIteration {
+		skip = newSkipper(eng, net, group, workers)
+	}
 	for _, w := range workers {
+		w.skip = skip
 		if w.loader != nil {
 			w.loader.Start(fmt.Sprintf("loader-%d", w.rank))
 		}
@@ -261,6 +279,9 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 		WorldSize:        len(gpus),
 		ComputePerWorker: plan.computeTotal * time.Duration(iters),
 		CommBusy:         group.BusyTime(),
+	}
+	if skip != nil {
+		res.CommBusy += skip.apply()
 	}
 	for _, w := range workers {
 		if measured := w.finish - w.warmupEnd; measured > res.Elapsed {
@@ -390,6 +411,8 @@ type worker struct {
 	loader *pipeline.Loader
 	task   *sim.Task
 	eng    *sim.Engine
+	ev     sim.Event // the last forward pass scheduled
+	skip   *skipper  // nil unless Run may skip periods
 	hook   time.Duration
 	total  int
 
@@ -483,6 +506,9 @@ func (w *worker) step() {
 				w.warmupEnd = w.eng.Now()
 				w.dataWait, w.commWait = 0, 0
 			}
+			if w.skip != nil {
+				w.skip.arrive(w)
+			}
 			if w.loader != nil {
 				w.t0 = w.eng.Now()
 				w.loader.NextFunc(w.onBatch)
@@ -493,7 +519,7 @@ func (w *worker) step() {
 		case wForward:
 			w.t0 = w.eng.Now()
 			w.state = wForwardDone
-			w.eng.Schedule(w.dur(w.plan.forward), w.cont)
+			w.ev = w.eng.Schedule(w.dur(w.plan.forward), w.cont)
 			return
 
 		case wForwardDone:

@@ -59,6 +59,11 @@ go test ./...
 echo "==> go test -cpu 1 (one-slot simulation budget)"
 go test -count=1 -cpu 1 ./internal/core ./internal/experiments ./internal/api
 
+# The budget reads GOMAXPROCS at every take, so one process that runs at
+# -cpu 1 and then -cpu 2 gets one slot and then two.
+echo "==> go test -cpu 1,2 (the budget follows GOMAXPROCS)"
+go test -count=1 -cpu 1,2 -run 'TestBudget' ./internal/core
+
 echo "==> go test -race ./..."
 go test -race ./...
 
