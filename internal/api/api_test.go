@@ -8,10 +8,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"stash/internal/cloud"
+	"stash/internal/core"
 )
 
 // newTestServer builds a server with a small profiling window (fast)
@@ -388,12 +392,44 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrainsInflight starts a real http.Server, parks a
-// profile request in flight (observed via the inflight gauge), then
-// calls Shutdown: the request must complete with 200 and Shutdown must
-// return only after it drained.
+// TestGracefulShutdownDrainsInflight starts a real http.Server and parks
+// a profile request in flight: every slot of the simulation budget is
+// held by a simulation that waits on the test, so the request waits for
+// a slot (observed via the inflight gauge). Shutdown must not return
+// while the request is parked; once the slots are released the request
+// must complete with 200 and Shutdown must return after it drained.
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
-	s := New(WithIterations(600)) // large window => the profile takes a while
+	it, err := cloud.ByName("p3.2xlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var holders sync.WaitGroup
+	defer holders.Wait()
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	held := make(chan struct{})
+	for range runtime.GOMAXPROCS(0) {
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			_, _ = core.Simulate(context.Background(), cloud.NewProvisioner(cloud.SliceDegraded, 1), it, 1,
+				func(core.World) (struct{}, error) {
+					held <- struct{}{}
+					<-release
+					return struct{}{}, nil
+				})
+		}()
+	}
+	for range runtime.GOMAXPROCS(0) {
+		select {
+		case <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the simulation budget's slots were never all held")
+		}
+	}
+
+	s := New()
 	hs := &http.Server{Handler: s.Handler()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -430,7 +466,15 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- hs.Shutdown(sctx) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned %v with a request in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	releaseOnce()
+	if err := <-shut; err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
 	}
 	r := <-done

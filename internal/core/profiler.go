@@ -317,6 +317,9 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 		if !ok {
 			e.res, e.err = p.simulate(s, job, sc)
 			p.simulated.Add(1)
+			if observeSimulation != nil {
+				observeSimulation(p, job, sc, e.res)
+			}
 			close(e.done)
 			return e.res, e.err
 		}
@@ -337,6 +340,10 @@ func (p *Profiler) run(ctx context.Context, job workload.Job, sc scenario) (*tra
 		return nil, ctx.Err()
 	}
 }
+
+// observeSimulation, when set (by tests), sees every scenario a profiler
+// simulates and its result.
+var observeSimulation func(p *Profiler, job workload.Job, sc scenario, res *train.Result)
 
 // simulate runs one scenario on held slot s, on a world built for it —
 // engine, network and provisioned topology — so every profiling step is

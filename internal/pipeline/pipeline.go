@@ -153,10 +153,10 @@ type Loader struct {
 	queue      *sim.Queue[Batch]
 	credits    *sim.Resource
 
-	// Stage state, read by AppendState: the batches fetched and handed to
-	// the consumer so far, the queues between the stages, and the flows
-	// each stage awaits (nil when it awaits none).
-	next, taken      int
+	// Stage state, read by AppendState: the batches fetched so far, the
+	// queues between the stages, and the flows each stage awaits (nil
+	// when it awaits none).
+	next             int
 	fetched, prepped *sim.Queue[Batch]
 	reads, ops       *simnet.Flow
 	prepFlow, upFlow *simnet.Flow
@@ -274,7 +274,6 @@ func (l *Loader) stage(name string, in, out *sim.Queue[Batch], carry bool, bytes
 // here is the worker's fetch+prep stall. The prefetch credit is returned
 // before fn runs.
 func (l *Loader) NextFunc(fn func(Batch, bool)) {
-	l.taken++
 	l.queue.GetFunc(func(b Batch, ok bool) {
 		if ok {
 			l.credits.Release()
@@ -295,14 +294,19 @@ func (l *Loader) Shorten(m int) {
 	l.iterations -= m
 }
 
-// AppendState appends the encoding of the loader's state to buf: its
-// fetch lookahead over its consumer, the prefetch credits in use and
-// awaited, each queue's length, waiting getters and closed flag, and the
-// flows its stages await, named by ref. Two loaders that encode equal at
-// instants whose networks and pending events encode equal produce
-// batches alike until one runs out. It reports false if ref does.
+// AppendState appends the encoding of the loader's state to buf: the
+// prefetch credits in use and awaited, each queue's length, waiting
+// getters and closed flag, and the flows its stages await, named by ref.
+// Two loaders that encode equal at instants whose networks and pending
+// events encode equal produce batches alike until one runs out. The
+// fetch lookahead over the consumer needs no word of its own: at an
+// instant with nothing more due, every credit in use is held by a batch
+// fetched and not yet handed over, or by the read in flight, and every
+// batch asked for and not yet handed over is the consumer's waiting
+// getter, so the lookahead is the credits in use less those two. It
+// reports false if ref does.
 func (l *Loader) AppendState(buf []uint64, ref func(*simnet.Flow) (uint64, bool)) ([]uint64, bool) {
-	buf = append(buf, uint64(l.next-l.taken), uint64(l.credits.InUse()), uint64(l.credits.Waiting()))
+	buf = append(buf, uint64(l.credits.InUse()), uint64(l.credits.Waiting()))
 	buf = appendQueue(buf, l.fetched)
 	buf = appendQueue(buf, l.prepped)
 	buf = appendQueue(buf, l.queue)

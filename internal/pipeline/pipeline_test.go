@@ -242,6 +242,72 @@ func TestLoaderStateTellsDepth(t *testing.T) {
 	}
 }
 
+// TestLoaderStateImpliesLookahead backs the loader's encoding without a
+// word for its fetch lookahead over its consumer (the batches fetched
+// but not yet asked for): wherever nothing more is due at the instant,
+// as at a probed iteration boundary, the lookahead equals the prefetch
+// credits in use, less the one held by a read in flight and the
+// consumer's waiting request, all of which the encoding has. Cold and
+// warm caches, and consumers faster and slower than the loader, are
+// checked at every quiet instant on a 50 µs grid.
+func TestLoaderStateImpliesLookahead(t *testing.T) {
+	for _, mode := range []CacheMode{CacheCold, CacheWarm} {
+		for _, compute := range []time.Duration{time.Millisecond, 20 * time.Millisecond, 200 * time.Millisecond} {
+			r := newRig(t, defaultCfg())
+			r.hp.SetCacheMode(mode)
+			const batches = 30
+			l, err := r.hp.NewLoader(smallJob(t, 32), []*simnet.Link{r.upload}, batches)
+			if err != nil {
+				t.Fatalf("NewLoader: %v", err)
+			}
+			l.Start("loader")
+			// The consumer asks for every batch and no more, as a worker does.
+			asked, done := 0, false
+			var task *sim.Task
+			var next func()
+			next = func() {
+				if asked == batches {
+					done = true
+					task.End()
+					return
+				}
+				asked++
+				l.NextFunc(func(Batch, bool) { task.After(compute, next) })
+			}
+			task = r.eng.Spawn("consumer", next)
+			checked := 0
+			var pending []sim.Event
+			var check func()
+			check = func() {
+				now := r.eng.Now()
+				if pending = r.eng.AppendPending(pending[:0]); len(pending) > 0 && pending[0].At() == now {
+					r.eng.Schedule(0, check)
+					return
+				}
+				reading := 0
+				if l.reads != nil {
+					reading = 1
+				}
+				if want, got := l.next-asked, l.credits.InUse()-reading-l.queue.Waiting(); got != want {
+					t.Fatalf("%v cache, %v per batch, at %v: lookahead %d, but the encoded words give %d",
+						mode, compute, now, want, got)
+				}
+				checked++
+				if !done {
+					r.eng.Schedule(50*time.Microsecond, check)
+				}
+			}
+			r.eng.Schedule(0, check)
+			if err := r.eng.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if checked < 100 {
+				t.Errorf("%v cache, %v per batch: only %d instants checked", mode, compute, checked)
+			}
+		}
+	}
+}
+
 func TestFastConsumerStallsOnColdDisk(t *testing.T) {
 	// A consumer much faster than the disk must be fetch-bound: total ~=
 	// disk time.

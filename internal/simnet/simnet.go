@@ -308,7 +308,7 @@ func (g *FlowGroup) snapshot(now time.Duration) {
 type Network struct {
 	eng         *sim.Engine
 	links       []*Link
-	flows       []*Flow
+	flows       []*Flow      // active flows, in activation order
 	forwarding  []*FlowGroup // fast-forwarded groups, in the order they began
 	recording   []*FlowGroup // groups recording a template round
 	finished    []*Flow      // onCompletion scratch
@@ -553,17 +553,6 @@ func (n *Network) push(f *Flow) {
 	n.flows = append(n.flows, f)
 }
 
-// removeFlow drops an active flow by swap-removal.
-func (n *Network) removeFlow(f *Flow) {
-	last := len(n.flows) - 1
-	i := f.index
-	n.flows[i] = n.flows[last]
-	n.flows[i].index = i
-	n.flows[last] = nil
-	n.flows = n.flows[:last]
-	f.index = -1
-}
-
 // markDirty schedules a single rate recomputation at the current instant,
 // coalescing any number of same-instant arrivals and departures.
 func (n *Network) markDirty() {
@@ -753,16 +742,18 @@ func (n *Network) onCompletion() {
 	n.completions++
 	now := n.eng.Now()
 	// Collect before acting: re-arming a group appends its members to
-	// n.flows, where the swap-removal scan must not meet them.
+	// n.flows, where the scan must not meet them. The scan retires the
+	// finished flows by moving each survivor down over them, so the flow
+	// set keeps its activation order.
 	done := n.finished
-	for i := 0; i < len(n.flows); {
-		f := n.flows[i]
+	kept := 0
+	for i, f := range n.flows {
 		if f.due <= now {
 			f.settle(now)
 			if f.remaining <= epsilonBytes {
-				n.removeFlow(f)
+				f.index = -1
 				done = append(done, f)
-				continue // swapped element now at i
+				continue
 			}
 			f.plan()
 			if g := f.group; g != nil && g.mode == recording {
@@ -770,8 +761,14 @@ func (n *Network) onCompletion() {
 				n.stopRecording(g)
 			}
 		}
-		i++
+		if kept < i {
+			f.index = kept
+			n.flows[kept] = f
+		}
+		kept++
 	}
+	clear(n.flows[kept:])
+	n.flows = n.flows[:kept]
 	for _, f := range done {
 		if f.group == nil {
 			n.finish(f)
@@ -914,15 +911,27 @@ func (n *Network) oneStep(g *FlowGroup) bool {
 	return true
 }
 
-// forward takes g's re-armed members out of the flow set and runs the
-// rest of its transfer, each round a copy of its template of the given
-// period, as one event at its end.
+// forward takes g's re-armed members out of the flow set, in one pass
+// from the lowest of their positions that moves the flows after them
+// down in order, and runs the rest of its transfer, each round a copy of
+// its template of the given period, as one event at its end.
 func (n *Network) forward(g *FlowGroup, period time.Duration) {
+	kept := len(n.flows)
 	for i := range g.members {
 		m := &g.members[i]
-		n.removeFlow(m)
+		kept = min(kept, m.index)
+		m.index = -1
 		m.root.lone = g
 	}
+	for _, f := range n.flows[kept:] {
+		if f.group != g {
+			f.index = kept
+			n.flows[kept] = f
+			kept++
+		}
+	}
+	clear(n.flows[kept:])
+	n.flows = n.flows[:kept]
 	g.mode, g.since, g.period = forwarding, n.eng.Now(), period
 	n.forwarding = append(n.forwarding, g)
 }

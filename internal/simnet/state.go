@@ -10,7 +10,8 @@ import (
 // two instants whose networks encode equal, with equal pending events,
 // evolve alike, shifted in time. Every word is relative to the instant
 // of encoding; links are named by their index, flows by their position
-// in the flow set or among the pending events.
+// in the flow set, which keeps its activation order, or among the
+// pending events.
 
 // Event tags and flow reference kinds of the encoding.
 const (
@@ -40,11 +41,14 @@ func (n *Network) AppendEvent(buf []uint64, ev sim.Event) ([]uint64, bool) {
 }
 
 // AppendState appends the encoding of n's flows and components to buf
-// relative to now: each active flow in flow-set order with its route,
+// relative to now: each active flow in activation order with its route,
 // the bits of its remaining bytes and rate, and its settled and due
 // offsets; then each link's component, named by its first link, and each
 // component's count of active flows. Filling, settling and planning read
-// only these, and the pending events (AppendEvent) name the rest. It
+// only these, and the pending events (AppendEvent) name the rest. The
+// remaining bytes are not implied by the rest: the due offset is rounded
+// up to the clock's tick, so flows that differ only in them are due at
+// one instant until a change of rate sets them apart. It
 // reports false where the encoding does not cover the state: a solve
 // pending, or a flow group running.
 func (n *Network) AppendState(buf []uint64) ([]uint64, bool) {

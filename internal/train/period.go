@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -9,20 +10,21 @@ import (
 	"stash/internal/simnet"
 )
 
-// maxPeriod is the most iterations a real-data period may span. A period
-// longer than one iteration comes from the flow set's order: swap
-// removals can leave the loaders' flows permuted at one boundary and
-// back in order at the next.
-const maxPeriod = 4
-
 // skipper finds the period of a real-data run and skips its repeats (see
-// Run). At every iteration boundary from Warmup on, once the last worker
-// has started the iteration and nothing more is due at that instant, it
-// encodes the world relative to now. When a boundary encodes equal to one
-// of the maxPeriod before it, every later period repeats the one between
-// them until a loader runs out of batches. So the skipper lowers every
-// worker's step count and every loader's batch count by the periods it
-// can skip, and apply adds their increments to the totals.
+// Run). At every iteration boundary from iteration 0 on, once the last
+// worker has started the iteration and nothing more is due at that
+// instant, it encodes the world relative to now. When a boundary encodes
+// equal to the one before it, every later iteration repeats the one
+// between them until a loader runs out of batches. So the skipper moves
+// every worker on by the iterations it can skip and lowers every
+// loader's batch count by as many, and adds their increments to each
+// worker's clock and waits and to the group's busy time.
+//
+// The period is one iteration. A longer one could only come from state
+// that alternates between boundaries, and the flow set, which once did
+// (swap removals permuted it), is kept in activation order: at seeds 1
+// to 3, every real-data run of the registry that repeats a boundary
+// within four repeats the one just before it.
 type skipper struct {
 	eng     *sim.Engine
 	net     *simnet.Network
@@ -31,22 +33,28 @@ type skipper struct {
 	probeFn func()
 	refFn   func(*simnet.Flow) (uint64, bool)
 
-	arrived int         // workers that started iteration it
-	it      int         // the boundary being probed
-	pending []sim.Event // probe scratch
-	hist    []boundary  // the last maxPeriod+1 boundaries, oldest first
-	done    bool
+	arrived  int         // workers that started iteration it
+	it       int         // the boundary being probed
+	arrivals []arrival   // per worker, its start of iteration it
+	pending  []sim.Event // probe scratch
+	prev     boundary    // the boundary before it
+	cur      boundary    // boundary it, once probed
+	done     bool
 
-	// The skip, once made: iterations skipped, and their increments to
-	// the finish instant, the group's busy time and each worker's waits.
-	skipped            int
-	elapsed, busy      time.Duration
-	dataWait, commWait []time.Duration
+	// The skip, once made: the iterations skipped and the group's busy
+	// time over them.
+	skipped int
+	busy    time.Duration
+}
+
+// arrival is a worker's instant and waits as it starts an iteration.
+type arrival struct {
+	at, dataWait, commWait time.Duration
 }
 
 // boundary is the world at an iteration boundary: its encoding (ok false
 // if the encoding does not cover it), its instant, and the running
-// totals a skipped period adds to.
+// totals a skipped iteration adds to.
 type boundary struct {
 	ok                 bool
 	code               []uint64
@@ -55,18 +63,19 @@ type boundary struct {
 }
 
 func newSkipper(eng *sim.Engine, net *simnet.Network, group *collective.Group, workers []*worker) *skipper {
-	s := &skipper{eng: eng, net: net, group: group, workers: workers}
+	s := &skipper{eng: eng, net: net, group: group, workers: workers, arrivals: make([]arrival, len(workers))}
 	s.probeFn = s.probe
 	s.refFn = func(f *simnet.Flow) (uint64, bool) { return s.net.FlowRef(f, s.pending) }
 	return s
 }
 
-// arrive counts worker w starting iteration w.it, and probes the
+// arrive records worker w starting iteration w.it, and probes the
 // boundary once every worker has.
 func (s *skipper) arrive(w *worker) {
-	if s.done || w.it < w.cfg.Warmup {
+	if s.done {
 		return
 	}
+	s.arrivals[w.rank] = arrival{w.eng.Now(), w.dataWait, w.commWait}
 	s.arrived++
 	if s.arrived < len(s.workers) {
 		return
@@ -77,7 +86,7 @@ func (s *skipper) arrive(w *worker) {
 }
 
 // probe waits until nothing more is due at the boundary's instant, then
-// records it and skips if it repeats an earlier boundary.
+// records it and skips if it repeats the boundary before.
 func (s *skipper) probe() {
 	now := s.eng.Now()
 	s.pending = s.eng.AppendPending(s.pending[:0])
@@ -85,11 +94,8 @@ func (s *skipper) probe() {
 		s.eng.Schedule(0, s.probeFn)
 		return
 	}
-	var b boundary
-	if len(s.hist) > maxPeriod {
-		b = s.hist[0]
-		s.hist = append(s.hist[:0], s.hist[1:]...)
-	}
+	s.prev, s.cur = s.cur, s.prev
+	b := &s.cur
 	b.code, b.ok = s.encode(b.code[:0])
 	b.at, b.busy = now, s.group.BusyTime()
 	b.dataWait, b.commWait = b.dataWait[:0], b.commWait[:0]
@@ -97,12 +103,8 @@ func (s *skipper) probe() {
 		b.dataWait = append(b.dataWait, w.dataWait)
 		b.commWait = append(b.commWait, w.commWait)
 	}
-	s.hist = append(s.hist, b)
-	for p := 1; b.ok && p < len(s.hist); p++ {
-		if a := &s.hist[len(s.hist)-1-p]; a.ok && slices.Equal(a.code, b.code) {
-			s.skip(a, &b, p)
-			break
-		}
+	if a := &s.prev; b.ok && a.ok && slices.Equal(a.code, b.code) {
+		s.skip(a, b)
 	}
 	if observeProbe != nil {
 		observeProbe(s)
@@ -112,28 +114,37 @@ func (s *skipper) probe() {
 // observeProbe, when set (by tests), sees the skipper after each probe.
 var observeProbe func(*skipper)
 
-// skip skips every whole period of p iterations, from boundary a to b,
-// that keeps each loader's fetch index below its batch count, since the
-// world at b repeats the world at a until one runs out.
-func (s *skipper) skip(a, b *boundary, p int) {
+// skip skips the k iterations from boundary b on that keep each
+// loader's fetch index below its batch count, since the world at b
+// repeats the world at a, one iteration earlier, until one runs out.
+// Each worker's iteration it becomes iteration it+k, with its clock
+// shifted and its waits raised by the k iterations'. A warmup boundary
+// among them, at it+j, is the worker's start of iteration it repeated j
+// iterations later.
+func (s *skipper) skip(a, b *boundary) {
 	s.done = true
-	n := s.workers[0].total - s.it
+	k := math.MaxInt
 	for _, w := range s.workers {
-		n = min(n, w.loader.Unfetched()-1)
+		k = min(k, w.loader.Unfetched()-1)
 	}
-	m := n / p
-	if m <= 0 {
+	if k <= 0 {
 		return
 	}
-	s.skipped = m * p
-	k := time.Duration(m)
-	s.elapsed = k * (b.at - a.at)
-	s.busy = k * (b.busy - a.busy)
+	s.skipped = k
+	period := b.at - a.at
+	s.busy = time.Duration(k) * (b.busy - a.busy)
 	for i, w := range s.workers {
-		w.total -= s.skipped
-		w.loader.Shorten(s.skipped)
-		s.dataWait = append(s.dataWait, k*(b.dataWait[i]-a.dataWait[i]))
-		s.commWait = append(s.commWait, k*(b.commWait[i]-a.commWait[i]))
+		data, comm := b.dataWait[i]-a.dataWait[i], b.commWait[i]-a.commWait[i]
+		if j := time.Duration(w.cfg.Warmup - s.it); j > 0 && j <= time.Duration(k) {
+			arr := s.arrivals[i]
+			w.warmupEnd = arr.at + j*period
+			w.dataBase, w.commBase = arr.dataWait+j*data, arr.commWait+j*comm
+		}
+		w.it += k
+		w.shift = time.Duration(k) * period
+		w.dataWait += time.Duration(k) * data
+		w.commWait += time.Duration(k) * comm
+		w.loader.Shorten(k)
 	}
 }
 
@@ -182,18 +193,4 @@ func (s *skipper) owner(ev sim.Event) int {
 		}
 	}
 	return -1
-}
-
-// apply adds the skipped iterations' increments to each worker's finish
-// instant and waits, and returns the group's busy time over them.
-func (s *skipper) apply() time.Duration {
-	if s.skipped == 0 {
-		return 0
-	}
-	for i, w := range s.workers {
-		w.finish += s.elapsed
-		w.dataWait += s.dataWait[i]
-		w.commWait += s.commWait[i]
-	}
-	return s.busy
 }

@@ -183,19 +183,36 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 
 	// Real data: a run that skips its repeated periods, over PCIe, NVLink
 	// and two-node VPC fabrics, cold and warm caches, and a grid of warmup
-	// and measured step counts; then a fetch-bound cell (eight GPUs
-	// reading large batches from one gp2 volume, cold) and a prep-bound
-	// one (SqueezeNet's light compute on a warm cache, where eight vCPUs
-	// set the pace).
+	// and measured step counts that puts the warmup boundary before the
+	// skipped iterations, among them, at their end and after them; then
+	// a fetch-bound cell (eight GPUs reading large batches from one gp2
+	// volume, cold) and a prep-bound one (SqueezeNet's light compute on a
+	// warm cache, where eight vCPUs set the pace).
 	realFabrics := []cluster{
 		{instance: "p2.8xlarge", count: 1, seed: 1},  // PCIe
 		{instance: "p3.16xlarge", count: 1, seed: 1}, // whole NVLink crossbar
 		{instance: "p3.8xlarge", count: 2, seed: 1},  // VPC
 	}
+	placements := map[string]int{}
+	observeProbe = func(s *skipper) {
+		if s.skipped == 0 {
+			return
+		}
+		switch w := s.workers[0].cfg.Warmup; {
+		case w <= s.it:
+			placements["before"]++
+		case w < s.it+s.skipped:
+			placements["inside"]++
+		case w == s.it+s.skipped:
+			placements["at the end"]++
+		default:
+			placements["after"]++
+		}
+	}
 	for _, c := range realFabrics {
 		for _, mode := range []pipeline.CacheMode{pipeline.CacheCold, pipeline.CacheWarm} {
 			skipped := 0
-			for _, warmup := range []int{0, 3} {
+			for _, warmup := range []int{0, 1, 3, 6, 10} {
 				for _, iters := range []int{1, 2, 7, 20} {
 					_, n := checkOnePeriod(t, c, Config{Job: job, Iterations: iters, Warmup: warmup, CacheMode: mode})
 					skipped += n
@@ -204,6 +221,12 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 			if skipped == 0 {
 				t.Errorf("%v %v: no run skipped a period", c, mode)
 			}
+		}
+	}
+	observeProbe = nil
+	for _, p := range []string{"before", "inside", "at the end", "after"} {
+		if placements[p] == 0 {
+			t.Errorf("no skip with the warmup boundary %s the skipped iterations: %v", p, placements)
 		}
 	}
 
@@ -234,12 +257,13 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 
 // TestRealDataSkipWorkCounts pins the work a real-data run simulates:
 // the iterations and the engine events. A cold and a warm p3.16xlarge
-// cell skip all but their warmup, two boundaries and the steps in which
-// the loaders run out of batches, at 12 and 20 measured iterations; a
-// 16-GPU cell whose pace changes once its loaders have fetched their
-// last batch simulates that tail exactly; and a cell whose steps never
-// settle into a period simulates every step, plus one probe event per
-// boundary. The cells are the suite's at seed 1.
+// cell skip all but the steps up to the first boundary that repeats the
+// one before it, warmup or not, and the steps in which the loaders run
+// out of batches, at 12 and 20 measured iterations; a 16-GPU cell whose
+// pace changes once its loaders have fetched their last batch simulates
+// that tail exactly; and a cell whose steps never settle into a period
+// simulates every step, plus the probe events at its boundaries. The
+// cells are the suite's at seed 1.
 func TestRealDataSkipWorkCounts(t *testing.T) {
 	mobilenet, err := dnn.ByName("mobilenet_v2")
 	if err != nil {
@@ -258,14 +282,14 @@ func TestRealDataSkipWorkCounts(t *testing.T) {
 		simulate int    // iterations simulated, warmup included
 		events   uint64 // events scheduled
 	}{
-		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 12, 7, 9534},
-		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 20, 7, 9534},
-		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 10, 12917},
-		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 10, 12917},
+		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 12, 3, 4083},
+		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 20, 3, 4083},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 8, 10335},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 8, 10335},
 		// 231.57 ms steps, then 197.68 ms for the last three.
-		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 10, 78508},
+		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 9, 70913},
 		// Every step but the loaders' last fetch takes its own time.
-		{"non-periodic", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, alexnet, 32), pipeline.CacheCold, 12, 15, 11092},
+		{"non-periodic", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, alexnet, 32), pipeline.CacheCold, 12, 15, 11096},
 	} {
 		const warmup = 3
 		cfg := Config{Job: tc.job, Iterations: tc.iters, Warmup: warmup, CacheMode: tc.mode}
@@ -305,7 +329,7 @@ func TestEqualStepTimesDoNotSkip(t *testing.T) {
 	var probes []probe
 	observeProbe = func(s *skipper) {
 		w := s.workers[0]
-		probes = append(probes, probe{s.it, w.total - w.loader.Unfetched() - s.it, s.skipped, s.hist[len(s.hist)-1].at})
+		probes = append(probes, probe{s.it, w.total - w.loader.Unfetched() - s.skipped - s.it, s.skipped, s.cur.at})
 	}
 	c := cluster{instance: "p3.2xlarge", count: 1, seed: 1}
 	cfg := Config{Job: mustJob(t, alexnet, 128), Iterations: 20, CacheMode: pipeline.CacheWarm}

@@ -74,7 +74,8 @@ type Config struct {
 
 	// Warmup is the number of leading iterations excluded from timing
 	// (pipeline fill, first-touch effects). The run executes
-	// Warmup+Iterations optimizer steps, or one scaled to that many (Run).
+	// Warmup+Iterations optimizer steps, or fewer that stand for that
+	// many, warmup steps included (Run).
 	Warmup int
 
 	// EveryIteration simulates every step, even those that provably
@@ -158,14 +159,15 @@ type Result struct {
 //     which counts warmup steps too, by Warmup+Iterations.
 //   - A real-data run carries loader and network state across steps, so
 //     Run finds its period instead. At every iteration boundary from
-//     Warmup on, it encodes the world relative to that instant: workers,
-//     loaders, flows and pending events. When a boundary encodes equal
-//     to one of the few before it, every later period repeats the one
-//     between them until a loader runs out of batches. Run skips the
-//     whole periods that keep each loader's fetch index below its batch
-//     count, adds their increments to the finish instant, the waits and
-//     CommBusy, and simulates the rest, where the loaders run dry,
-//     exactly (see skipper).
+//     iteration 0 on, it encodes the world relative to that instant:
+//     workers, loaders, flows and pending events. When a boundary
+//     encodes equal to the one before it, every later step repeats the
+//     one between them until a loader runs out of batches. Run skips the
+//     steps that keep each loader's fetch index below its batch count,
+//     warmup steps or measured ones, adds their increments to the
+//     workers' clocks and waits and to CommBusy, places a warmup
+//     boundary among them where the repeats put it, and simulates the
+//     rest, where the loaders run dry, exactly (see skipper).
 func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("train: nil topology")
@@ -281,18 +283,12 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 		CommBusy:         group.BusyTime(),
 	}
 	if skip != nil {
-		res.CommBusy += skip.apply()
+		res.CommBusy += skip.busy
 	}
 	for _, w := range workers {
-		if measured := w.finish - w.warmupEnd; measured > res.Elapsed {
-			res.Elapsed = measured
-		}
-		if w.dataWait > res.DataWaitMax {
-			res.DataWaitMax = w.dataWait
-		}
-		if w.commWait > res.CommWaitMax {
-			res.CommWaitMax = w.commWait
-		}
+		res.Elapsed = max(res.Elapsed, w.finish-w.warmupEnd)
+		res.DataWaitMax = max(res.DataWaitMax, w.dataWait-w.dataBase)
+		res.CommWaitMax = max(res.CommWaitMax, w.commWait-w.commBase)
 	}
 	if onePeriod {
 		res.Elapsed *= time.Duration(iters)
@@ -433,10 +429,15 @@ type worker struct {
 	// Span/stall start times carried across blocking points.
 	t0, c0, h0, o0, b0 time.Duration
 
-	finish    time.Duration
-	warmupEnd time.Duration
-	dataWait  time.Duration
-	commWait  time.Duration
+	// The waits are cumulative over the run; at the warmup boundary the
+	// worker takes them as its bases, which the Result subtracts. A skip
+	// (see skipper) shifts the clock that finish and a later warmupEnd
+	// read by shift.
+	finish             time.Duration
+	warmupEnd          time.Duration
+	dataWait, commWait time.Duration
+	dataBase, commBase time.Duration
+	shift              time.Duration
 }
 
 // newWorker returns rank's worker at the top of its first iteration,
@@ -498,13 +499,13 @@ func (w *worker) step() {
 		switch w.state {
 		case wIterStart:
 			if w.it == w.total {
-				w.finish = w.eng.Now()
+				w.finish = w.eng.Now() + w.shift
 				w.task.End()
 				return
 			}
 			if w.it == w.cfg.Warmup {
-				w.warmupEnd = w.eng.Now()
-				w.dataWait, w.commWait = 0, 0
+				w.warmupEnd = w.eng.Now() + w.shift
+				w.dataBase, w.commBase = w.dataWait, w.commWait
 			}
 			if w.skip != nil {
 				w.skip.arrive(w)
