@@ -31,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -189,6 +190,9 @@ func runBlame(p *core.Profiler, job workload.Job, it cloud.InstanceType, nodes, 
 		opt.StragglerScale = scale
 	}
 	rep, err := p.Blame(job, it, opt)
+	if errors.Is(err, core.ErrStragglerScale) {
+		return fmt.Errorf("-straggler-scale %v: %w", scale, err)
+	}
 	if err != nil {
 		return err
 	}

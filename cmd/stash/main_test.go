@@ -32,6 +32,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-nodes", "-2"}, "-nodes -2"},
 		{[]string{"-nodes", "2", "-instance", "p3.2xlarge"}, "-nodes 2"},
 		{[]string{"-blame", "-nodes", "1"}, "-nodes 1"},
+		{[]string{"-blame", "-straggler", "1", "-straggler-scale", "1e300", "-instance", "p3.8xlarge"}, "-straggler-scale 1e+300"},
+		{[]string{"-blame", "-straggler", "1", "-straggler-scale", "+Inf", "-instance", "p3.8xlarge"}, "-straggler-scale"},
+		{[]string{"-blame", "-straggler", "1", "-straggler-scale", "NaN", "-instance", "p3.8xlarge"}, "-straggler-scale"},
 	}
 	for _, c := range cases {
 		err := run(c.args)

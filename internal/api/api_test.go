@@ -176,6 +176,41 @@ func TestProfileValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBlameValidation: every blame request that cannot be simulated as
+// asked answers 400 invalid_request, also one whose straggler scale
+// passes the handler's checks but slows the model's compute past what
+// the simulated clock holds; a blame job replays the same answer.
+func TestBlameValidation(t *testing.T) {
+	_, ts := newTestServer(t)
+	const base = `{"model":"resnet18","instance":"p3.8xlarge"`
+	cases := []struct{ name, body string }{
+		{"rank out of range", base + `,"straggler_rank":4}`},
+		{"scale below 1", base + `,"straggler_rank":1,"straggler_scale":0.5}`},
+		{"scale without rank", base + `,"straggler_scale":2}`},
+		{"scale overflows", base + `,"straggler_rank":1,"straggler_scale":1e300}`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, body := postJSON(t, ts.URL+"/v1/blame", c.body)
+			if code != http.StatusBadRequest || errCode(t, body) != errInvalidRequest {
+				t.Errorf("got %d %s, want 400 %s", code, body, errInvalidRequest)
+			}
+		})
+	}
+	t.Run("job", func(t *testing.T) {
+		spec := cases[len(cases)-1].body
+		_, v1Body := postJSON(t, ts.URL+"/v1/blame", spec)
+		id := submitJob(t, ts.URL, `{"type":"blame","blame":`+spec+`}`)
+		if js := waitTerminal(t, ts.URL, id); js.State != jobStateFailed || js.Error == nil || js.Error.Code != errInvalidRequest {
+			t.Fatalf("job = %+v, want failed with %s", js, errInvalidRequest)
+		}
+		code, body := doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+id+"/result", "")
+		if code != http.StatusBadRequest || string(body) != string(v1Body) {
+			t.Errorf("failed replay = %d %s, want 400 %s", code, body, v1Body)
+		}
+	})
+}
+
 func TestMethodNotAllowedAndNotFound(t *testing.T) {
 	_, ts := newTestServer(t)
 	code, body := getBody(t, ts.URL+"/v1/profile")

@@ -462,6 +462,10 @@ func errToAPI(err error) *apiError {
 		return newAPIError(http.StatusUnprocessableEntity, errOOM, err.Error())
 	case errors.Is(err, core.ErrNoFeasibleConfig):
 		return newAPIError(http.StatusUnprocessableEntity, errInfeasible, err.Error())
+	case errors.Is(err, core.ErrStragglerScale):
+		// The scale passed the handler's checks but is too large for
+		// the simulated clock on this model and world.
+		return newAPIError(http.StatusBadRequest, errInvalidRequest, err.Error())
 	default:
 		return newAPIError(http.StatusInternalServerError, errInternal, err.Error())
 	}

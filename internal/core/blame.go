@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -16,6 +17,11 @@ import (
 // DefaultStragglerScale is the compute slowdown factor callers inject
 // when they ask for a straggler without choosing a scale.
 const DefaultStragglerScale = 1.5
+
+// ErrStragglerScale is the error BlameContext wraps when a straggler
+// scale cannot be injected: below 1, not finite, or so large that the
+// workers' summed time would overflow the simulated clock.
+var ErrStragglerScale = train.ErrStragglerScale
 
 // BlameOptions configures one frontier blame measurement.
 type BlameOptions struct {
@@ -123,16 +129,16 @@ func (p *Profiler) BlameContext(ctx context.Context, job workload.Job, it cloud.
 	straggler := -1
 	scale := 1.0
 	switch {
-	case opt.StragglerScale > 1:
+	//lint:allow floatcmp 0 and 1 are the explicit no-straggler sentinels, not computed values
+	case opt.StragglerScale == 0 || opt.StragglerScale == 1:
+		// No straggler.
+	case opt.StragglerScale > 1 && !math.IsInf(opt.StragglerScale, 1):
 		straggler, scale = opt.StragglerRank, opt.StragglerScale
 		if straggler < 0 || straggler >= it.NGPUs {
 			return nil, fmt.Errorf("stash: straggler rank %d outside [0,%d)", straggler, it.NGPUs)
 		}
-	//lint:allow floatcmp 0 and 1 are the explicit no-straggler sentinels, not computed values
-	case opt.StragglerScale == 0 || opt.StragglerScale == 1:
-		// No straggler.
-	default:
-		return nil, fmt.Errorf("stash: straggler scale %v below 1", opt.StragglerScale)
+	default: // below 1, NaN or +Inf
+		return nil, fmt.Errorf("stash: %w: %v is not a finite factor above 1", ErrStragglerScale, opt.StragglerScale)
 	}
 	rec := trace.New()
 	res, err := Simulate(ctx, cloud.NewProvisioner(p.slicePolicy, p.seed), it, count, func(w World) (*train.Result, error) {

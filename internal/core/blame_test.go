@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -46,6 +48,22 @@ func TestBlameValidation(t *testing.T) {
 	} {
 		if _, err := p.Blame(job, it, opt); err == nil {
 			t.Errorf("options %+v accepted", opt)
+		}
+	}
+	// A scale that cannot be injected fails with ErrStragglerScale, and
+	// the message says why.
+	for _, tc := range []struct {
+		scale float64
+		want  string
+	}{
+		{0.5, "0.5 is not a finite factor above 1"},
+		{math.NaN(), "NaN is not a finite factor above 1"},
+		{math.Inf(1), "+Inf is not a finite factor above 1"},
+		{1e300, "1e+300 times 4 workers'"},
+	} {
+		_, err := p.Blame(job, it, BlameOptions{StragglerRank: 1, StragglerScale: tc.scale})
+		if !errors.Is(err, ErrStragglerScale) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("scale %v: error %v, want ErrStragglerScale naming %q", tc.scale, err, tc.want)
 		}
 	}
 }

@@ -9,9 +9,11 @@
 //
 // Internally events live in pooled, generation-counted nodes: firing or
 // cancelling an event returns its node to a free list, so steady-state
-// simulation performs no per-event heap allocations. Same-instant events
-// (the dominant Schedule(0, fn) wake-up pattern) bypass the priority
-// queue entirely through a FIFO ring.
+// simulation performs no per-event heap allocations. Events for the
+// current instant (the dominant Schedule(0, fn) wake-up pattern) bypass
+// the priority queue entirely through a FIFO ring. Consecutive schedules
+// for one future instant (W tasks woken together, each sleeping to the
+// same instant) form a run that holds a single heap slot.
 //
 // All timestamps are time.Duration offsets from the simulation start.
 package sim
@@ -45,17 +47,19 @@ type eventNode struct {
 	fnArg func(any)
 	arg   any
 	at    time.Duration
-	seq   uint64 // tiebreaker for deterministic ordering
-	gen   uint64 // incremented on recycle; Event handles must match
-	pos   int32  // heap index, posFIFO in the ring, posIdle when free
+	seq   uint64     // tiebreaker for deterministic ordering
+	gen   uint64     // incremented on recycle; Event handles must match
+	next  *eventNode // the run's next member (see Engine.heap)
+	pos   int32      // heap index, posFIFO in the ring, posRun behind a run's head, posIdle when free
 }
 
 const (
 	posIdle int32 = -1
 	posFIFO int32 = -2
+	posRun  int32 = -3
 )
 
-// dead reports whether a ring entry was cancelled in place.
+// dead reports whether a ring entry or run member was cancelled in place.
 func (n *eventNode) dead() bool { return n.fn == nil && n.fnArg == nil }
 
 // Event is a handle to a scheduled callback. It is a small value (not a
@@ -95,8 +99,18 @@ type Engine struct {
 	now time.Duration
 	seq uint64
 
-	// heap is a 4-ary min-heap over (at, seq) holding future events.
+	// heap is a 4-ary min-heap over (at, seq) holding the heads of
+	// runs of future events. A run is a list of events at one instant
+	// with consecutive seqs among that instant's events: a schedule for
+	// a future instant joins the run of tail, the event the previous
+	// heap-path schedule made, when tail is still pending and due at the
+	// same instant. Nothing can sort between two members, since any
+	// other schedule in between was for another instant (a FIFO one is
+	// for now, before every future instant), so when the head leaves the
+	// heap its successor takes its slot with no sift. Cancelled members
+	// are tombstoned in place and dropped when they reach the head.
 	heap []*eventNode
+	tail Event
 
 	// fifo is the same-instant fast path: events scheduled for the
 	// current instant are appended here and drained in order (interleaved
@@ -107,8 +121,10 @@ type Engine struct {
 	fifoHead int
 
 	free    []*eventNode // recycled nodes
-	pending int          // scheduled, not-yet-cancelled events
-	live    int          // tasks that have not ended
+	waiters []func()     // an emptied Signal waiter list, for the next OnFire
+
+	pending int // scheduled, not-yet-cancelled events
+	live    int // tasks that have not ended
 	running bool
 }
 
@@ -151,10 +167,16 @@ func (e *Engine) schedule(at time.Duration, fn func(), fnArg func(any), arg any)
 		// keeps the ring in dispatch order with no sifting.
 		n.pos = posFIFO
 		e.fifo = append(e.fifo, n)
+		return Event{n: n, gen: n.gen}
+	}
+	if t := e.tail.n; t != nil && t.at == at && t.gen == e.tail.gen {
+		t.next = n
+		n.pos = posRun
 	} else {
 		e.heapPush(n)
 	}
-	return Event{n: n, gen: n.gen}
+	e.tail = Event{n: n, gen: n.gen}
+	return e.tail
 }
 
 // Schedule registers fn to run after delay of virtual time. A negative
@@ -198,13 +220,14 @@ func (e *Engine) Cancel(ev Event) {
 	}
 	e.pending--
 	if n.pos >= 0 {
-		e.heapRemove(int(n.pos))
+		e.advance(n)
 		e.recycle(n)
 		return
 	}
-	// In the FIFO ring: tombstone in place (the ring cannot be compacted
-	// cheaply); the dispatcher recycles it when the head reaches it. The
-	// generation bump makes any further handle use stale immediately.
+	// In the FIFO ring or behind a run's head: tombstone in place (neither
+	// can be unlinked cheaply); the dispatcher recycles it when it reaches
+	// the front. The generation bump makes any further handle use stale
+	// immediately.
 	n.gen++
 	n.fn, n.fnArg, n.arg = nil, nil, nil
 }
@@ -226,7 +249,11 @@ func (e *Engine) AppendPending(buf []Event) []Event {
 		}
 	}
 	for _, n := range e.heap {
-		buf = append(buf, Event{n: n, gen: n.gen})
+		for ; n != nil; n = n.next {
+			if !n.dead() {
+				buf = append(buf, Event{n: n, gen: n.gen})
+			}
+		}
 	}
 	slices.SortFunc(buf[start:], func(a, b Event) int {
 		if eventLess(a.n, b.n) {
@@ -266,14 +293,24 @@ func (e *Engine) next() *eventNode {
 	return f
 }
 
-// pop removes n — which must be the node returned by next — from its
-// container.
-func (e *Engine) pop(n *eventNode) {
-	if n.pos == posFIFO {
-		e.fifoHead++
+// advance replaces the run head n in its heap slot by n's first live
+// successor, recycling the tombstones before it, or removes the slot
+// when the run ends.
+func (e *Engine) advance(n *eventNode) {
+	s := n.next
+	n.next = nil
+	for s != nil && s.dead() {
+		dead := s
+		s, dead.next = s.next, nil
+		e.recycle(dead)
+	}
+	i := int(n.pos)
+	if s == nil {
+		e.heapRemove(i)
 		return
 	}
-	e.heapPop()
+	e.heap[i] = s
+	s.pos = int32(i)
 }
 
 // Run dispatches events until none remain. It returns ErrDeadlock if live
@@ -315,7 +352,14 @@ func (e *Engine) RunUntil(limit time.Duration) error {
 			// Queue invariants guarantee this cannot happen; guard anyway.
 			panic(fmt.Sprintf("sim: event at %v fired after clock %v", n.at, e.now))
 		}
-		e.pop(n)
+		switch { // take n from the ring or the heap
+		case n.pos == posFIFO:
+			e.fifoHead++
+		case n.next == nil:
+			e.heapPop()
+		default:
+			e.advance(n)
+		}
 		e.pending--
 		e.now = n.at
 		fn, fnArg, arg := n.fn, n.fnArg, n.arg

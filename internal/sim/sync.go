@@ -46,6 +46,12 @@ func (s *Signal) Fire() {
 	for _, w := range waiters {
 		s.eng.Schedule(0, w)
 	}
+	if waiters != nil {
+		// Hand the emptied list to the next signal that needs one: a
+		// collective's W waiters then allocate no list per operation.
+		clear(waiters)
+		s.eng.waiters = waiters[:0]
+	}
 }
 
 // OnFire registers fn to run when the signal fires: it is scheduled at
@@ -59,6 +65,9 @@ func (s *Signal) OnFire(fn func()) {
 	if s.first == nil {
 		s.first = fn
 		return
+	}
+	if s.waiters == nil {
+		s.waiters, s.eng.waiters = s.eng.waiters, nil
 	}
 	s.waiters = append(s.waiters, fn)
 }

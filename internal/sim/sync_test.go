@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -239,5 +240,45 @@ func TestDeadlockDetection(t *testing.T) {
 	})
 	if err := e.Run(); !errors.Is(err, ErrDeadlock) {
 		t.Errorf("Run = %v, want ErrDeadlock", err)
+	}
+}
+
+// TestSignalWaiterListReused: a fired signal hands its emptied waiter
+// list to the next signal that needs one, so a round of W waiters
+// allocates nothing once warm, and signals waited on at the same time
+// still wake their own waiters in order.
+func TestSignalWaiterListReused(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	a, b := NewSignal(e), NewSignal(e)
+	for i := range 3 {
+		a.OnFire(func() { order = append(order, i) })
+		b.OnFire(func() { order = append(order, 10+i) })
+	}
+	b.Fire()
+	c := NewSignal(e) // takes b's list while a still holds its own
+	for i := range 3 {
+		c.OnFire(func() { order = append(order, 20+i) })
+	}
+	a.Fire()
+	c.Fire()
+	run(t, e)
+	want := []int{10, 11, 12, 0, 1, 2, 20, 21, 22}
+	if !slices.Equal(order, want) {
+		t.Errorf("woke %v, want %v", order, want)
+	}
+
+	var s Signal
+	nop := func() {}
+	allocs := testing.AllocsPerRun(100, func() {
+		s = MakeSignal(e)
+		for range 16 {
+			s.OnFire(nop)
+		}
+		s.Fire()
+		run(t, e)
+	})
+	if allocs != 0 {
+		t.Errorf("a round of 16 waiters allocates %v times, want 0", allocs)
 	}
 }

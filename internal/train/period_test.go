@@ -116,6 +116,15 @@ func mustJob(t *testing.T, m *dnn.Model, batch int) workload.Job {
 	return job
 }
 
+// fabrics are the fabric classes the profiler meets.
+var fabrics = []cluster{
+	{instance: "p3.16xlarge", count: 1, gpusPer: 1, seed: 1}, // 1 GPU, no collectives
+	{instance: "p2.16xlarge", count: 1, seed: 1},             // PCIe
+	{instance: "p3.8xlarge", count: 1, seed: 1},              // sliced NVLink
+	{instance: "p3.16xlarge", count: 1, seed: 1},             // whole NVLink crossbar
+	{instance: "p3.8xlarge", count: 2, seed: 1},              // VPC
+}
+
 // TestOnePeriodMatchesFullRun is the differential oracle for the
 // one-period path: over every fabric class the profiler meets, overlap
 // on and off, and a grid of warmup and measured step counts, a synthetic
@@ -126,13 +135,6 @@ func mustJob(t *testing.T, m *dnn.Model, batch int) workload.Job {
 // run too, and must skip somewhere on each fabric and cache mode.
 func TestOnePeriodMatchesFullRun(t *testing.T) {
 	job := resnet18Job(t, 32)
-	fabrics := []cluster{
-		{instance: "p3.16xlarge", count: 1, gpusPer: 1, seed: 1}, // 1 GPU, no collectives
-		{instance: "p2.16xlarge", count: 1, seed: 1},             // PCIe
-		{instance: "p3.8xlarge", count: 1, seed: 1},              // sliced NVLink
-		{instance: "p3.16xlarge", count: 1, seed: 1},             // whole NVLink crossbar
-		{instance: "p3.8xlarge", count: 2, seed: 1},              // VPC
-	}
 	for _, c := range fabrics {
 		for _, overlap := range []bool{true, false} {
 			for _, warmup := range []int{0, 2, 3} {
@@ -282,14 +284,14 @@ func TestRealDataSkipWorkCounts(t *testing.T) {
 		simulate int    // iterations simulated, warmup included
 		events   uint64 // events scheduled
 	}{
-		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 12, 3, 4083},
-		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 20, 3, 4083},
-		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 8, 10335},
-		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 8, 10335},
+		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 12, 3, 3123},
+		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 20, 3, 3123},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 8, 7775},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 8, 7775},
 		// 231.57 ms steps, then 197.68 ms for the last three.
-		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 9, 70913},
+		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 9, 55793},
 		// Every step but the loaders' last fetch takes its own time.
-		{"non-periodic", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, alexnet, 32), pipeline.CacheCold, 12, 15, 11096},
+		{"non-periodic", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, alexnet, 32), pipeline.CacheCold, 12, 15, 9416},
 	} {
 		const warmup = 3
 		cfg := Config{Job: tc.job, Iterations: tc.iters, Warmup: warmup, CacheMode: tc.mode}
@@ -390,6 +392,32 @@ func TestOnePeriodSkipsTracedRuns(t *testing.T) {
 	for w, n := range forward {
 		if n != warmup+iters {
 			t.Errorf("worker %d recorded %d forward spans, want %d", w, n, warmup+iters)
+		}
+	}
+}
+
+// TestTracedRunMatchesUntraced pins the folded hook: an untraced worker
+// schedules one event for a backward segment and its DDP hook, where a
+// traced one schedules two to record both spans, and the two runs must
+// agree field for field. Over every fabric class, synthetic with overlap
+// on and off and real data on cold and warm caches, every step simulated.
+func TestTracedRunMatchesUntraced(t *testing.T) {
+	job := resnet18Job(t, 32)
+	for _, c := range fabrics {
+		for _, cfg := range []Config{
+			{Synthetic: true},
+			{Synthetic: true, DisableOverlap: true},
+			{CacheMode: pipeline.CacheCold},
+			{CacheMode: pipeline.CacheWarm},
+		} {
+			cfg.Job, cfg.Iterations, cfg.Warmup, cfg.EveryIteration = job, 5, 2, true
+			untraced, _ := c.run(t, cfg)
+			cfg.Trace = trace.New()
+			traced, _ := c.run(t, cfg)
+			if !reflect.DeepEqual(traced, untraced) {
+				t.Errorf("%v synthetic %v overlap %v %v: traced run diverges:\n got %+v\nwant %+v",
+					c, cfg.Synthetic, !cfg.DisableOverlap, cfg.CacheMode, *traced, *untraced)
+			}
 		}
 	}
 }

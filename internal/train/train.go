@@ -11,7 +11,9 @@
 package train
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"stash/internal/collective"
@@ -100,10 +102,17 @@ type Config struct {
 	// when StragglerScale > 1, the worker at StragglerRank runs all its
 	// GPU compute (forward, backward segments and tail, optimizer) slower
 	// by that factor, so every other rank piles up comm-wait behind it.
-	// 0 (or 1) disables the injection; values below 1 are rejected.
+	// 0 (or 1) disables the injection. Run rejects with
+	// ErrStragglerScale a value below 1, one that is not finite, and one
+	// so large that the workers' summed time would overflow the
+	// simulated clock.
 	StragglerRank  int
 	StragglerScale float64
 }
+
+// ErrStragglerScale is the error Run wraps when Config.StragglerScale
+// cannot be injected.
+var ErrStragglerScale = errors.New("straggler scale out of range")
 
 // DefaultHookOverhead is the per-bucket host-side synchronization cost of
 // the framework's gradient hook (Python autograd callback + NCCL enqueue
@@ -188,7 +197,7 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	//lint:allow floatcmp 0 is the unset-field sentinel of the zero Config, not a computed value
 	case cfg.CompressionRatio == 0:
 		cfg.CompressionRatio = 1
-	case cfg.CompressionRatio < 0 || cfg.CompressionRatio > 1:
+	case !(cfg.CompressionRatio > 0 && cfg.CompressionRatio <= 1): // NaN too
 		return nil, fmt.Errorf("train: compression ratio %v outside (0, 1]", cfg.CompressionRatio)
 	}
 	if err := cfg.Job.Model.Validate(); err != nil {
@@ -205,8 +214,8 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	//lint:allow floatcmp 0 is the unset-field sentinel of the zero Config, not a computed value
 	case cfg.StragglerScale == 0:
 		cfg.StragglerScale = 1
-	case cfg.StragglerScale < 1:
-		return nil, fmt.Errorf("train: straggler scale %v < 1", cfg.StragglerScale)
+	case !(cfg.StragglerScale >= 1) || math.IsInf(cfg.StragglerScale, 1): // NaN too
+		return nil, fmt.Errorf("train: %w: %v is not a finite factor >= 1", ErrStragglerScale, cfg.StragglerScale)
 	}
 	straggler := cfg.StragglerScale > 1
 	if straggler && (cfg.StragglerRank < 0 || cfg.StragglerRank >= len(gpus)) {
@@ -234,6 +243,17 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 	plan, err := newIterationPlan(cfg.Job, gpus[0].GPU, buckets)
 	if err != nil {
 		return nil, fmt.Errorf("train: %w", err)
+	}
+	if straggler {
+		// Every other worker waits out the straggler's slowed compute, so
+		// the workers' summed time is about the world size times it. That
+		// sum, the clock and every phase must fit a time.Duration; half its
+		// range is left for the time the scale does not slow.
+		compute := plan.computeTotal * time.Duration(cfg.Warmup+cfg.Iterations)
+		if float64(len(gpus))*float64(compute)*cfg.StragglerScale >= math.MaxInt64/2 {
+			return nil, fmt.Errorf("train: %w: %v times %d workers' %v of compute overflows the simulated clock",
+				ErrStragglerScale, cfg.StragglerScale, len(gpus), compute)
+		}
 	}
 
 	hook := cfg.HookOverhead
@@ -492,7 +512,10 @@ func (w *worker) batchDelivered(_ pipeline.Batch, ok bool) {
 }
 
 // step advances the worker until it blocks (schedules its continuation)
-// or the run completes.
+// or the run completes. An untraced worker folds each bucket's DDP hook
+// into its backward segment's event, going from wSegOrTail straight to
+// wHookDone: with no spans to record, the segment's end needs no event
+// of its own. A traced worker schedules the two apart.
 func (w *worker) step() {
 	tr := w.cfg.Trace
 	for {
@@ -538,8 +561,14 @@ func (w *worker) step() {
 			// span: a worker's spans partition its timeline.
 			w.b0 = w.eng.Now()
 			if w.bi < len(w.plan.backwardSegments) {
-				w.state = wSegDone
-				w.eng.Schedule(w.dur(w.plan.backwardSegments[w.bi]), w.cont)
+				seg := w.dur(w.plan.backwardSegments[w.bi])
+				if tr == nil {
+					w.state = wHookDone
+					w.eng.Schedule(seg+w.hook, w.cont)
+				} else {
+					w.state = wSegDone
+					w.eng.Schedule(seg, w.cont)
+				}
 			} else {
 				w.state = wTailDone
 				w.eng.Schedule(w.dur(w.plan.backwardTail), w.cont)

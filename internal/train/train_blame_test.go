@@ -1,6 +1,8 @@
 package train
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -156,16 +158,22 @@ func TestStragglerValidation(t *testing.T) {
 	for _, tc := range []struct {
 		rank  int
 		scale float64
+		want  error // nil: any error
 	}{
-		{0, 0.5},  // scale below 1
-		{-1, 1.5}, // rank out of range
-		{64, 1.5}, // rank out of range
+		{0, 0.5, ErrStragglerScale},         // scale below 1
+		{-1, 1.5, nil},                      // rank out of range
+		{64, 1.5, nil},                      // rank out of range
+		{1, math.NaN(), ErrStragglerScale},  // not a number
+		{1, math.Inf(1), ErrStragglerScale}, // not finite
+		{1, 1e300, ErrStragglerScale},       // slowed compute overflows time.Duration
+		{1, 5e10, ErrStragglerScale},        // it fits, but not the waiting workers' sum
 	} {
-		if _, err := Run(r.eng, r.net, Config{
+		_, err := Run(r.eng, r.net, Config{
 			Job: job, Topology: r.top, Iterations: 1, Synthetic: true,
 			StragglerRank: tc.rank, StragglerScale: tc.scale,
-		}); err == nil {
-			t.Errorf("rank %d scale %v accepted", tc.rank, tc.scale)
+		})
+		if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("rank %d scale %v: error %v, want %v", tc.rank, tc.scale, err, tc.want)
 		}
 	}
 	// Scale 1 with any rank is the documented no-op.

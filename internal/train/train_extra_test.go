@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -76,7 +77,7 @@ func TestCompressionReducesCommStall(t *testing.T) {
 func TestCompressionValidation(t *testing.T) {
 	r := newRig(t, "p3.16xlarge", 1, cloud.SliceDegraded)
 	job := resnet18Job(t, 32)
-	for _, ratio := range []float64{-0.5, 1.5} {
+	for _, ratio := range []float64{-0.5, 1.5, math.NaN()} {
 		if _, err := Run(r.eng, r.net, Config{
 			Job: job, Topology: r.top, Iterations: 1, Synthetic: true,
 			CompressionRatio: ratio,

@@ -46,15 +46,15 @@
 #                   non-warmup ones)
 #   FILTER          -bench regexp          (default SuiteSerial|
 #                   SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|
-#                   FlowLifecycle|RingBesideLoaders|BlameAttribute|
-#                   TableRender)
+#                   SameInstantFanOut|FlowLifecycle|RingBesideLoaders|
+#                   BlameAttribute|TableRender)
 set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
 MICRO_BENCHTIME="${MICRO_BENCHTIME:-0.5s}"
 COUNT="${COUNT:-3}"
-FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|FlowLifecycle|RingBesideLoaders|BlameAttribute|TableRender}"
+FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|SameInstantFanOut|FlowLifecycle|RingBesideLoaders|BlameAttribute|TableRender}"
 # The effective scheduler width: parallel_speedup (SuiteSerial /
 # SuiteParallel) is only meaningful when the parallel suite actually had
 # more than one P to run on, so single-P hosts record gomaxprocs and
