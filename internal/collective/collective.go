@@ -285,13 +285,14 @@ func (g *Group) psRoutes(toServer bool) [][]*simnet.Link {
 // and step closure are reused across ops. Ops execute one at a time
 // (g.executing), so a single exec per group suffices.
 //
-// The event footprint per op is a spawn event at issue, one timer for
+// The event footprint per op is a start event at issue, one timer for
 // the call overhead, then one await per phase: the ring's flow group, or
-// each parameter-server batch of flow starts in rank order.
+// each parameter-server batch of flow starts in rank order. The exec is
+// no task of its own: the ranks that wait on its ops are the live tasks
+// that deadlock detection counts.
 type exec struct {
 	g     *Group
 	o     *op
-	task  *sim.Task
 	cont  func() // run, bound once
 	start time.Duration
 	state int
@@ -302,7 +303,7 @@ type exec struct {
 
 // exec states.
 const (
-	xStart       = iota // spawn event fired; charge call overhead
+	xStart       = iota // start event fired; charge call overhead
 	xDispatch           // overhead elapsed; choose algorithm
 	xRingAwait          // await the ring's flow group; op complete
 	xPSPush             // start all gradient pushes to the server
@@ -318,13 +319,12 @@ func (x *exec) init(g *Group) {
 	x.flows = make([]*simnet.Flow, len(g.gpus))
 }
 
-// begin starts executing op o: like the process it replaces, the op's
-// body runs in a fresh event at the current instant, after anything
-// already queued.
+// begin starts executing op o: the op's body runs in a fresh event at the
+// current instant, after anything already queued.
 func (x *exec) begin(o *op) {
 	x.o = o
 	x.state = xStart
-	x.task = x.g.eng.Spawn("allreduce", x.cont)
+	x.g.eng.Schedule(0, x.cont)
 }
 
 func (x *exec) run() {
@@ -421,7 +421,6 @@ func (x *exec) finish() {
 	g.executing = false
 	o := x.o
 	done := o.done
-	task := x.task
 	// Barrier spans go out before the op struct is recycled: per rank,
 	// arrival to global completion — the raw material of frontier blame
 	// attribution — plus the group-level execution span on its own row.
@@ -433,7 +432,7 @@ func (x *exec) finish() {
 		}
 		g.tr.Add(trace.Span{Worker: -1, Kind: trace.KindCollective, Name: name, Start: x.start, End: now})
 	}
-	x.o, x.task = nil, nil
+	x.o = nil
 	// The op struct is reusable immediately — its callers only ever hold
 	// the done signal, which each use replaces with a fresh one.
 	o.done = nil
@@ -442,5 +441,4 @@ func (x *exec) finish() {
 	// maybeStart may re-begin this exec for the next ready op, so the
 	// locals above must be captured before it runs.
 	g.maybeStart()
-	task.End()
 }

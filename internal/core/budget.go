@@ -114,5 +114,14 @@ func simulate[T any](s *slot, prov *cloud.Provisioner, it cloud.InstanceType, co
 		var zero T
 		return zero, err
 	}
-	return fn(World{Engine: eng, Net: net, Topology: top})
+	w := World{Engine: eng, Net: net, Topology: top}
+	res, err := fn(w)
+	if observeWorld != nil {
+		observeWorld(w)
+	}
+	return res, err
 }
+
+// observeWorld, when set (by tests), sees every world once its
+// simulation has run.
+var observeWorld func(World)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"stash/internal/simnet"
 	"stash/internal/train"
 	"stash/internal/workload"
 )
@@ -43,4 +44,34 @@ func RecordRealDataRuns(fn func()) []RealDataRun {
 	defer func() { observeSimulation = nil }()
 	fn()
 	return runs
+}
+
+// Work is the simulation work of a set of worlds: how many, the engine
+// events they scheduled and their networks' counters, summed.
+type Work struct {
+	Worlds int
+	Events uint64
+	simnet.Counters
+}
+
+// RecordWork calls fn and returns the work of every world built
+// meanwhile. fn must have finished every simulation it started when it
+// returns.
+func RecordWork(fn func()) Work {
+	var mu sync.Mutex
+	var w Work
+	observeWorld = func(world World) {
+		c := world.Net.Counters()
+		mu.Lock()
+		defer mu.Unlock()
+		w.Worlds++
+		w.Events += world.Engine.Scheduled()
+		w.Completions += c.Completions
+		w.Filled += c.Filled
+		w.Kept += c.Kept
+		w.Forwarded += c.Forwarded
+	}
+	defer func() { observeWorld = nil }()
+	fn()
+	return w
 }

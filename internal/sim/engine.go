@@ -122,6 +122,8 @@ type Engine struct {
 
 	free    []*eventNode // recycled nodes
 	waiters []func()     // an emptied Signal waiter list, for the next OnFire
+	wakeups []*wakeup    // recycled Signal.Fire events
+	wakeFn  func(any)    // runWake, bound once
 
 	pending int // scheduled, not-yet-cancelled events
 	live    int // tasks that have not ended
@@ -130,7 +132,9 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.wakeFn = e.runWake
+	return e
 }
 
 // Now returns the current virtual time.

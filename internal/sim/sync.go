@@ -4,7 +4,8 @@ import "fmt"
 
 // The wait primitives below hand control between tasks without parking
 // anything: a task that has to wait registers the continuation that
-// resumes it, and the wake-up is an ordinary event scheduled at offset 0.
+// resumes it, and the wake-up is an ordinary event scheduled at offset 0
+// (one per Fire, however many waiters it wakes).
 
 // Signal is a one-shot broadcast: continuations register OnFire, Fire
 // wakes them all. Once fired, OnFire runs its callback immediately,
@@ -32,7 +33,10 @@ func MakeSignal(e *Engine) Signal { return Signal{eng: e} }
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire wakes all current and future waiters. Firing twice is a no-op.
-// It may be called from any event callback.
+// It may be called from any event callback. The waiters run in one event
+// at the current instant, in the order they registered: one event per
+// waiter would take consecutive sequence numbers at one instant, so
+// nothing could dispatch between them anyway.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -40,23 +44,56 @@ func (s *Signal) Fire() {
 	s.fired = true
 	first, waiters := s.first, s.waiters
 	s.first, s.waiters = nil, nil
-	if first != nil {
+	switch {
+	case waiters != nil:
+		s.eng.wake(first, waiters)
+	case first != nil:
 		s.eng.Schedule(0, first)
-	}
-	for _, w := range waiters {
-		s.eng.Schedule(0, w)
-	}
-	if waiters != nil {
-		// Hand the emptied list to the next signal that needs one: a
-		// collective's W waiters then allocate no list per operation.
-		clear(waiters)
-		s.eng.waiters = waiters[:0]
 	}
 }
 
-// OnFire registers fn to run when the signal fires: it is scheduled at
-// the firing instant, in arrival order with the other waiters. If the
-// signal has already fired, fn runs synchronously.
+// wakeup is the event of one Fire with several waiters. It holds the
+// captured list, not the signal, which its owner may re-make in place
+// before the event runs.
+type wakeup struct {
+	first   func()
+	waiters []func()
+}
+
+// wake schedules one event at the current instant that runs first and
+// then waiters, in order.
+func (e *Engine) wake(first func(), waiters []func()) {
+	var w *wakeup
+	if k := len(e.wakeups); k > 0 {
+		w = e.wakeups[k-1]
+		e.wakeups[k-1] = nil
+		e.wakeups = e.wakeups[:k-1]
+	} else {
+		w = new(wakeup)
+	}
+	w.first, w.waiters = first, waiters
+	e.ScheduleArg(0, e.wakeFn, w)
+}
+
+// runWake runs a wakeup's waiters, then hands the emptied list to the
+// next signal that needs one: a collective's W waiters then allocate no
+// list per operation.
+func (e *Engine) runWake(arg any) {
+	w := arg.(*wakeup)
+	first, waiters := w.first, w.waiters
+	w.first, w.waiters = nil, nil
+	e.wakeups = append(e.wakeups, w)
+	first()
+	for _, fn := range waiters {
+		fn()
+	}
+	clear(waiters)
+	e.waiters = waiters[:0]
+}
+
+// OnFire registers fn to run when the signal fires: it runs at the
+// firing instant, in the one event that wakes the signal's waiters in
+// arrival order. If the signal has already fired, fn runs synchronously.
 func (s *Signal) OnFire(fn func()) {
 	if s.fired {
 		fn()

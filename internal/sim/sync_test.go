@@ -243,10 +243,10 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestSignalWaiterListReused: a fired signal hands its emptied waiter
-// list to the next signal that needs one, so a round of W waiters
-// allocates nothing once warm, and signals waited on at the same time
-// still wake their own waiters in order.
+// TestSignalWaiterListReused: a fired signal's wake event hands its
+// emptied waiter list to the next signal that needs one, so a round of W
+// waiters allocates nothing once warm, and signals waited on at the same
+// time still wake their own waiters in order.
 func TestSignalWaiterListReused(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -256,7 +256,7 @@ func TestSignalWaiterListReused(t *testing.T) {
 		b.OnFire(func() { order = append(order, 10+i) })
 	}
 	b.Fire()
-	c := NewSignal(e) // takes b's list while a still holds its own
+	c := NewSignal(e) // b's wake still holds b's list, a holds its own
 	for i := range 3 {
 		c.OnFire(func() { order = append(order, 20+i) })
 	}

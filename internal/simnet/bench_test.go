@@ -93,3 +93,47 @@ func BenchmarkRingBesideLoaders(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRingBesideUpload measures all-reduce ops of a 16-member ring
+// whose members share a root link with one long host-to-GPU upload per
+// GPU, the shape of a p2.16xlarge real-data step: a member and the upload
+// into the same GPU split that GPU's downlink, so every member runs at one
+// rate, every round ends in one piece, and the ring runs its rounds beside
+// the uploads. Each iteration starts the uploads and runs four ops back
+// to back; the uploads end together during the third.
+func BenchmarkRingBesideUpload(b *testing.B) {
+	e := sim.NewEngine()
+	n := New(e)
+	const p, ops = 16, 4
+	root := n.NewLink("root", 1e12, time.Microsecond)
+	var up, down []*Link
+	for i := 0; i < p; i++ {
+		up = append(up, n.NewLink("up", 12e9, time.Microsecond))
+		down = append(down, n.NewLink("down", 12e9, time.Microsecond))
+	}
+	routes := make([][]*Link, p)
+	for i := range routes {
+		routes[i] = []*Link{up[i], root, down[(i+1)%p]}
+	}
+	g := n.NewGroup(routes)
+	op := 0
+	var next func()
+	next = func() {
+		if op++; op <= ops {
+			g.Start(4e6, 2*(p-1))
+			g.Done().OnFire(next)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range down {
+			n.StartFlow(3e8, []*Link{root, d})
+		}
+		op = 0
+		next()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n.forwarded)/float64(b.N), "forwarded/op")
+}

@@ -212,9 +212,14 @@ type scenarioResult struct {
 	checks int
 
 	filled, kept, forwarded uint64
-	// Groups brought back from forwarding, and fast-forwards whose
-	// template round took more than one step (its members finished apart).
+	// Groups brought back from forwarding by a joining flow, and
+	// fast-forwards whose template round took more than one step (its
+	// members finished apart).
 	materialized, piecemeal int
+	// Fast-forwards beside other flows in the members' components, and
+	// groups brought back because one of those flows fell due, of them
+	// exactly at a round boundary.
+	beside, due, dueBoundary int
 }
 
 func runScenario(t *testing.T, seed int64, grouped bool) scenarioResult {
@@ -238,22 +243,34 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 	}
 	forwards := make(map[forward]bool)
 	n.completionFn = func() {
+		now := e.Now()
+		for _, g := range n.forwarding {
+			if g.horizon <= now && now < g.end() {
+				res.due++
+				if (now-g.since)%g.period == 0 {
+					res.dueBoundary++
+				}
+			}
+		}
 		complete()
 		for _, g := range n.forwarding {
 			if len(g.at) > 1 {
 				forwards[forward{g, g.since}] = true
 			}
-		}
-	}
-	activate := n.activateFn
-	n.activateFn = func(arg any) {
-		for _, l := range arg.(*Flow).route {
-			if g := l.find().lone; g != nil && g.mode == forwarding {
-				res.materialized++
-				break
+			if g.since == now && crowded(n, g) {
+				res.beside++
 			}
 		}
-		activate(arg)
+	}
+	// Only a joining flow takes a group out of forwarding in an
+	// activation event.
+	for _, fn := range []*func(any){&n.activateFn, &n.activateClassFn} {
+		activate := *fn
+		*fn = func(arg any) {
+			k := len(n.forwarding)
+			activate(arg)
+			res.materialized += k - len(n.forwarding)
+		}
 	}
 	res.rings = make([]time.Duration, len(rings))
 	for i, rs := range rings {
@@ -287,6 +304,17 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 	return res
 }
 
+// crowded reports whether a flow of the flow set shares a component with
+// forwarding group g's members.
+func crowded(n *Network, g *FlowGroup) bool {
+	for _, f := range n.flows {
+		if f.root.find().lone == g {
+			return true
+		}
+	}
+	return false
+}
+
 // TestGroupMatchesPerStepRing is the differential oracle for FlowGroup:
 // on random rings with heterogeneous routes beside random background
 // flows, a flow group finishes every ring and every other flow at
@@ -294,12 +322,15 @@ func runSpecs(t *testing.T, n *Network, rings []ringSpec, flows []flowSpec, grou
 // flow counts and the same bytes up to float summation order. Both runs
 // pass the max-min check after every solve. The group runs must take
 // every fast path, keeping standing rates, fast-forwarding a lone ring's
-// rounds, from a template round whose members finished apart too, and
-// bringing one back when a flow joins it, or the test proves nothing
-// about them.
+// rounds, from a template round whose members finished apart too,
+// fast-forwarding a ring's one-step rounds beside other flows, bringing
+// one back when a flow joins it, and bringing one back when a flow
+// beside it falls due, or the test proves nothing about them. (A due
+// exactly at a round boundary is rare here; TestForwardedBesideFlows
+// constructs it.)
 func TestGroupMatchesPerStepRing(t *testing.T) {
 	var kept, forwarded uint64
-	materialized, piecemeal := 0, 0
+	materialized, piecemeal, beside, due := 0, 0, 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		want := runScenario(t, seed, false)
 		got := runScenario(t, seed, true)
@@ -324,12 +355,14 @@ func TestGroupMatchesPerStepRing(t *testing.T) {
 		forwarded += got.forwarded
 		materialized += got.materialized
 		piecemeal += got.piecemeal
+		beside += got.beside
+		due += got.due
 	}
-	t.Logf("group runs kept %d completions, forwarded %d rounds (%d times from piecemeal templates) and brought back %d groups",
-		kept, forwarded, piecemeal, materialized)
-	if kept == 0 || forwarded == 0 || piecemeal == 0 || materialized == 0 {
-		t.Errorf("group runs kept %d completions, forwarded %d rounds (%d times from piecemeal templates) and brought back %d groups, want all > 0",
-			kept, forwarded, piecemeal, materialized)
+	t.Logf("group runs kept %d completions, forwarded %d rounds (%d times from piecemeal templates, %d beside other flows), brought back %d groups on a join and %d on a due",
+		kept, forwarded, piecemeal, beside, materialized, due)
+	if kept == 0 || forwarded == 0 || piecemeal == 0 || beside == 0 || materialized == 0 || due == 0 {
+		t.Errorf("group runs kept %d completions, forwarded %d rounds (%d times from piecemeal templates, %d beside other flows), brought back %d groups on a join and %d on a due, want all > 0",
+			kept, forwarded, piecemeal, beside, materialized, due)
 	}
 }
 
@@ -459,6 +492,144 @@ func TestForwardedGroupJoined(t *testing.T) {
 			}
 			if (got.piecemeal > 0) != c.apart {
 				t.Errorf("%s: %d fast-forwards from a template of several steps", name, got.piecemeal)
+			}
+		}
+	}
+}
+
+// TestForwardedBesideFlows is the differential oracle for fast-forwarding
+// a ring beside plain flows. The ring is equalRing with member 0's route
+// also crossing a wide root link, whose share binds no flow, so its
+// rounds of exactly 1 ms still end in one piece; an upload at 1 GB/s
+// crosses the root from the ring's activation on, so it shares member 0's
+// component. The ring forwards beside it at the end of round 0 and must
+// come back when it falls due exactly at an interior round boundary,
+// forward to its end when the upload is due exactly there, and come back
+// when a flow joins it at a round boundary (queued before or after the
+// ring's instant there, crossing the upload's component or only a
+// member's) beside a longer upload, forwarding again once that flow has
+// left. Beside an upload that the root's share binds, the ring's end
+// must re-rate the upload. It must never forward while a second ring,
+// stepwise, has a member in the component. Every case must finish the
+// rings and the flows at exactly the instants of the per-step rings, with
+// the same per-link flow counts and the same bytes up to float summation
+// order, forward exactly the rounds that end with no completion event,
+// and pass the max-min check after every solve.
+func TestForwardedBesideFlows(t *testing.T) {
+	type besideCase struct {
+		name     string
+		rounds   int
+		upload   float64       // bytes, 0 for none
+		dueRound int           // the round at whose end the upload is due, 0 for none
+		join     time.Duration // when a flow joins, 0 for none
+		joinRoot bool          // the joining flow crosses the root, not member 2's link
+		allRoot  bool          // every member crosses a root whose share binds the upload
+		early    bool          // the join's activation is queued before the ring's event
+		second   bool          // a second ring has a member on the root
+		// want: fast-forwards beside other flows, groups brought back on a
+		// due at a round boundary and on a join.
+		beside, dueBoundary, joined int
+	}
+	cases := []besideCase{
+		{name: "upload due at a round boundary", rounds: 6, upload: 4e6, dueRound: 4, beside: 1, dueBoundary: 1},
+		{name: "upload due at the ring's end", rounds: 4, upload: 4e6, dueRound: 4, beside: 1},
+		{name: "upload outlasting the ring, every member on the root", rounds: 6, upload: 16e6, allRoot: true, beside: 1},
+		{name: "stepwise member of a second ring", rounds: 6, second: true},
+	}
+	for _, root := range []bool{true, false} {
+		for _, early := range []bool{true, false} {
+			cases = append(cases, besideCase{
+				name:   fmt.Sprintf("join at a round boundary beside an upload (root %v, queued first %v)", root, early),
+				rounds: 6, upload: 16e6, join: 3001 * time.Microsecond, joinRoot: root, early: early,
+				beside: 2, joined: 1, // forwarding again once the joining flow has left
+			})
+		}
+	}
+	for _, c := range cases {
+		var uploadEnd time.Duration
+		events := make(map[time.Duration]bool) // completion instants of the grouped run
+		run := func(grouped bool) scenarioResult {
+			n := New(sim.NewEngine())
+			rs := equalRing(n)
+			rs.rounds = c.rounds
+			root := n.NewLink("root", 10*gb, 0)
+			rs.routes[0] = append(rs.routes[0], root)
+			up := n.NewLink("u", 1*gb, time.Microsecond)
+			if c.allRoot {
+				// Five flows share the root at 1 GB/s each; once the ring
+				// ends, the upload runs at its own link's 2 GB/s.
+				root.capacity, up.capacity = 5*gb, 2*gb
+				for m := 1; m < len(rs.routes); m++ {
+					rs.routes[m] = append(rs.routes[m], root)
+				}
+			}
+			rings := []ringSpec{rs}
+			var flows []flowSpec
+			if c.upload > 0 {
+				flows = append(flows, flowSpec{route: []*Link{up, root}, bytes: c.upload})
+			}
+			if c.second {
+				rings = append(rings, ringSpec{
+					routes: [][]*Link{{n.NewLink("b0", 1*gb, time.Microsecond), root}, {n.NewLink("b1", 1*gb, time.Microsecond)}},
+					bytes:  1e6, rounds: c.rounds,
+				})
+			}
+			var join *Flow
+			if c.join > 0 {
+				route := rs.routes[2][:1]
+				if c.joinRoot {
+					route = []*Link{root}
+				}
+				if c.early {
+					n.eng.Schedule(0, func() { join = n.StartFlowLatency(3e5, route, c.join) })
+				} else {
+					n.eng.Schedule(c.join, func() { join = n.StartFlowLatency(3e5, route, 0) })
+				}
+			}
+			if grouped {
+				complete := n.completionFn
+				n.completionFn = func() { events[n.eng.Now()] = true; complete() }
+			}
+			res := runSpecs(t, n, rings, flows, grouped)
+			if join != nil {
+				res.flows = append(res.flows, join.finished)
+			}
+			if !grouped && c.upload > 0 {
+				uploadEnd = res.flows[0]
+			}
+			return res
+		}
+		want, got := run(false), run(true)
+		if c.dueRound > 0 {
+			// The upload's due must land where the case says.
+			if in := want.rings[0] - time.Duration(c.rounds-c.dueRound)*time.Millisecond; uploadEnd != in {
+				t.Fatalf("%s: the upload finishes at %v, not at the end of round %d at %v", c.name, uploadEnd, c.dueRound, in)
+			}
+		}
+		if fmt.Sprint(got.rings, got.flows, got.counts) != fmt.Sprint(want.rings, want.flows, want.counts) {
+			t.Errorf("%s: rings, flows, FlowsCarried %v %v %v; per-step %v %v %v",
+				c.name, got.rings, got.flows, got.counts, want.rings, want.flows, want.counts)
+		}
+		for i := range want.bytes {
+			if math.Abs(got.bytes[i]-want.bytes[i]) > 1e-9*math.Abs(want.bytes[i]) {
+				t.Errorf("%s: link %d BytesCarried %v, per-step %v", c.name, i, got.bytes[i], want.bytes[i])
+			}
+		}
+		if got.beside != c.beside || got.dueBoundary != c.dueBoundary || got.materialized != c.joined {
+			t.Errorf("%s: %d fast-forwards beside other flows, %d brought back on a due at a round boundary and %d on a join; want %d, %d and %d",
+				c.name, got.beside, got.dueBoundary, got.materialized, c.beside, c.dueBoundary, c.joined)
+		}
+		if c.join == 0 {
+			// A round is forwarded when no completion event runs at its
+			// end, and the rounds take 1 ms each but beside a joining flow.
+			var wantForwarded uint64
+			for k := range c.rounds {
+				if !events[want.rings[0]-time.Duration(k)*time.Millisecond] {
+					wantForwarded++
+				}
+			}
+			if got.forwarded != wantForwarded {
+				t.Errorf("%s: forwarded %d rounds, want %d", c.name, got.forwarded, wantForwarded)
 			}
 		}
 	}

@@ -33,9 +33,13 @@
 // round that began at a re-arm, while the group's members were alone in
 // their components and no other flow joined one, is repeated exactly by
 // every later round, shifted in time, whether its members finished
-// together or apart. The group keeps that round as a template and runs
-// the rest of its transfer as one event; a flow that joins one of its
-// components first brings back, from the template, the state the stepwise
+// together or apart. A round that re-armed whole under kept rates and
+// ends in one piece touches no other flow, so it is repeated also beside
+// plain flows in the members' components (a host-to-GPU upload sharing
+// the PCIe root complex with the ring), until one of them falls due. The
+// group keeps that round as a template and runs the rest of its transfer
+// as one event; a flow that joins one of its components, or falls due
+// beside it, first brings back, from the template, the state the stepwise
 // path would be in.
 package simnet
 
@@ -86,9 +90,10 @@ type Link struct {
 	// every route that carries a flow. A root is its own parent, and its
 	// stamp is the epoch of the solve its component was last touched for.
 	// On a root, active counts the component's plain flows in the flow
-	// set and the members of its running groups, and lone is a group
-	// recording or fast-forwarding its rounds (see rearm) whose members
-	// are the component's only flows.
+	// set and the members of its running groups, and lone is the one
+	// group recording or fast-forwarding its rounds in the component (see
+	// rearm): its members are the component's only flows, or, for a
+	// group forwarding one-step rounds, its only flows besides plain ones.
 	parent *Link
 	stamp  uint64
 	active int
@@ -217,6 +222,7 @@ type FlowGroup struct {
 	pending   int    // members of the current round still transferring
 	firstLeft uint64 // completion event in which the round's first member finished
 	done      sim.Signal
+	classes   []latencyClass // by route latency, in the order of their first members
 
 	// Template state (see rearm). The template is the round that began at
 	// since; at[k] is the offset from since of the k-th instant at which
@@ -231,6 +237,19 @@ type FlowGroup struct {
 	at            []time.Duration
 	steps         []memberState
 	moved         []float64
+
+	// horizon is, while forwarding, the earliest instant at which one of
+	// the other flows in the members' components is due (never when the
+	// members are alone): by then the group must be back in the flow set
+	// (see materializeDue).
+	horizon time.Duration
+}
+
+// latencyClass is the members of a group whose routes share one latency,
+// in member order: Start activates them in one event.
+type latencyClass struct {
+	latency time.Duration
+	members []*Flow
 }
 
 // Done returns a signal fired when the current transfer's last round
@@ -330,15 +349,21 @@ type Network struct {
 
 	// Long-lived callbacks, bound once so the per-flow and per-solve
 	// scheduling operations never mint closures.
-	activateFn   func(arg any)
-	solveFn      func()
-	completionFn func()
+	activateFn      func(arg any)
+	activateClassFn func(arg any)
+	solveFn         func()
+	completionFn    func()
 }
 
 // New returns an empty network bound to the engine.
 func New(eng *sim.Engine) *Network {
 	n := &Network{eng: eng}
 	n.activateFn = func(arg any) { n.activate(arg.(*Flow)) }
+	n.activateClassFn = func(arg any) {
+		for _, m := range arg.(*latencyClass).members {
+			n.activate(m)
+		}
+	}
 	n.solveFn = func() {
 		n.dirty = false
 		n.recompute()
@@ -428,17 +453,27 @@ func (n *Network) NewGroup(routes [][]*Link) *FlowGroup {
 		if len(r) == 0 {
 			panic("simnet: flow group member with empty route")
 		}
-		g.members[i] = Flow{route: r, index: -1, group: g}
+		m := &g.members[i]
+		*m = Flow{route: r, index: -1, group: g}
+		lat := RouteLatency(r)
+		k := slices.IndexFunc(g.classes, func(c latencyClass) bool { return c.latency == lat })
+		if k < 0 {
+			k = len(g.classes)
+			g.classes = append(g.classes, latencyClass{latency: lat})
+		}
+		g.classes[k].members = append(g.classes[k].members, m)
 	}
 	return g
 }
 
 // Start begins a transfer in which each member carries bytesPerMember in
 // every one of rounds rounds. Round 0 pays each member's route latency,
-// as StartFlow does; later rounds start the instant the previous one
-// ends, as a streaming pipeline does. Panics while the previous transfer
-// is still running, on rounds < 1, or on bytesPerMember not above the
-// residual at which a flow counts as finished.
+// as StartFlow does, and the members whose routes share a latency
+// activate in one event, in member order; later rounds start the instant
+// the previous one ends, as a streaming pipeline does. Panics while the
+// previous transfer is still running, on rounds < 1, or on
+// bytesPerMember not above the residual at which a flow counts as
+// finished.
 func (g *FlowGroup) Start(bytesPerMember float64, rounds int) {
 	if !g.Completed() {
 		panic("simnet: Start of a running flow group")
@@ -458,7 +493,11 @@ func (g *FlowGroup) Start(bytesPerMember float64, rounds int) {
 	for i := range g.members {
 		m := &g.members[i]
 		*m = Flow{route: m.route, remaining: bytesPerMember, bytes: bytesPerMember, index: -1, started: now, group: g}
-		n.eng.ScheduleArg(RouteLatency(m.route), n.activateFn, m)
+	}
+	// One event per member would give the members of a class consecutive
+	// sequence numbers at one instant, so nothing could run between them.
+	for i := range g.classes {
+		n.eng.ScheduleArg(g.classes[i].latency, n.activateClassFn, &g.classes[i])
 	}
 }
 
@@ -719,14 +758,16 @@ func (n *Network) scheduleCompletion() {
 	n.completion = n.eng.ScheduleAt(next, n.completionFn)
 }
 
-// onCompletion settles every due flow and retires those that finished,
-// touches the components that changed, decides how each group whose round
-// re-armed here runs its next one (see rearm), ends the forwarding groups
-// due now, and re-solves the touched components. A due flow that has not
-// finished (its due was clamped at the horizon) is planned again. If an
-// activation at this instant is pending, its solve covers the final flow
-// set before time moves. If no component was touched, the standing rates
-// are kept: only the next completion is scheduled.
+// onCompletion brings back the forwarding groups beside which a flow
+// falls due now (see materializeDue), settles every due flow and retires
+// those that finished, touches the components that changed, decides how
+// each group whose round re-armed here runs its next one (see rearm),
+// ends the forwarding groups due now, and re-solves the touched
+// components. A due flow that has not finished (its due was clamped at
+// the horizon) is planned again. If an activation at this instant is
+// pending, its solve covers the final flow set before time moves. If no
+// component was touched, the standing rates are kept: only the next
+// completion is scheduled.
 //
 // A finished flow touches its component unless its group's whole round
 // finished in this event and re-armed: then each of those components
@@ -741,6 +782,9 @@ func (n *Network) onCompletion() {
 	n.completion = sim.Event{}
 	n.completions++
 	now := n.eng.Now()
+	if len(n.forwarding) > 0 {
+		n.materializeDue(now)
+	}
 	// Collect before acting: re-arming a group appends its members to
 	// n.flows, where the scan must not meet them. The scan retires the
 	// finished flows by moving each survivor down over them, so the flow
@@ -843,35 +887,42 @@ func (n *Network) onCompletion() {
 // A round is known to be a template already at its re-arm when the whole
 // round re-armed under kept rates, every member is due at one instant, and
 // settling there leaves each member at most epsilonBytes: then it ends in
-// one piece, its one step is its start. Otherwise g records the round it
-// re-armed, if rounds follow it and its members are alone.
+// one piece, its one step is its start. Such a round touches no other
+// flow, so it is repeated also beside plain flows in the members'
+// components, until one of them falls due or a flow joins: g forwards
+// with that due as its horizon (see beside). Otherwise g records the
+// round it re-armed, if rounds follow it and its members are alone: the
+// solves inside a round of several steps re-rate the other flows.
 func (n *Network) rearm(g *FlowGroup) {
 	now := n.eng.Now()
 	if g.mode == recording {
 		n.recording = slices.DeleteFunc(n.recording, func(h *FlowGroup) bool { return h == g })
-		n.forward(g, now-g.since)
+		n.forward(g, now-g.since, never)
 		return
 	}
-	if !n.alone(g) {
-		return
-	}
+	alone := n.alone(g)
 	single := g.firstLeft == n.completions && n.oneStep(g)
-	if !single && g.rounds-g.round < 2 {
+	horizon := never
+	switch {
+	case single && !alone:
+		var ok bool
+		if horizon, ok = n.beside(g); !ok {
+			return
+		}
+	case !alone, !single && g.rounds-g.round < 2:
 		return
 	}
 	g.since = now
 	g.at, g.steps = g.at[:0], g.steps[:0]
 	g.snapshot(now)
 	if single {
-		n.forward(g, g.members[0].due-now)
+		n.forward(g, g.members[0].due-now, horizon)
 		return
 	}
 	// A solve of g's components at this instant takes step 0 again.
 	g.mode = recording
 	n.recording = append(n.recording, g)
-	for i := range g.members {
-		g.members[i].root.lone = g
-	}
+	g.setLone(g)
 }
 
 // alone reports whether every component of g's members holds only g's
@@ -911,11 +962,50 @@ func (n *Network) oneStep(g *FlowGroup) bool {
 	return true
 }
 
+// beside reports whether every flow of the components of g's members,
+// other than the members, is a plain flow, and no other group records or
+// forwards in them; and returns the earliest instant one of those flows
+// is due. Those dues move only when a component is touched. alone must
+// have left each member's root in its root field.
+// The members' roots carry g as lone while their flows are scanned, and
+// keep it only if g forwards.
+func (n *Network) beside(g *FlowGroup) (time.Duration, bool) {
+	for i := range g.members {
+		if g.members[i].root.lone != nil {
+			return never, false
+		}
+	}
+	g.setLone(g)
+	horizon := never
+	for _, f := range n.flows {
+		if f.group == g {
+			continue
+		}
+		if f.root = f.root.find(); f.root.lone != g {
+			continue
+		}
+		if f.group != nil {
+			g.setLone(nil)
+			return never, false
+		}
+		horizon = min(horizon, f.due)
+	}
+	return horizon, true
+}
+
+// setLone sets the lone field of g's members' roots to h.
+func (g *FlowGroup) setLone(h *FlowGroup) {
+	for i := range g.members {
+		g.members[i].root.lone = h
+	}
+}
+
 // forward takes g's re-armed members out of the flow set, in one pass
 // from the lowest of their positions that moves the flows after them
 // down in order, and runs the rest of its transfer, each round a copy of
-// its template of the given period, as one event at its end.
-func (n *Network) forward(g *FlowGroup, period time.Duration) {
+// its template of the given period, as one event at its end, unless a
+// flow beside it falls due at horizon first.
+func (n *Network) forward(g *FlowGroup, period, horizon time.Duration) {
 	kept := len(n.flows)
 	for i := range g.members {
 		m := &g.members[i]
@@ -932,16 +1022,14 @@ func (n *Network) forward(g *FlowGroup, period time.Duration) {
 	}
 	clear(n.flows[kept:])
 	n.flows = n.flows[:kept]
-	g.mode, g.since, g.period = forwarding, n.eng.Now(), period
+	g.mode, g.since, g.period, g.horizon = forwarding, n.eng.Now(), period, horizon
 	n.forwarding = append(n.forwarding, g)
 }
 
 // stopRecording returns recording group g to the stepwise path.
 func (n *Network) stopRecording(g *FlowGroup) {
 	n.recording = slices.DeleteFunc(n.recording, func(h *FlowGroup) bool { return h == g })
-	for i := range g.members {
-		g.members[i].root.lone = nil
-	}
+	g.setLone(nil)
 	g.mode = stepwise
 }
 
@@ -956,7 +1044,9 @@ func (n *Network) join(g *FlowGroup) {
 }
 
 // endForwarded ends the forwarding groups whose last round finishes by
-// now: it books their rounds and fires Done.
+// now: it books their rounds, touches the members' components that still
+// hold flows, as the stepwise last round does, so the solve re-rates the
+// flows beside them, and fires Done.
 func (n *Network) endForwarded(now time.Duration) {
 	running := n.forwarding[:0]
 	for _, g := range n.forwarding {
@@ -969,6 +1059,11 @@ func (n *Network) endForwarded(now time.Duration) {
 		n.forwarded += uint64(rounds - 1)
 		for i := range g.members {
 			g.members[i].root.active--
+		}
+		for i := range g.members {
+			if m := &g.members[i]; m.root.active > 0 {
+				n.touch(m)
+			}
 		}
 		g.round = g.rounds
 		g.done.Fire()
@@ -986,9 +1081,35 @@ func (n *Network) endForwarded(now time.Duration) {
 // retires them and fires Done, as it would on the stepwise path. Members
 // that left earlier in the round stay out of the flow set.
 func (n *Network) materialize(g *FlowGroup) {
-	k, step := g.position(n.eng.Now())
-	g.unforward(k, k)
+	n.restore(g, n.eng.Now())
 	n.forwarding = slices.DeleteFunc(n.forwarding, func(h *FlowGroup) bool { return h == g })
+}
+
+// materializeDue brings back, before a completion event's scan for due
+// flows, each forwarding group beside which a flow falls due now, before
+// the group's end. The members are in the round that runs up to now: at
+// an exact round boundary, the round that ends now, its members due now
+// and back in the flow set for the scan to retire and re-arm, as on the
+// stepwise path.
+func (n *Network) materializeDue(now time.Duration) {
+	running := n.forwarding[:0]
+	for _, g := range n.forwarding {
+		if g.horizon > now || g.end() <= now {
+			running = append(running, g)
+			continue
+		}
+		n.restore(g, now-1)
+	}
+	clear(n.forwarding[len(running):])
+	n.forwarding = running
+}
+
+// restore takes forwarding group g back to the stepwise path in the
+// round and template step it is in at instant t (see position); the
+// caller takes g out of the forwarding list.
+func (n *Network) restore(g *FlowGroup, t time.Duration) {
+	k, step := g.position(t)
+	g.unforward(k, k)
 	n.forwarded += uint64(k)
 	g.round += k
 	at := g.since + time.Duration(k)*g.period
@@ -1028,6 +1149,19 @@ func (g *FlowGroup) unforward(rounds, rearms int) {
 		}
 		m.root.lone = nil
 	}
+}
+
+// Counters are the work a network has done since it was made.
+type Counters struct {
+	Completions uint64 // completion events run
+	Filled      uint64 // progressive-filling passes
+	Kept        uint64 // completion events that kept the standing rates
+	Forwarded   uint64 // group rounds that ended without a completion event
+}
+
+// Counters returns the network's work counts.
+func (n *Network) Counters() Counters {
+	return Counters{Completions: n.completions, Filled: n.filled, Kept: n.kept, Forwarded: n.forwarded}
 }
 
 // ActiveFlows reports the number of flows currently competing for

@@ -47,6 +47,7 @@
 #   FILTER          -bench regexp          (default SuiteSerial|
 #                   SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|
 #                   SameInstantFanOut|FlowLifecycle|RingBesideLoaders|
+#                   RingBesideUpload|
 #                   BlameAttribute|TableRender)
 set -eu
 cd "$(dirname "$0")/.."
@@ -54,7 +55,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1x}"
 MICRO_BENCHTIME="${MICRO_BENCHTIME:-0.5s}"
 COUNT="${COUNT:-3}"
-FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|SameInstantFanOut|FlowLifecycle|RingBesideLoaders|BlameAttribute|TableRender}"
+FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|SameInstantFanOut|FlowLifecycle|RingBesideLoaders|RingBesideUpload|BlameAttribute|TableRender}"
 # The effective scheduler width: parallel_speedup (SuiteSerial /
 # SuiteParallel) is only meaningful when the parallel suite actually had
 # more than one P to run on, so single-P hosts record gomaxprocs and
