@@ -8,6 +8,7 @@ package cloud
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"stash/internal/hw"
@@ -172,9 +173,12 @@ func Catalog() []InstanceType {
 	}
 }
 
+// catalog is Catalog, built on first use for ByName's lookups.
+var catalog = sync.OnceValue(Catalog)
+
 // ByName returns the catalog entry with the given name.
 func ByName(name string) (InstanceType, error) {
-	for _, it := range Catalog() {
+	for _, it := range catalog() {
 		if it.Name == name {
 			return it, nil
 		}
@@ -202,7 +206,8 @@ const (
 
 // Provisioner turns instance types into simulated machines.
 type Provisioner struct {
-	rng           *rand.Rand
+	seed          int64
+	rng           *rand.Rand // seeded at the first draw; most provisioners never draw
 	policy        SlicePolicy
 	networkJitter float64
 }
@@ -210,7 +215,15 @@ type Provisioner struct {
 // NewProvisioner returns a provisioner with the given slicing policy.
 // The seed drives the slice lottery and network jitter draws.
 func NewProvisioner(policy SlicePolicy, seed int64) *Provisioner {
-	return &Provisioner{rng: rand.New(rand.NewSource(seed)), policy: policy}
+	return &Provisioner{seed: seed, policy: policy}
+}
+
+// draw returns the next number in [0, 1) of the provisioner's RNG.
+func (p *Provisioner) draw() float64 {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng.Float64()
 }
 
 // SetNetworkJitter makes each provisioned machine draw its network
@@ -236,14 +249,14 @@ func (p *Provisioner) MachineSpec(it InstanceType) topo.MachineSpec {
 		case SliceClean:
 			// keep the full crossbar
 		default:
-			if p.rng.Float64() < it.DegradedSliceProb {
+			if p.draw() < it.DegradedSliceProb {
 				ic = topo.InterconnectNVLinkDegraded
 			}
 		}
 	}
 	gbps := it.NetworkGbps
 	if p.networkJitter > 0 {
-		gbps *= 1 - p.rng.Float64()*p.networkJitter
+		gbps *= 1 - p.draw()*p.networkJitter
 	}
 	return topo.MachineSpec{
 		GPU:                  it.GPU,

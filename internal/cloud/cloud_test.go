@@ -221,3 +221,38 @@ func TestNetworkJitterValidation(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set in race-detector builds (race_test.go).
+var raceEnabled bool
+
+// TestProvisionAllocs pins the allocations of building a world: a fresh
+// engine and network, and a cluster provisioned on them. Routes are
+// built on demand and the slice lottery's RNG only once it draws, so
+// neither costs a world that does not use it.
+func TestProvisionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, tc := range []struct {
+		instance string
+		count    int
+		max      float64
+	}{
+		{"p2.16xlarge", 1, 137},
+		{"p3.8xlarge", 2, 119},
+	} {
+		it, err := ByName(tc.instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			prov := NewProvisioner(SliceDegraded, 1)
+			if _, err := prov.Provision(simnet.New(sim.NewEngine()), it, tc.count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("provisioning %dx%s allocates %v times, want at most %v", tc.count, tc.instance, got, tc.max)
+		}
+	}
+}

@@ -22,13 +22,22 @@ type Bucket struct {
 // order. This is the synchronization granularity of the paper's §VI-A2
 // model: L sync points of G/L bytes each.
 func PerLayerBuckets(m *dnn.Model) []Bucket {
-	var buckets []Bucket
+	n := 0
+	for _, l := range m.Layers {
+		if l.Params != 0 {
+			n++
+		}
+	}
+	// Every bucket's Layers is a one-element window of one array.
+	buckets, layers := make([]Bucket, 0, n), make([]int, 0, n)
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		l := m.Layers[i]
 		if l.Params == 0 {
 			continue
 		}
-		buckets = append(buckets, Bucket{Bytes: l.GradientBytes(), Layers: []int{i}})
+		layers = append(layers, i)
+		k := len(layers)
+		buckets = append(buckets, Bucket{Bytes: l.GradientBytes(), Layers: layers[k-1 : k : k]})
 	}
 	return buckets
 }

@@ -230,7 +230,11 @@ func (g *Group) maybeStart() {
 	}
 	g.executing = true
 	o := g.ready[0]
-	g.ready = g.ready[1:]
+	// Shift down rather than reslice, so the next append reuses the
+	// array instead of growing a new one past its end.
+	k := copy(g.ready, g.ready[1:])
+	g.ready[k] = nil
+	g.ready = g.ready[:k]
 	g.x.begin(o)
 }
 

@@ -397,3 +397,16 @@ func TestQuickSizedBucketsPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPerLayerBucketsAllocs pins PerLayerBuckets to two allocations, the
+// buckets and one array that holds every bucket's layer.
+func TestPerLayerBucketsAllocs(t *testing.T) {
+	m, err := dnn.ResNet(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() { PerLayerBuckets(m) })
+	if got > 2 {
+		t.Errorf("PerLayerBuckets(resnet50) allocates %v times, want at most 2", got)
+	}
+}

@@ -47,19 +47,23 @@ func RecordRealDataRuns(fn func()) []RealDataRun {
 }
 
 // Work is the simulation work of a set of worlds: how many, the engine
-// events they scheduled and their networks' counters, summed.
+// events they scheduled, the training steps simulated on them and their
+// networks' counters, summed.
 type Work struct {
 	Worlds int
 	Events uint64
+	Steps  uint64
 	simnet.Counters
 }
 
 // RecordWork calls fn and returns the work of every world built
 // meanwhile. fn must have finished every simulation it started when it
-// returns.
+// returns, and nothing else may simulate meanwhile: the steps are read
+// from train's process-wide count.
 func RecordWork(fn func()) Work {
 	var mu sync.Mutex
 	var w Work
+	steps := train.StepsSimulated()
 	observeWorld = func(world World) {
 		c := world.Net.Counters()
 		mu.Lock()
@@ -73,5 +77,6 @@ func RecordWork(fn func()) Work {
 	}
 	defer func() { observeWorld = nil }()
 	fn()
+	w.Steps = train.StepsSimulated() - steps
 	return w
 }

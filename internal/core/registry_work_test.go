@@ -9,7 +9,8 @@ import (
 )
 
 // TestRegistryWorkCounts pins the simulation work of the whole registry
-// at seed 1: the worlds built, the engine events they scheduled, and the
+// at seed 1: the worlds built, the engine events they scheduled, the
+// training steps simulated on them (skipped ones not counted), and the
 // network's completion events, progressive-filling passes, completions
 // that kept the standing rates and group rounds forwarded. The work is
 // deterministic for a fixed seed at any parallelism, so a change that
@@ -24,8 +25,8 @@ func TestRegistryWorkCounts(t *testing.T) {
 			}
 		}
 	})
-	want := core.Work{Worlds: 608, Events: 2567650, Counters: simnet.Counters{
-		Completions: 421412, Filled: 275402, Kept: 216044, Forwarded: 1544774,
+	want := core.Work{Worlds: 608, Events: 2168705, Steps: 2004, Counters: simnet.Counters{
+		Completions: 352231, Filled: 231865, Kept: 177698, Forwarded: 1289933,
 	}}
 	if got != want {
 		t.Errorf("registry work at seed 1:\n got %+v\nwant %+v", got, want)

@@ -285,14 +285,47 @@ func (l *Loader) NextFunc(fn func(Batch, bool)) {
 // Unfetched returns how many batches the loader has yet to fetch.
 func (l *Loader) Unfetched() int { return l.iterations - l.next }
 
-// Shorten lowers the number of batches the loader produces by m, which
-// must leave at least one batch unfetched.
+// Drained reports whether the loader has handed its last batch to the
+// queue its consumer reads: it has fetched every batch, and no batch or
+// flow is left in its stages. Closing a stage's output is the last thing
+// the stage does, once its input is closed and empty, so a closed queue
+// says all of that.
+func (l *Loader) Drained() bool { return l.queue.Closed() }
+
+// Skippable returns the most steps Shorten may skip: the batches the
+// loader hands over before it runs out. A loader still fetching runs out
+// when it fetches its last batch, which changes its pace, so it may skip
+// its unfetched batches less that one. A drained loader runs out when
+// its queue does, and at an iteration boundary its worker already holds
+// the current batch, so the queued batches are exactly the steps after
+// the current one.
+func (l *Loader) Skippable() int {
+	if l.Drained() {
+		return l.queue.Len()
+	}
+	return l.Unfetched() - 1
+}
+
+// Shorten lowers the number of batches the loader hands over by m, at
+// most Skippable. A loader still fetching fetches m fewer; a drained one
+// drops m of its queued batches, as if its consumer had taken them.
 func (l *Loader) Shorten(m int) {
-	if m < 0 || m >= l.Unfetched() {
-		panic(fmt.Sprintf("pipeline: shorten by %d with %d batches unfetched", m, l.Unfetched()))
+	if m < 0 || m > l.Skippable() {
+		panic(fmt.Sprintf("pipeline: shorten by %d with %d batches skippable", m, l.Skippable()))
+	}
+	if l.Drained() {
+		l.queue.Discard(m)
+		for range m {
+			l.credits.Release()
+		}
+		return
 	}
 	l.iterations -= m
 }
+
+// drainedState is the first word of a drained loader's encoding. A live
+// encoding starts with the prefetch credits in use, a count far below it.
+const drainedState = math.MaxUint64
 
 // AppendState appends the encoding of the loader's state to buf: the
 // prefetch credits in use and awaited, each queue's length, waiting
@@ -303,9 +336,18 @@ func (l *Loader) Shorten(m int) {
 // instant with nothing more due, every credit in use is held by a batch
 // fetched and not yet handed over, or by the read in flight, and every
 // batch asked for and not yet handed over is the consumer's waiting
-// getter, so the lookahead is the credits in use less those two. It
+// getter, so the lookahead is the credits in use less those two.
+//
+// A drained loader encodes as drainedState and its queue's waiting
+// getters only. Its credits in use and its queue's length count nothing
+// but the batches left: every later get is served at once, and a credit
+// released with fetching over wakes no one. So two drained loaders hand
+// over batches alike until the one with fewer runs out. AppendState
 // reports false if ref does.
 func (l *Loader) AppendState(buf []uint64, ref func(*simnet.Flow) (uint64, bool)) ([]uint64, bool) {
+	if l.Drained() {
+		return append(buf, drainedState, uint64(l.queue.Waiting())), true
+	}
 	buf = append(buf, uint64(l.credits.InUse()), uint64(l.credits.Waiting()))
 	buf = appendQueue(buf, l.fetched)
 	buf = appendQueue(buf, l.prepped)

@@ -242,6 +242,71 @@ func TestLoaderStateTellsDepth(t *testing.T) {
 	}
 }
 
+// TestDrainedLoaderStateIgnoresBuffer: once a loader has queued its last
+// batch, its encoding leaves out how many batches wait for the consumer,
+// so two drained instants with different buffers encode equal; an
+// instant at which its last upload is still in flight does not.
+func TestDrainedLoaderStateIgnoresBuffer(t *testing.T) {
+	r := newRig(t, defaultCfg())
+	r.hp.SetCacheMode(CacheWarm)
+	const batches = 3 // fewer than the prefetch credits: no consumer needed
+	l, err := r.hp.NewLoader(smallJob(t, 32), []*simnet.Link{r.upload}, batches)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	l.Start("loader")
+	anyFlow := func(*simnet.Flow) (uint64, bool) { return 0, true }
+	state := func() []uint64 {
+		t.Helper()
+		code, ok := l.AppendState(nil, anyFlow)
+		if !ok {
+			t.Fatal("AppendState reported an uncovered state")
+		}
+		return code
+	}
+	// The last upload in flight, at a quiet instant.
+	var uploading []uint64
+	var pending []sim.Event
+	var check func()
+	check = func() {
+		if pending = r.eng.AppendPending(pending[:0]); len(pending) > 0 && pending[0].At() == r.eng.Now() {
+			r.eng.Schedule(0, check)
+			return
+		}
+		if l.Unfetched() == 0 && l.upFlow != nil && uploading == nil {
+			if l.Drained() {
+				t.Error("a loader with an upload in flight reports drained")
+			}
+			uploading = state()
+		}
+		if !l.Drained() {
+			r.eng.Schedule(10*time.Microsecond, check)
+		}
+	}
+	r.eng.Schedule(0, check)
+	if err := r.eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if uploading == nil {
+		t.Fatal("never saw the last upload in flight")
+	}
+	if !l.Drained() || l.queue.Len() != batches {
+		t.Fatalf("after the run: drained %v with %d buffered, want drained with %d", l.Drained(), l.queue.Len(), batches)
+	}
+	full := state()
+	if reflect.DeepEqual(uploading, full) {
+		t.Errorf("a loader with its last upload in flight encodes as a drained one: %v", full)
+	}
+	l.NextFunc(func(Batch, bool) {})
+	if taken := state(); l.queue.Len() != batches-1 || !reflect.DeepEqual(taken, full) {
+		t.Errorf("drained with %d buffered encodes %v, with %d %v", l.queue.Len(), taken, batches, full)
+	}
+	l.Shorten(2)
+	if l.queue.Len() != 0 || l.credits.InUse() != 0 {
+		t.Errorf("shortened by all it buffers: %d buffered, %d credits in use", l.queue.Len(), l.credits.InUse())
+	}
+}
+
 // TestLoaderStateImpliesLookahead backs the loader's encoding without a
 // word for its fetch lookahead over its consumer (the batches fetched
 // but not yet asked for): wherever nothing more is due at the instant,

@@ -208,6 +208,15 @@ func (q *Queue[T]) Close() {
 	}
 }
 
+// Discard drops the n oldest buffered items, 0 <= n <= Len, as if n
+// getters had taken them. It wakes no one.
+func (q *Queue[T]) Discard(n int) {
+	if n < 0 || n > len(q.items) {
+		panic(fmt.Sprintf("sim: discard %d of %d queued items", n, len(q.items)))
+	}
+	q.items = q.items[n:]
+}
+
 func (q *Queue[T]) wakeOne() {
 	if len(q.waiters) == 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -1304,4 +1305,31 @@ func TestDisjointTrafficKeepsTimestamps(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestGroupStartResetsMembers pins Start's field-by-field reset: after a
+// finished transfer, the next Start leaves every member as a fresh flow
+// of the new size would be, its embedded signal never armed.
+func TestGroupStartResetsMembers(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng)
+	a := n.NewLink("a", 1e9, time.Microsecond)
+	b := n.NewLink("b", 2e9, 2*time.Microsecond)
+	g := n.NewGroup([][]*Link{{a}, {a, b}, {b}})
+	g.Start(1e6, 3)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntil(eng.Now() + time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	g.Start(2e6, 2)
+	now := eng.Now()
+	for i := range g.members {
+		m := &g.members[i]
+		want := Flow{route: m.route, remaining: 2e6, bytes: 2e6, index: -1, started: now, group: g}
+		if !reflect.DeepEqual(*m, want) {
+			t.Errorf("member %d after Start:\n got %+v\nwant %+v", i, *m, want)
+		}
+	}
 }

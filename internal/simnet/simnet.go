@@ -489,10 +489,15 @@ func (g *FlowGroup) Start(bytesPerMember float64, rounds int) {
 	// The previous transfer's signal has fired, so no waiter is parked on
 	// it and resetting it loses none.
 	g.done = sim.MakeSignal(n.eng)
+	// Each member is reset field by field: a whole-struct store would copy
+	// the embedded signal too. That signal is never armed: a member
+	// finishes through leave, which fires the group's done, never its own.
 	now := n.eng.Now()
 	for i := range g.members {
 		m := &g.members[i]
-		*m = Flow{route: m.route, remaining: bytesPerMember, bytes: bytesPerMember, index: -1, started: now, group: g}
+		m.remaining, m.bytes, m.rate = bytesPerMember, bytesPerMember, 0
+		m.settled, m.due, m.started, m.finished = 0, 0, now, 0
+		m.index, m.frozen, m.completed, m.root = -1, false, false, nil
 	}
 	// One event per member would give the members of a class consecutive
 	// sequence numbers at one instant, so nothing could run between them.

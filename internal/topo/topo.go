@@ -118,14 +118,16 @@ type Machine struct {
 	gpuDown []*simnet.Link
 	nicOut  *simnet.Link
 	nicIn   *simnet.Link
+
+	// nvlinks[i*NGPUs+j] is the dedicated link from GPU i to GPU j, nil
+	// where the pair talks over PCIe (and the table nil on PCIe machines).
+	nvlinks []*simnet.Link
 }
 
 // Topology is a built cluster: machines joined by a network fabric.
 type Topology struct {
 	Net      *simnet.Network
 	Machines []*Machine
-
-	routes map[[2]*Device][]*simnet.Link
 }
 
 // BuildCluster constructs machines and the VPC fabric between them on the
@@ -134,10 +136,7 @@ func BuildCluster(net *simnet.Network, specs []MachineSpec) (*Topology, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("topo: no machines")
 	}
-	t := &Topology{
-		Net:    net,
-		routes: make(map[[2]*Device][]*simnet.Link),
-	}
+	t := &Topology{Net: net}
 	for node, spec := range specs {
 		m, err := buildMachine(net, node, spec)
 		if err != nil {
@@ -145,8 +144,11 @@ func BuildCluster(net *simnet.Network, specs []MachineSpec) (*Topology, error) {
 		}
 		t.Machines = append(t.Machines, m)
 	}
-	t.buildIntraMachineRoutes()
-	t.buildInterMachineRoutes()
+	// Every machine's own links come first, then each machine's pair
+	// links: a fixed creation order fixes every link's id.
+	for _, m := range t.Machines {
+		m.buildNVLinks(net)
+	}
 	return t, nil
 }
 
@@ -210,87 +212,88 @@ func sameNVLinkHalf(i, j, n int) bool {
 	return (i < half) == (j < half)
 }
 
-func (t *Topology) buildIntraMachineRoutes() {
-	for _, m := range t.Machines {
-		n := m.Spec.NGPUs
-		// Host <-> GPU always goes over PCIe.
-		for i := 0; i < n; i++ {
-			t.routes[[2]*Device{m.Host, m.GPUs[i]}] = m.pcieRoute(-1, i)
-			t.routes[[2]*Device{m.GPUs[i], m.Host}] = m.pcieRoute(i, -1)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				key := [2]*Device{m.GPUs[i], m.GPUs[j]}
-				switch m.Spec.Interconnect {
-				case InterconnectPCIe:
-					t.routes[key] = m.pcieRoute(i, j)
-				case InterconnectNVLink, InterconnectNVSwitch:
-					t.routes[key] = []*simnet.Link{t.nvlLink(m, i, j)}
-				case InterconnectNVLinkDegraded:
-					if sameNVLinkHalf(i, j, n) {
-						t.routes[key] = []*simnet.Link{t.nvlLink(m, i, j)}
-					} else {
-						t.routes[key] = m.pcieRoute(i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
-// nvlLink lazily creates the dedicated point-to-point link for a GPU pair
-// direction on NVLink/NVSwitch machines.
-func (t *Topology) nvlLink(m *Machine, i, j int) *simnet.Link {
+// buildNVLinks creates the dedicated link of every ordered GPU pair that
+// NVLink or NVSwitch connects, in (from, to) order: every pair on a
+// whole crossbar or an NVSwitch, the same-half pairs on a degraded one.
+// NVLink is full-duplex and the crossbar gives every pair dedicated
+// bandwidth, so each direction gets its own link.
+func (m *Machine) buildNVLinks(net *simnet.Network) {
 	spec := m.Spec.NVLink
-	if m.Spec.Interconnect == InterconnectNVSwitch {
+	switch m.Spec.Interconnect {
+	case InterconnectPCIe:
+		return
+	case InterconnectNVSwitch:
 		spec = hw.NVSwitchLink
 	}
-	name := fmt.Sprintf("node%d/nvlink-%d-%d", m.Node, i, j)
-	// Each ordered pair gets its own link: NVLink is full-duplex and the
-	// crossbar gives every pair dedicated bandwidth.
-	l := t.Net.NewLink(name, spec.Bandwidth, spec.Latency)
-	return l
-}
-
-func (t *Topology) buildInterMachineRoutes() {
-	for _, a := range t.Machines {
-		for _, b := range t.Machines {
-			if a == b {
+	n := m.Spec.NGPUs
+	m.nvlinks = make([]*simnet.Link, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j || m.Spec.Interconnect == InterconnectNVLinkDegraded && !sameNVLinkHalf(i, j, n) {
 				continue
 			}
-			if a.nicOut == nil || b.nicIn == nil {
-				continue
-			}
-			for i, gi := range a.GPUs {
-				for j, gj := range b.GPUs {
-					route := []*simnet.Link{a.gpuUp[i], a.rootBus, a.nicOut, b.nicIn, b.rootBus, b.gpuDown[j]}
-					t.routes[[2]*Device{gi, gj}] = route
-				}
-			}
-			t.routes[[2]*Device{a.Host, b.Host}] = []*simnet.Link{a.nicOut, b.nicIn}
-			// Host to remote GPU and back (parameter-server traffic).
-			for j, gj := range b.GPUs {
-				t.routes[[2]*Device{a.Host, gj}] = []*simnet.Link{a.nicOut, b.nicIn, b.rootBus, b.gpuDown[j]}
-				t.routes[[2]*Device{gj, a.Host}] = []*simnet.Link{b.gpuUp[j], b.rootBus, b.nicOut, a.nicIn}
-			}
+			name := fmt.Sprintf("node%d/nvlink-%d-%d", m.Node, i, j)
+			m.nvlinks[i*n+j] = net.NewLink(name, spec.Bandwidth, spec.Latency)
 		}
 	}
 }
 
 // Route returns the link path from one device to another, or an error if
-// no route exists (e.g. machines without network links).
+// no route exists (e.g. machines without network links). Each call
+// builds the path afresh from the devices' machines:
+//
+//   - host and GPU of one machine: PCIe through the root complex;
+//   - two GPUs of one machine: their NVLink where they have one, else
+//     PCIe through the root complex;
+//   - devices of two machines: out of the first over its PCIe and NIC,
+//     into the second over its NIC and PCIe, when both have a NIC.
 func (t *Topology) Route(from, to *Device) ([]*simnet.Link, error) {
 	if from == to {
 		return nil, fmt.Errorf("topo: route from %s to itself", from.Name)
 	}
-	r, ok := t.routes[[2]*Device{from, to}]
-	if !ok {
+	if !t.owns(from) || !t.owns(to) {
 		return nil, fmt.Errorf("topo: no route %s -> %s", from.Name, to.Name)
 	}
-	return r, nil
+	a, b := t.Machines[from.Node], t.Machines[to.Node]
+	i, j := -1, -1 // GPU indices, -1 for a host
+	if from.Kind == KindGPU {
+		i = from.Index
+	}
+	if to.Kind == KindGPU {
+		j = to.Index
+	}
+	if a == b {
+		if i >= 0 && j >= 0 && a.nvlinks != nil {
+			if l := a.nvlinks[i*a.Spec.NGPUs+j]; l != nil {
+				return []*simnet.Link{l}, nil
+			}
+		}
+		return a.pcieRoute(i, j), nil
+	}
+	if a.nicOut == nil || b.nicIn == nil {
+		return nil, fmt.Errorf("topo: no route %s -> %s", from.Name, to.Name)
+	}
+	route := make([]*simnet.Link, 0, 6)
+	if i >= 0 {
+		route = append(route, a.gpuUp[i], a.rootBus)
+	}
+	route = append(route, a.nicOut, b.nicIn)
+	if j >= 0 {
+		route = append(route, b.rootBus, b.gpuDown[j])
+	}
+	return route, nil
+}
+
+// owns reports whether d is one of the topology's devices.
+func (t *Topology) owns(d *Device) bool {
+	if d.Node < 0 || d.Node >= len(t.Machines) {
+		return false
+	}
+	m := t.Machines[d.Node]
+	if d.Kind == KindHost {
+		return m.Host == d
+	}
+	return d.Index >= 0 && d.Index < len(m.GPUs) && m.GPUs[d.Index] == d
 }
 
 // AllGPUs returns every GPU in the cluster in (node, index) order; the

@@ -15,10 +15,22 @@ import (
 // worker has started the iteration and nothing more is due at that
 // instant, it encodes the world relative to now. When a boundary encodes
 // equal to the one before it, every later iteration repeats the one
-// between them until a loader runs out of batches. So the skipper moves
-// every worker on by the iterations it can skip and lowers every
-// loader's batch count by as many, and adds their increments to each
-// worker's clock and waits and to the group's busy time.
+// between them until a loader runs out. So the skipper moves every
+// worker on by the iterations it can skip and shortens every loader by
+// as many, and adds their increments to each worker's clock and waits
+// and to the group's busy time.
+//
+// A run skips twice at most. While its loaders fetch, the repeats last
+// until a loader fetches its last batch. Once every loader is drained
+// (pipeline.Loader.Drained), each step takes a buffered batch and moves
+// no loader traffic, and the repeats last until the buffers run out: the
+// drained encoding leaves out the buffer's length, so two drained
+// boundaries can match although they hold different counts. A skip
+// leaves a loader with nothing more to skip, so the next boundary cannot
+// skip. A boundary where some loader has nothing to skip is not encoded:
+// it cannot skip, and the next boundary cannot match it, since that
+// loader there either still has nothing to skip or has drained since and
+// encodes otherwise.
 //
 // The period is one iteration. A longer one could only come from state
 // that alternates between boundaries, and the flow set, which once did
@@ -39,9 +51,8 @@ type skipper struct {
 	pending  []sim.Event // probe scratch
 	prev     boundary    // the boundary before it
 	cur      boundary    // boundary it, once probed
-	done     bool
 
-	// The skip, once made: the iterations skipped and the group's busy
+	// The skips made so far: the iterations skipped and the group's busy
 	// time over them.
 	skipped int
 	busy    time.Duration
@@ -53,8 +64,8 @@ type arrival struct {
 }
 
 // boundary is the world at an iteration boundary: its encoding (ok false
-// if the encoding does not cover it), its instant, and the running
-// totals a skipped iteration adds to.
+// if the encoding does not cover it or was not taken), its instant, and
+// the running totals a skipped iteration adds to.
 type boundary struct {
 	ok                 bool
 	code               []uint64
@@ -72,9 +83,6 @@ func newSkipper(eng *sim.Engine, net *simnet.Network, group *collective.Group, w
 // arrive records worker w starting iteration w.it, and probes the
 // boundary once every worker has.
 func (s *skipper) arrive(w *worker) {
-	if s.done {
-		return
-	}
 	s.arrivals[w.rank] = arrival{w.eng.Now(), w.dataWait, w.commWait}
 	s.arrived++
 	if s.arrived < len(s.workers) {
@@ -96,15 +104,18 @@ func (s *skipper) probe() {
 	}
 	s.prev, s.cur = s.cur, s.prev
 	b := &s.cur
-	b.code, b.ok = s.encode(b.code[:0])
-	b.at, b.busy = now, s.group.BusyTime()
-	b.dataWait, b.commWait = b.dataWait[:0], b.commWait[:0]
-	for _, w := range s.workers {
-		b.dataWait = append(b.dataWait, w.dataWait)
-		b.commWait = append(b.commWait, w.commWait)
-	}
-	if a := &s.prev; b.ok && a.ok && slices.Equal(a.code, b.code) {
-		s.skip(a, b)
+	b.at, b.ok = now, false
+	if k := s.bound(); k > 0 {
+		b.code, b.ok = s.encode(b.code[:0])
+		b.busy = s.group.BusyTime()
+		b.dataWait, b.commWait = b.dataWait[:0], b.commWait[:0]
+		for _, w := range s.workers {
+			b.dataWait = append(b.dataWait, w.dataWait)
+			b.commWait = append(b.commWait, w.commWait)
+		}
+		if a := &s.prev; b.ok && a.ok && slices.Equal(a.code, b.code) {
+			s.skip(a, b, k)
+		}
 	}
 	if observeProbe != nil {
 		observeProbe(s)
@@ -114,38 +125,42 @@ func (s *skipper) probe() {
 // observeProbe, when set (by tests), sees the skipper after each probe.
 var observeProbe func(*skipper)
 
-// skip skips the k iterations from boundary b on that keep each
-// loader's fetch index below its batch count, since the world at b
-// repeats the world at a, one iteration earlier, until one runs out.
+// bound returns the iterations after the current one that the world may
+// repeat: the fewest any loader may skip before it runs out.
+func (s *skipper) bound() int {
+	k := math.MaxInt
+	for _, w := range s.workers {
+		k = min(k, w.loader.Skippable())
+	}
+	return k
+}
+
+// skip skips the k iterations from boundary b on, since the world at b
+// repeats the world at a, one iteration earlier, and k is b's bound.
 // Each worker's iteration it becomes iteration it+k, with its clock
 // shifted and its waits raised by the k iterations'. A warmup boundary
 // among them, at it+j, is the worker's start of iteration it repeated j
-// iterations later.
-func (s *skipper) skip(a, b *boundary) {
-	s.done = true
-	k := math.MaxInt
-	for _, w := range s.workers {
-		k = min(k, w.loader.Unfetched()-1)
-	}
-	if k <= 0 {
-		return
-	}
-	s.skipped = k
+// iterations later; arrivals hold engine time, which the shift so far
+// turns into the worker's clock. Then b is no reference for the next
+// boundary: its clocks and waits predate the skip.
+func (s *skipper) skip(a, b *boundary, k int) {
+	s.skipped += k
 	period := b.at - a.at
-	s.busy = time.Duration(k) * (b.busy - a.busy)
+	s.busy += time.Duration(k) * (b.busy - a.busy)
 	for i, w := range s.workers {
 		data, comm := b.dataWait[i]-a.dataWait[i], b.commWait[i]-a.commWait[i]
 		if j := time.Duration(w.cfg.Warmup - s.it); j > 0 && j <= time.Duration(k) {
 			arr := s.arrivals[i]
-			w.warmupEnd = arr.at + j*period
+			w.warmupEnd = arr.at + w.shift + j*period
 			w.dataBase, w.commBase = arr.dataWait+j*data, arr.commWait+j*comm
 		}
 		w.it += k
-		w.shift = time.Duration(k) * period
+		w.shift += time.Duration(k) * period
 		w.dataWait += time.Duration(k) * data
 		w.commWait += time.Duration(k) * comm
 		w.loader.Shorten(k)
 	}
+	b.ok = false
 }
 
 // encode appends the encoding of the world now to buf: the pending

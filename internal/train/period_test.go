@@ -37,11 +37,24 @@ func (c cluster) String() string {
 	return s
 }
 
-// run provisions a fresh copy of the cluster and trains cfg on it; cfg's
-// Topology and GPUs are filled in from the new cluster, and a real-data
-// run gets the profiler's pipelines and overlap setting. It returns the
-// Result and the number of events the run scheduled.
+// run provisions a fresh copy of the cluster and trains cfg on it (see
+// world). It returns the Result and the number of events the run
+// scheduled.
 func (c cluster) run(t *testing.T, cfg Config) (*Result, uint64) {
+	t.Helper()
+	eng, net, cfg := c.world(t, cfg)
+	res, err := Run(eng, net, cfg)
+	if err != nil {
+		t.Fatalf("%v: Run: %v", c, err)
+	}
+	return res, eng.Scheduled()
+}
+
+// world provisions a fresh copy of the cluster and returns its engine and
+// network, and cfg with its Topology and GPUs filled in from the new
+// cluster; a real-data cfg gets the profiler's pipelines and overlap
+// setting.
+func (c cluster) world(t testing.TB, cfg Config) (*sim.Engine, *simnet.Network, Config) {
 	t.Helper()
 	it, err := cloud.ByName(c.instance)
 	if err != nil {
@@ -76,28 +89,34 @@ func (c cluster) run(t *testing.T, cfg Config) (*Result, uint64) {
 			cfg.GPUs = append(cfg.GPUs, m.GPUs[:c.gpusPer]...)
 		}
 	}
-	res, err := Run(eng, net, cfg)
-	if err != nil {
-		t.Fatalf("%v: Run: %v", c, err)
-	}
-	return res, eng.Scheduled()
+	return eng, net, cfg
 }
 
 // checkOnePeriod runs cfg on the cluster from one period and from every
-// iteration and requires the two Results to be deeply equal. It returns
+// iteration and requires the two Results to be deeply equal, and a
+// real-data run's loaders to have handed over every batch. It returns
 // the full run's Result and the iterations a real-data run skipped.
 func checkOnePeriod(t *testing.T, c cluster, cfg Config) (full *Result, skipped int) {
 	t.Helper()
 	cfg.EveryIteration = false
 	outer := observeProbe
+	var skip *skipper
 	observeProbe = func(s *skipper) {
-		skipped = s.skipped
+		skip, skipped = s, s.skipped
 		if outer != nil {
 			outer(s)
 		}
 	}
 	period, _ := c.run(t, cfg)
 	observeProbe = outer
+	if skip != nil {
+		for _, w := range skip.workers {
+			if n := w.loader.Skippable(); n != 0 || !w.loader.Drained() {
+				t.Errorf("%v %v warmup %d iterations %d: rank %d's loader ends with %d batches queued, drained %v",
+					c, cfg.CacheMode, cfg.Warmup, cfg.Iterations, w.rank, n, w.loader.Drained())
+			}
+		}
+	}
 	cfg.EveryIteration = true
 	full, _ = c.run(t, cfg)
 	if !reflect.DeepEqual(period, full) {
@@ -195,20 +214,34 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 		{instance: "p3.16xlarge", count: 1, seed: 1}, // whole NVLink crossbar
 		{instance: "p3.8xlarge", count: 2, seed: 1},  // VPC
 	}
-	placements := map[string]int{}
+	// Where the warmup boundary falls, per skip, and for the skips made
+	// once the loaders were drained.
+	placements, drained := map[string]int{}, map[string]int{}
+	var seen *skipper
+	before := 0
 	observeProbe = func(s *skipper) {
-		if s.skipped == 0 {
+		if s != seen {
+			seen, before = s, 0
+		}
+		k := s.skipped - before
+		before = s.skipped
+		if k == 0 {
 			return
 		}
+		var p string
 		switch w := s.workers[0].cfg.Warmup; {
 		case w <= s.it:
-			placements["before"]++
-		case w < s.it+s.skipped:
-			placements["inside"]++
-		case w == s.it+s.skipped:
-			placements["at the end"]++
+			p = "before"
+		case w < s.it+k:
+			p = "inside"
+		case w == s.it+k:
+			p = "at the end"
 		default:
-			placements["after"]++
+			p = "after"
+		}
+		placements[p]++
+		if s.workers[0].loader.Drained() {
+			drained[p]++
 		}
 	}
 	for _, c := range realFabrics {
@@ -230,6 +263,9 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 		if placements[p] == 0 {
 			t.Errorf("no skip with the warmup boundary %s the skipped iterations: %v", p, placements)
 		}
+	}
+	if drained["inside"] == 0 {
+		t.Errorf("no skip over drained loaders with the warmup boundary inside the skipped iterations: %v", drained)
 	}
 
 	squeezenet, err := dnn.ByName("squeezenet1_1")
@@ -260,12 +296,13 @@ func TestOnePeriodMatchesFullRun(t *testing.T) {
 // TestRealDataSkipWorkCounts pins the work a real-data run simulates:
 // the iterations and the engine events. A cold and a warm p3.16xlarge
 // cell skip all but the steps up to the first boundary that repeats the
-// one before it, warmup or not, and the steps in which the loaders run
-// out of batches, at 12 and 20 measured iterations; a 16-GPU cell whose
-// pace changes once its loaders have fetched their last batch simulates
-// that tail exactly; and a cell whose steps never settle into a period
-// simulates every step, plus the probe events at its boundaries. The
-// cells are the suite's at seed 1.
+// one before it, warmup or not, the steps in which the loaders fetch
+// their last batches and drain, and the last step, at 12 and 20
+// measured iterations; a 16-GPU cell whose pace changes once its loaders
+// have fetched their last batch simulates the change exactly and skips
+// the drained steps after it; and a cell whose steps never settle into
+// a period simulates every step, plus the probe events at its
+// boundaries. The cells are the suite's at seed 1.
 func TestRealDataSkipWorkCounts(t *testing.T) {
 	mobilenet, err := dnn.ByName("mobilenet_v2")
 	if err != nil {
@@ -286,10 +323,10 @@ func TestRealDataSkipWorkCounts(t *testing.T) {
 	}{
 		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 12, 3, 2262},
 		{"cold", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheCold, 20, 3, 2262},
-		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 8, 5479},
-		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 8, 5479},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 12, 6, 4235},
+		{"warm", cluster{instance: "p3.16xlarge", count: 1, seed: 1}, resnet18Job(t, 32), pipeline.CacheWarm, 20, 6, 4235},
 		// 231.57 ms steps, then 197.68 ms for the last three.
-		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 9, 24170},
+		{"loader-end tail", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, mobilenet, 32), pipeline.CacheWarm, 12, 7, 19040},
 		// Every step but the loaders' last fetch takes its own time.
 		{"non-periodic", cluster{instance: "p2.16xlarge", count: 1, seed: 1}, mustJob(t, alexnet, 32), pipeline.CacheCold, 12, 15, 5787},
 	} {
@@ -318,7 +355,9 @@ func TestRealDataSkipWorkCounts(t *testing.T) {
 // the GPU, fetches further ahead every other step until its prefetch
 // credits run out. Boundaries whose steps took equal time but whose
 // loader is at a different depth must not skip; the run skips only once
-// the depth, and the rest of the state, repeats.
+// the depth, and the rest of the state, repeats. The depth is compared
+// while the loader fetches: a drained loader's buffer shrinks by one
+// every step, and its boundaries may match regardless.
 func TestEqualStepTimesDoNotSkip(t *testing.T) {
 	alexnet, err := dnn.ByName("alexnet")
 	if err != nil {
@@ -326,12 +365,18 @@ func TestEqualStepTimesDoNotSkip(t *testing.T) {
 	}
 	type probe struct {
 		it, ahead, skipped int
+		drained            bool
 		at                 time.Duration
 	}
 	var probes []probe
+	before := 0 // the iterations skipped before the probe
 	observeProbe = func(s *skipper) {
 		w := s.workers[0]
-		probes = append(probes, probe{s.it, w.total - w.loader.Unfetched() - s.skipped - s.it, s.skipped, s.cur.at})
+		probes = append(probes, probe{
+			it: s.it, ahead: w.total - w.loader.Unfetched() - s.skipped - s.it, skipped: s.skipped - before,
+			drained: w.loader.Drained(), at: s.cur.at,
+		})
+		before = s.skipped
 	}
 	c := cluster{instance: "p3.2xlarge", count: 1, seed: 1}
 	cfg := Config{Job: mustJob(t, alexnet, 128), Iterations: 20, CacheMode: pipeline.CacheWarm}
@@ -343,13 +388,13 @@ func TestEqualStepTimesDoNotSkip(t *testing.T) {
 	negatives := 0
 	for k := 2; k < len(probes); k++ {
 		a, b := probes[k-1], probes[k]
-		if b.at-a.at != a.at-probes[k-2].at || a.ahead == b.ahead {
+		if b.at-a.at != a.at-probes[k-2].at || a.drained || b.drained || a.ahead == b.ahead {
 			continue
 		}
 		negatives++
 		if b.skipped > 0 {
-			t.Errorf("skipped at boundary %d: its step took as long as the one before, but the loader is %d batches ahead, not %d",
-				b.it, b.ahead, a.ahead)
+			t.Errorf("skipped %d at boundary %d: its step took as long as the one before, but the loader is %d batches ahead, not %d",
+				b.skipped, b.it, b.ahead, a.ahead)
 		}
 	}
 	if negatives == 0 {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"stash/internal/collective"
@@ -171,13 +172,40 @@ type Result struct {
 //     iteration 0 on, it encodes the world relative to that instant:
 //     workers, loaders, flows and pending events. When a boundary
 //     encodes equal to the one before it, every later step repeats the
-//     one between them until a loader runs out of batches. Run skips the
-//     steps that keep each loader's fetch index below its batch count,
+//     one between them until a loader runs out. Run skips those steps,
 //     warmup steps or measured ones, adds their increments to the
-//     workers' clocks and waits and to CommBusy, places a warmup
-//     boundary among them where the repeats put it, and simulates the
-//     rest, where the loaders run dry, exactly (see skipper).
+//     workers' clocks and waits and to CommBusy, and places a warmup
+//     boundary among them where the repeats put it. It does so twice at
+//     most: first over the steps that keep each loader's fetch index
+//     below its batch count, then, once every loader has queued its last
+//     batch for its worker, over the steps that take a queued batch. It
+//     simulates the steps between and the last one exactly (see
+//     skipper).
 func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
+	r, err := start(eng, net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.Run(); err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
+	return r.result(), nil
+}
+
+// run is a training run set up on an engine, ready to simulate.
+type run struct {
+	cfg           *Config // as simulated: one step of a one-period run
+	iters, warmup int     // the steps the Result reads as
+	onePeriod     bool
+	plan          *iterationPlan
+	group         *collective.Group
+	workers       []*worker
+	skip          *skipper // nil unless the run may skip periods
+}
+
+// start validates cfg, builds the run's collective group, workers and
+// loaders on the engine, and spawns their tasks.
+func start(eng *sim.Engine, net *simnet.Network, cfg Config) (*run, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("train: nil topology")
 	}
@@ -292,36 +320,57 @@ func Run(eng *sim.Engine, net *simnet.Network, cfg Config) (*Result, error) {
 		}
 		w.task = eng.Spawn(fmt.Sprintf("worker-%d", w.rank), w.cont)
 	}
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("train: %w", err)
+	return &run{
+		cfg: &cfg, iters: iters, warmup: warmup, onePeriod: onePeriod,
+		plan: plan, group: group, workers: workers, skip: skip,
+	}, nil
+}
+
+// result reads the Result off a run its engine has simulated, and counts
+// the steps it simulated.
+func (r *run) result() *Result {
+	iters, skip := r.iters, r.skip
+	simulated := r.cfg.Warmup + r.cfg.Iterations
+	if skip != nil {
+		simulated -= skip.skipped
 	}
+	stepsSimulated.Add(uint64(simulated))
 
 	res := &Result{
 		Iterations:       iters,
-		WorldSize:        len(gpus),
-		ComputePerWorker: plan.computeTotal * time.Duration(iters),
-		CommBusy:         group.BusyTime(),
+		WorldSize:        len(r.workers),
+		ComputePerWorker: r.plan.computeTotal * time.Duration(iters),
+		CommBusy:         r.group.BusyTime(),
 	}
 	if skip != nil {
 		res.CommBusy += skip.busy
 	}
-	for _, w := range workers {
+	for _, w := range r.workers {
 		res.Elapsed = max(res.Elapsed, w.finish-w.warmupEnd)
 		res.DataWaitMax = max(res.DataWaitMax, w.dataWait-w.dataBase)
 		res.CommWaitMax = max(res.CommWaitMax, w.commWait-w.commBase)
 	}
-	if onePeriod {
+	if r.onePeriod {
 		res.Elapsed *= time.Duration(iters)
 		res.DataWaitMax *= time.Duration(iters)
 		res.CommWaitMax *= time.Duration(iters)
-		res.CommBusy *= time.Duration(warmup + iters)
+		res.CommBusy *= time.Duration(r.warmup + iters)
 	}
 	res.PerIteration = res.Elapsed / time.Duration(iters)
 	if res.Elapsed > 0 {
-		res.SamplesPerSecond = float64(iters*cfg.Job.BatchPerGPU*len(gpus)) / res.Elapsed.Seconds()
+		res.SamplesPerSecond = float64(iters*r.cfg.Job.BatchPerGPU*len(r.workers)) / res.Elapsed.Seconds()
 	}
-	return res, nil
+	return res
 }
+
+// stepsSimulated counts the optimizer steps Run has simulated.
+var stepsSimulated atomic.Uint64
+
+// StepsSimulated returns how many optimizer steps Run has simulated in
+// this process, warmup steps included. A step that Run skips as a repeat
+// of a period is not counted, so the count shows how much work the skips
+// save where wall time cannot tell.
+func StepsSimulated() uint64 { return stepsSimulated.Load() }
 
 // iterationPlan precomputes the compute timeline of one iteration:
 // a single forward-pass duration, then backward-pass segments ending at
@@ -362,21 +411,28 @@ func newIterationPlan(job workload.Job, gpu hw.GPUSpec, buckets []collective.Buc
 	}
 
 	// Map each layer index to the bucket issued when its gradient is
-	// ready (the bucket whose earliest backward-order layer it is).
-	issueAt := make(map[int]int) // layer index -> bucket index
+	// ready (the bucket whose earliest backward-order layer it is), or -1.
+	issueAt := make([]int, len(m.Layers))
+	for i := range issueAt {
+		issueAt[i] = -1
+	}
 	for bi, b := range buckets {
 		if len(b.Layers) == 0 {
 			return nil, fmt.Errorf("bucket %d has no layers", bi)
 		}
-		last := b.Layers[len(b.Layers)-1] // deepest layer in backward order
-		issueAt[last] = bi
+		// The deepest layer in backward order; one the model lacks gives
+		// the bucket no issue point, reported below.
+		if last := b.Layers[len(b.Layers)-1]; last >= 0 && last < len(m.Layers) {
+			issueAt[last] = bi
+		}
 	}
 
+	p.backwardSegments = make([]time.Duration, 0, len(buckets))
 	seg := time.Duration(0)
 	nextBucket := 0
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		seg += bwdTime(m.Layers[i])
-		if bi, ok := issueAt[i]; ok {
+		if bi := issueAt[i]; bi >= 0 {
 			if bi != nextBucket {
 				return nil, fmt.Errorf("bucket %d issued out of order (expected %d)", bi, nextBucket)
 			}

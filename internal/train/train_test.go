@@ -7,6 +7,7 @@ import (
 	"stash/internal/cloud"
 	"stash/internal/collective"
 	"stash/internal/dnn"
+	"stash/internal/hw"
 	"stash/internal/pipeline"
 	"stash/internal/sim"
 	"stash/internal/simnet"
@@ -54,7 +55,7 @@ func (r *rig) pipelines(t *testing.T) map[int]*pipeline.HostPipeline {
 	return ps
 }
 
-func resnet18Job(t *testing.T, batch int) workload.Job {
+func resnet18Job(t testing.TB, batch int) workload.Job {
 	t.Helper()
 	m, err := dnn.ResNet(18)
 	if err != nil {
@@ -318,5 +319,20 @@ func TestThroughputAccounting(t *testing.T) {
 	got := res.SamplesPerSecond * res.Elapsed.Seconds()
 	if diff := got - wantSamples; diff > 1 || diff < -1 {
 		t.Errorf("throughput accounts for %v samples, want %v", got, wantSamples)
+	}
+}
+
+// TestIterationPlanAllocs pins the allocations of planning an iteration:
+// the plan, its layer-to-bucket index and its backward segments.
+func TestIterationPlanAllocs(t *testing.T) {
+	job := resnet18Job(t, 32)
+	buckets := collective.PerLayerBuckets(job.Model)
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := newIterationPlan(job, hw.V100, buckets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 3 {
+		t.Errorf("planning a resnet18 iteration allocates %v times, want at most 3", got)
 	}
 }

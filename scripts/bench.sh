@@ -3,7 +3,8 @@
 #
 # Runs the suite-level benchmarks (root Suite*/experiment benches, the
 # collective ring all-reduce sweep over the suite's fabrics —
-# BenchmarkRingAllReduce/{pcie16,nvlink8,vpc2x4} — and the
+# BenchmarkRingAllReduce/{pcie16,nvlink8,vpc2x4} — the cost of building
+# one scenario's world, BenchmarkWorldBuild, and the
 # simulation-engine/simnet microbenches)
 # with a fixed -benchtime and -count, then converts `go test -bench`
 # output into a machine-readable BENCH_<date>.json so successive commits
@@ -47,7 +48,7 @@
 #   FILTER          -bench regexp          (default SuiteSerial|
 #                   SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|
 #                   SameInstantFanOut|FlowLifecycle|RingBesideLoaders|
-#                   RingBesideUpload|
+#                   RingBesideUpload|WorldBuild|
 #                   BlameAttribute|TableRender)
 set -eu
 cd "$(dirname "$0")/.."
@@ -55,7 +56,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1x}"
 MICRO_BENCHTIME="${MICRO_BENCHTIME:-0.5s}"
 COUNT="${COUNT:-3}"
-FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|SameInstantFanOut|FlowLifecycle|RingBesideLoaders|RingBesideUpload|BlameAttribute|TableRender}"
+FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|SameInstantFanOut|FlowLifecycle|RingBesideLoaders|RingBesideUpload|WorldBuild|BlameAttribute|TableRender}"
 # The effective scheduler width: parallel_speedup (SuiteSerial /
 # SuiteParallel) is only meaningful when the parallel suite actually had
 # more than one P to run on, so single-P hosts record gomaxprocs and
@@ -79,7 +80,7 @@ go test -run '^$' -bench "$FILTER" -benchmem -benchtime "$BENCHTIME" -count "$CO
     . | tee "$RAW"
 echo "==> go test -bench '$FILTER' -benchtime=$MICRO_BENCHTIME -count=$COUNT (micro)"
 go test -run '^$' -bench "$FILTER" -benchmem -benchtime "$MICRO_BENCHTIME" -count "$COUNT" \
-    ./internal/collective ./internal/report ./internal/sim ./internal/simnet ./internal/trace | tee -a "$RAW"
+    ./internal/collective ./internal/report ./internal/sim ./internal/simnet ./internal/trace ./internal/train | tee -a "$RAW"
 
 echo "==> bash bench/run.sh --workload suite-cold --seed 1 --seconds 1 --trace 1 (layer shares)"
 bash bench/run.sh --workload suite-cold --seed 1 --seconds 1 --trace 1 > "$TRACED"
